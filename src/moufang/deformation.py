@@ -32,6 +32,11 @@ from .models import (
     MulRows,
     State,
     basis_state,
+    basis_sweep,
+    evaluate,
+    evaluate_components,
+    first_difference,
+    subtract_state,
 )
 
 
@@ -81,13 +86,9 @@ class GradedSpace:
 # --- truncated deformations ------------------------------------------------
 
 
-def _zero_state() -> State:
-    return {}
-
-
-def _add_state(acc: State, extra: State, scale: Fraction = Fraction(1)) -> None:
+def _add_state(acc: State, extra: State) -> None:
     for key, value in extra.items():
-        new = acc.get(key, Fraction(0)) + scale * value
+        new = acc.get(key, Fraction(0)) + value
         if new:
             acc[key] = new
         else:
@@ -129,76 +130,6 @@ class TruncatedDeformation:
         return self.mul_components[n] if n <= self.order else {}
 
 
-def _apply_series_slice(states: list[State], kind: str, label: Optional[str],
-                        off: int, deformation: TruncatedDeformation
-                        ) -> list[State]:
-    """One diagram slice on a degree-indexed family of sparse tensors.
-
-    Plain mul/comul use the whole component series (degrees convolve);
-    label "0" restricts to the constant component, label "+" to the strictly
-    positive ones.  unit/counit/swap act degree by degree.
-    """
-    order = len(states) - 1
-    model = deformation.base
-    out: list[State] = [_zero_state() for _ in range(order + 1)]
-
-    if kind in ("mul", "comul"):
-        if label is None:
-            degree_range = range(order + 1)
-        elif label == "0":
-            degree_range = range(0, 1)
-        else:
-            degree_range = range(1, order + 1)
-        for a in degree_range:
-            rows = (deformation.mul_rows_at(a) if kind == "mul"
-                    else deformation.comul_rows_at(a))
-            if not rows:
-                continue
-            for b in range(order + 1 - a):
-                state = states[b]
-                if not state:
-                    continue
-                target = out[a + b]
-                if kind == "mul":
-                    for key, coeff in state.items():
-                        for k, c in rows.get((key[off], key[off + 1]), ()):
-                            _add_state(
-                                target,
-                                {key[:off] + (k,) + key[off + 2:]: coeff * c},
-                            )
-                else:
-                    for key, coeff in state.items():
-                        for (j, k), c in rows.get(key[off], ()):
-                            _add_state(
-                                target,
-                                {key[:off] + (j, k) + key[off + 1:]: coeff * c},
-                            )
-        return out
-
-    for n, state in enumerate(states):
-        if not state:
-            continue
-        target = out[n]
-        if kind == "unit":
-            for key, coeff in state.items():
-                for i, c in model.unit_entries:
-                    _add_state(target, {key[:off] + (i,) + key[off:]: coeff * c})
-        elif kind == "counit":
-            for key, coeff in state.items():
-                c = model.counit_entries.get(key[off])
-                if c:
-                    _add_state(target, {key[:off] + key[off + 1:]: coeff * c})
-        elif kind == "swap":
-            for key, coeff in state.items():
-                _add_state(
-                    target,
-                    {key[:off] + (key[off + 1], key[off]) + key[off + 2:]: coeff},
-                )
-        else:
-            raise DeformationError(f"cannot evaluate generator {kind!r}")
-    return out
-
-
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                     states: list[State] | State,
                     order: Optional[int] = None) -> list[State]:
@@ -211,7 +142,7 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
     if order is None:
         order = deformation.order
     if isinstance(states, dict):
-        states = [states] + [_zero_state() for _ in range(order)]
+        states = [states] + [{} for _ in range(order)]
     if len(states) != order + 1:
         raise DeformationError("degree-indexed input has the wrong length")
     dim = deformation.base.dim
@@ -223,53 +154,55 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                 )
             if any(i < 0 or i >= dim for i in key):
                 raise DeformationError("input index out of range for the base")
-    current = [dict(s) for s in states]
-    for kind, label, off in d.slices:
-        current = _apply_series_slice(current, kind, label, off, deformation)
-    return current
+    return evaluate_components(d, [dict(s) for s in states], deformation.base,
+                               deformation.mul_components,
+                               deformation.comul_components)
+
+
+def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
+                  rhs: Diagram, max_degree: Optional[int] = None,
+                  capped: bool = True):
+    """`models.basis_sweep` with the series structure maps, per h-degree up
+    to `max_degree` (the deformation's order by default)."""
+    if max_degree is None:
+        max_degree = deformation.order
+    if max_degree > deformation.order:
+        raise DeformationError("degree window exceeds the deformation order")
+    return basis_sweep(
+        lhs, rhs, deformation.base,
+        lambda d, state: evaluate_series(d, deformation, state, max_degree),
+        capped,
+    )
 
 
 _COASSOC_L = parse("comul ; comul * id(1)")
 _COASSOC_R = parse("comul ; id(1) * comul")
 _BIALG_L = parse("mul ; comul")
 _BIALG_R = parse("comul * comul ; id(1) * swap * id(1) ; mul * mul")
+_ID = parse("id(1)")
 
 
 def verify_deformation(deformation: TruncatedDeformation) -> None:
     """Registration: counit/unit laws exactly, compatibility per degree."""
     model = deformation.base
-    order = deformation.order
-    for side in ("counit * id(1)", "id(1) * counit"):
-        diag = parse(f"comul ; {side}")
-        for i in range(model.dim):
-            result = evaluate_series(diag, deformation, basis_state((i,)))
-            for n, state in enumerate(result):
-                expected = basis_state((i,)) if n == 0 else {}
-                if state != expected:
-                    raise DeformationError(
-                        f"{deformation.name}: counit law fails at degree {n} "
-                        f"on basis {model.label(i)}"
-                    )
-    for side, diag in (("left", parse("unit * id(1) ; mul")),
-                       ("right", parse("id(1) * unit ; mul"))):
-        for i in range(model.dim):
-            result = evaluate_series(diag, deformation, basis_state((i,)))
-            for n, state in enumerate(result):
-                expected = basis_state((i,)) if n == 0 else {}
-                if state != expected:
-                    raise DeformationError(
-                        f"{deformation.name}: {side} unit law fails at "
-                        f"degree {n} on basis {model.label(i)}"
-                    )
-    for key in model.basis_iterator(2):
-        lhs = evaluate_series(_BIALG_L, deformation, basis_state(key))
-        rhs = evaluate_series(_BIALG_R, deformation, basis_state(key))
-        for n in range(order + 1):
-            if lhs[n] != rhs[n]:
-                raise DeformationError(
-                    f"{deformation.name}: compatibility fails at degree {n} "
-                    f"on basis pair {tuple(model.label(i) for i in key)}"
-                )
+    laws = (
+        ("counit law", parse("comul ; counit * id(1)"), _ID, False),
+        ("counit law", parse("comul ; id(1) * counit"), _ID, False),
+        ("left unit law", parse("unit * id(1) ; mul"), _ID, False),
+        ("right unit law", parse("id(1) * unit ; mul"), _ID, False),
+        ("compatibility", _BIALG_L, _BIALG_R, True),
+    )
+    for law, lhs, rhs, capped in laws:
+        found = first_difference(
+            _series_sweep(deformation, lhs, rhs, capped=capped)
+        )
+        if found is not None:
+            n, key, _diff = found
+            where = (f"basis {model.label(key[0])}" if len(key) == 1 else
+                     f"basis pair {tuple(model.label(i) for i in key)}")
+            raise DeformationError(
+                f"{deformation.name}: {law} fails at degree {n} on {where}"
+            )
 
 
 def null_deformation(model: FiniteBialgebraModel, order: int,
@@ -318,20 +251,8 @@ def coassociator(deformation: TruncatedDeformation, n: int
         raise DeformationError(
             f"component {n} exceeds the deformation order {deformation.order}"
         )
-    out: dict[int, State] = {}
-    for i in range(deformation.base.dim):
-        left = evaluate_series(_COASSOC_L, deformation, basis_state((i,)))
-        right = evaluate_series(_COASSOC_R, deformation, basis_state((i,)))
-        diff = dict(left[n])
-        _add_state(diff, right[n], Fraction(-1))
-        out[i] = diff
-    return out
-
-
-def coassociator_components(deformation: TruncatedDeformation
-                            ) -> list[dict[int, State]]:
-    return [coassociator(deformation, n)
-            for n in range(deformation.order + 1)]
+    sweep = _series_sweep(deformation, _COASSOC_L, _COASSOC_R, capped=False)
+    return {i: diffs[n] for (i,), diffs in sweep}
 
 
 # --- co-Moufang and Moufang checks modulo h^(N+1) ---------------------------
@@ -355,18 +276,9 @@ class SeriesReport:
                 f"difference {self.diff}")
 
 
-def _series_identity(deformation: TruncatedDeformation, lhs: Diagram,
-                     rhs: Diagram, max_degree: int) -> SeriesReport:
-    model = deformation.base
-    for key in model.basis_iterator(lhs.n_in):
-        left = evaluate_series(lhs, deformation, basis_state(key), max_degree)
-        right = evaluate_series(rhs, deformation, basis_state(key), max_degree)
-        for n in range(max_degree + 1):
-            diff = dict(left[n])
-            _add_state(diff, right[n], Fraction(-1))
-            if diff:
-                return SeriesReport(False, n, key, diff)
-    return SeriesReport(True)
+def _series_report(sweep) -> SeriesReport:
+    found = first_difference(sweep)
+    return SeriesReport(True) if found is None else SeriesReport(False, *found)
 
 
 def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
@@ -374,14 +286,12 @@ def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
     """Does the deformation satisfy a co-Moufang law modulo h^(N+1)?"""
     from .theories import flag_rules
 
-    if max_degree is None:
-        max_degree = deformation.order
-    if max_degree > deformation.order:
-        raise DeformationError("degree window exceeds the deformation order")
     if side not in ("left", "right"):
         raise DeformationError(f"unknown co-Moufang side {side!r}")
     rule = flag_rules(f"comoufang_{side[0]}")[0]
-    return _series_identity(deformation, rule.lhs, rule.rhs, max_degree)
+    return _series_report(
+        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree)
+    )
 
 
 def check_moufang_mod(deformation: TruncatedDeformation, side: str,
@@ -389,12 +299,12 @@ def check_moufang_mod(deformation: TruncatedDeformation, side: str,
     """Bialgebra-level Moufang law for the deformed product, modulo h^(N+1)."""
     from .theories import flag_rules
 
-    if max_degree is None:
-        max_degree = deformation.order
     if side not in ("left", "middle", "right"):
         raise DeformationError(f"unknown Moufang side {side!r}")
     rule = flag_rules(f"moufang_{side[0]}")[0]
-    return _series_identity(deformation, rule.lhs, rule.rhs, max_degree)
+    return _series_report(
+        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree)
+    )
 
 
 # --- Q operator and the kernel of T ----------------------------------------
@@ -402,8 +312,6 @@ def check_moufang_mod(deformation: TruncatedDeformation, side: str,
 
 def q_operator(model: FiniteBialgebraModel) -> Matrix:
     """Exact matrix of p∘Δ (columns indexed by basis elements)."""
-    from .models import evaluate
-
     q_diag = parse("comul ; mul")
     cols = []
     for i in range(model.dim):
@@ -543,10 +451,6 @@ def wedge_membership(t: State, slots: str, primitive: Sequence[int]) -> bool:
 # --- multiplicative series and the defect identity ---------------------------
 
 
-def _apply_matrix_vec(m: Matrix, v: Vector) -> Vector:
-    return linalg.mat_vec(m, list(v))
-
-
 def _series_multiplicative_defect(deformation: TruncatedDeformation,
                                   phi: TruncatedSeriesMap,
                                   degree: int) -> Optional[tuple]:
@@ -683,21 +587,9 @@ def kernel_map_RS(deformation: TruncatedDeformation) -> SeriesReport:
                 f"{deformation.name} is not {side} co-Moufang: "
                 + report.describe(deformation.base)
             )
-    model = deformation.base
-    order = deformation.order
-    for x in range(model.dim):
-        c_l = evaluate_series(_COASSOC_L, deformation, basis_state((x,)))
-        c_r = evaluate_series(_COASSOC_R, deformation, basis_state((x,)))
-        c_states = []
-        for n in range(order + 1):
-            diff = dict(c_l[n])
-            _add_state(diff, c_r[n], Fraction(-1))
-            c_states.append(diff)
-        result = apply_kernel_map(deformation, c_states)
-        for n, state in enumerate(result):
-            if state:
-                return SeriesReport(False, n, (x,), state)
-    return SeriesReport(True)
+    sweep = _series_sweep(deformation, _COASSOC_L, _COASSOC_R, capped=False)
+    return _series_report((x, apply_kernel_map(deformation, coassoc))
+                          for x, coassoc in sweep)
 
 
 # --- deformed associator congruences (the Nalt consequence) -----------------
@@ -708,30 +600,17 @@ _ASSOC_R = parse("id(1) * mul ; mul")
 
 def is_primitive(model: FiniteBialgebraModel, v: Vector) -> bool:
     """Is Δ(v) = v⊗1 + 1⊗v in the base model?"""
-    left: State = {}
-    for i, c in enumerate(v):
-        if c:
-            for (j, k), w in model.comul_rows.get(i, ()):
-                _add_state(left, {(j, k): c * w})
-    expected: State = {}
-    for i, c in enumerate(v):
-        if c:
-            for u, cu in model.unit_entries:
-                _add_state(expected, {(i, u): c * cu})
-                _add_state(expected, {(u, i): c * cu})
-    return left == expected
+    state = {(i,): c for i, c in enumerate(v) if c}
+    expected = evaluate(parse("id(1) * unit"), model, state)
+    _add_state(expected, evaluate(parse("unit * id(1)"), model, state))
+    return evaluate(parse("comul"), model, state) == expected
 
 
 def _associator_series(deformation: TruncatedDeformation,
                        states: list[State]) -> list[State]:
     lhs = evaluate_series(_ASSOC_L, deformation, states)
     rhs = evaluate_series(_ASSOC_R, deformation, states)
-    out = []
-    for a, b in zip(lhs, rhs):
-        diff = dict(a)
-        _add_state(diff, b, Fraction(-1))
-        out.append(diff)
-    return out
+    return [subtract_state(a, b) for a, b in zip(lhs, rhs)]
 
 
 def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
@@ -763,7 +642,7 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
                 key = [y, z]
                 key.insert(position, i)
                 _add_state(state, {tuple(key): c})
-        return [state] + [_zero_state() for _ in range(order)]
+        return [state] + [{} for _ in range(order)]
 
     for y in range(model.dim):
         for z in range(model.dim):
@@ -775,8 +654,7 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
                 _add_state(anti, second[n])
                 if anti:
                     return SeriesReport(False, n, (y, z), anti)
-                cyc = dict(first[n])
-                _add_state(cyc, third[n], Fraction(-1))
+                cyc = subtract_state(first[n], third[n])
                 if cyc:
                     return SeriesReport(False, n, (y, z), cyc)
     return SeriesReport(True)
@@ -944,21 +822,10 @@ def exterior_cube_action(action: Sequence[Matrix]) -> list[Matrix]:
                     if len(set(image)) < 3:
                         continue
                     perm_sorted = tuple(sorted(image))
-                    sign = _sort_sign(image)
+                    sign = _perm_sign(sorted(range(3), key=image.__getitem__))
                     m[index[perm_sorted]][col] += c * sign
         out.append(m)
     return out
-
-
-def _sort_sign(seq: list[int]) -> int:
-    sign = 1
-    arr = list(seq)
-    for i in range(len(arr)):
-        for j in range(len(arr) - 1 - i):
-            if arr[j] > arr[j + 1]:
-                arr[j], arr[j + 1] = arr[j + 1], arr[j]
-                sign = -sign
-    return sign
 
 
 def casimir(g: LieAlgebraModel, action: Sequence[Matrix]) -> Matrix:
@@ -1099,7 +966,7 @@ def shift_conjugation_deformation(max_degree: int, order: int,
                                     continue
                                 for k, c in model.mul_rows.get((s, t), ()):
                                     prod[k] += x[s] * y[t] * c
-                        img = _apply_matrix_vec(fwd[a], tuple(prod))
+                        img = linalg.mat_vec(fwd[a], prod)
                         acc = [p + q for p, q in zip(acc, img)]
                 entries = tuple(
                     (k, v) for k, v in enumerate(acc) if v

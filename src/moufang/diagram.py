@@ -347,13 +347,6 @@ def tensor(f: Diagram, g: Diagram) -> Diagram:
     return canonicalize(raw_diagram(f.n_in + g.n_in, f.slices + shifted))
 
 
-def compose_all(*factors: Diagram) -> Diagram:
-    out = factors[0]
-    for f in factors[1:]:
-        out = compose(out, f)
-    return out
-
-
 def tensor_all(*factors: Diagram) -> Diagram:
     out = factors[0]
     for f in factors[1:]:

@@ -28,7 +28,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .diagram import ArityMismatch, Diagram
 
@@ -181,45 +181,70 @@ def _clean(state: State) -> State:
     return {k: v for k, v in state.items() if v}
 
 
-def apply_slice(state: State, kind: str, label: Optional[str], off: int,
-                model: FiniteBialgebraModel) -> State:
-    if label is not None:
-        raise ModelError(
-            f"labelled generator {kind}%{label} has no meaning in a plain "
-            "model; evaluate it against a truncated deformation instead"
-        )
-    out: State = {}
+def _accumulate(target: State, terms) -> None:
+    for key, value in terms:
+        acc = target.get(key)
+        target[key] = value if acc is None else acc + value
 
-    def add(key: tuple[int, ...], value: Fraction) -> None:
-        acc = out.get(key)
-        out[key] = value if acc is None else acc + value
 
+def _slice_terms(state: State, kind: str, off: int, rows,
+                 model: FiniteBialgebraModel):
+    """The (key, value) terms one slice makes from one sparse tensor."""
     if kind == "mul":
-        rows = model.mul_rows
         for key, coeff in state.items():
             for k, c in rows.get((key[off], key[off + 1]), ()):
-                add(key[:off] + (k,) + key[off + 2:], coeff * c)
+                yield key[:off] + (k,) + key[off + 2:], coeff * c
     elif kind == "comul":
-        rows = model.comul_rows
         for key, coeff in state.items():
             for (j, k), c in rows.get(key[off], ()):
-                add(key[:off] + (j, k) + key[off + 1:], coeff * c)
+                yield key[:off] + (j, k) + key[off + 1:], coeff * c
     elif kind == "unit":
         for key, coeff in state.items():
             for i, c in model.unit_entries:
-                add(key[:off] + (i,) + key[off:], coeff * c)
+                yield key[:off] + (i,) + key[off:], coeff * c
     elif kind == "counit":
         ce = model.counit_entries
         for key, coeff in state.items():
             c = ce.get(key[off])
             if c:
-                add(key[:off] + key[off + 1:], coeff * c)
+                yield key[:off] + key[off + 1:], coeff * c
     elif kind == "swap":
         for key, coeff in state.items():
-            add(key[:off] + (key[off + 1], key[off]) + key[off + 2:], coeff)
+            yield key[:off] + (key[off + 1], key[off]) + key[off + 2:], coeff
     else:
         raise ModelError(f"cannot evaluate generator kind {kind!r}")
-    return _clean(out)
+
+
+def evaluate_components(d: Diagram, states: list[State],
+                        model: FiniteBialgebraModel,
+                        muls: Sequence[MulRows],
+                        comuls: Sequence[ComulRows]) -> list[State]:
+    """Apply a diagram to sparse tensors indexed by h-degree, slice by slice.
+
+    ``muls`` and ``comuls`` list the degree components of the product and
+    coproduct; a plain model is the order-0 case ``(mul_rows,)``,
+    ``(comul_rows,)``.  mul/comul convolve degrees modulo
+    h^len(states) (label "0" keeps the constant component, "+" the
+    positive ones); unit, counit and swap, from ``model``, act degree by
+    degree.
+    """
+    order = len(states) - 1
+    for kind, label, off in d.slices:
+        out: list[State] = [{} for _ in states]
+        if kind in ("mul", "comul"):
+            comps = muls if kind == "mul" else comuls
+            first = 1 if label == "+" else 0
+            last = min(0 if label == "0" else order, len(comps) - 1)
+            for a in range(first, last + 1):
+                for b in range(order + 1 - a):
+                    _accumulate(out[a + b],
+                                _slice_terms(states[b], kind, off, comps[a],
+                                             model))
+        else:
+            for target, state in zip(out, states):
+                _accumulate(target, _slice_terms(state, kind, off, None, model))
+        states = [_clean(state) for state in out]
+    return states
 
 
 def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
@@ -231,9 +256,56 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
             )
         if any(i < 0 or i >= model.dim for i in key):
             raise ModelError("input index out of range for model dimension")
-    for kind, label, off in d.slices:
-        state = apply_slice(state, kind, label, off, model)
-    return state
+    for kind, label, _off in d.slices:
+        if label is not None:
+            raise ModelError(
+                f"labelled generator {kind}%{label} has no meaning in a plain "
+                "model; evaluate it against a truncated deformation instead"
+            )
+    return evaluate_components(d, [state], model, (model.mul_rows,),
+                               (model.comul_rows,))[0]
+
+
+def subtract_state(a: State, b: State) -> State:
+    """a - b, keeping a's key order and appending b's new keys."""
+    diff = dict(a)
+    _accumulate(diff, ((k, -v) for k, v in b.items()))
+    return _clean(diff)
+
+
+def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
+                run=None, capped: bool = True):
+    """Yield ``(input, differences)`` for every basis input, exactly.
+
+    ``run(diagram, state)`` evaluates to a list of tensors indexed by
+    h-degree (by default the plain evaluator, one degree); ``differences``
+    lists lhs - rhs at each degree.  Inputs come from
+    ``model.basis_iterator`` or, with ``capped=False``, from every basis
+    tuple regardless of the model's degree cap.
+    """
+    if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
+        raise ArityMismatch(
+            f"identity sides have different arities: "
+            f"{lhs.n_in}->{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}"
+        )
+    if run is None:
+        run = lambda d, state: [evaluate(d, model, state)]
+    keys = (model.basis_iterator(lhs.n_in) if capped
+            else itertools.product(range(model.dim), repeat=lhs.n_in))
+    for key in keys:
+        state = basis_state(key)
+        yield key, [subtract_state(a, b)
+                    for a, b in zip(run(lhs, state), run(rhs, state))]
+
+
+def first_difference(sweep) -> Optional[tuple[int, tuple[int, ...], State]]:
+    """``(degree, input, difference)`` of a sweep's first nonzero
+    difference, or None when every difference vanishes."""
+    for key, diffs in sweep:
+        for n, diff in enumerate(diffs):
+            if diff:
+                return n, key, diff
+    return None
 
 
 @dataclass
@@ -256,21 +328,11 @@ class IdentityReport:
 def holds_identity(lhs: Diagram, rhs: Diagram,
                    model: FiniteBialgebraModel) -> IdentityReport:
     """Exhaustive exact check of lhs = rhs on all (capped) basis inputs."""
-    if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
-        raise ArityMismatch(
-            f"identity sides have different arities: "
-            f"{lhs.n_in}->{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}"
-        )
-    for key in model.basis_iterator(lhs.n_in):
-        a = evaluate(lhs, model, basis_state(key))
-        b = evaluate(rhs, model, basis_state(key))
-        diff = dict(a)
-        for k, v in b.items():
-            diff[k] = diff.get(k, Fraction(0)) - v
-        diff = _clean(diff)
-        if diff:
-            return IdentityReport(False, key, diff, model.name)
-    return IdentityReport(True, model=model.name)
+    found = first_difference(basis_sweep(lhs, rhs, model))
+    if found is None:
+        return IdentityReport(True, model=model.name)
+    _degree, witness, diff = found
+    return IdentityReport(False, witness, diff, model.name)
 
 
 def verify_registration(model: FiniteBialgebraModel) -> None:
@@ -388,10 +450,6 @@ def truncated_binomial_bialgebra(max_degree: int,
 # --- model file format --------------------------------------------------
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def save_model_text(model: FiniteBialgebraModel) -> str:
     lines = [f"model {model.name}", f"dim {model.dim}"]
     if model.satisfied_flags:
@@ -444,14 +502,14 @@ def load_model_text(text: str, check: bool = True) -> FiniteBialgebraModel:
             cap = int(words[1])
         elif head == "mul":
             i, j, k = int(words[1]), int(words[2]), int(words[3])
-            mul_rows.setdefault((i, j), []).append((k, _frac(words[4])))
+            mul_rows.setdefault((i, j), []).append((k, Fraction(words[4])))
         elif head == "comul":
             i, j, k = int(words[1]), int(words[2]), int(words[3])
-            comul_rows.setdefault(i, []).append(((j, k), _frac(words[4])))
+            comul_rows.setdefault(i, []).append(((j, k), Fraction(words[4])))
         elif head == "unit":
-            unit_entries.append((int(words[1]), _frac(words[2])))
+            unit_entries.append((int(words[1]), Fraction(words[2])))
         elif head == "counit":
-            counit_entries[int(words[1])] = _frac(words[2])
+            counit_entries[int(words[1])] = Fraction(words[2])
         elif head == "kind" and words[1] == "algebra":
             raise ModelError(
                 "file holds bare algebra structure constants, not a bialgebra"

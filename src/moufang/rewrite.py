@@ -30,7 +30,15 @@ from .diagram import (
 
 
 class RewriteError(DiagramError):
-    """Invalid rule, position, or replay step."""
+    """Invalid rule, position, or replay step.
+
+    ``step`` is the index of the failing trace step, or None when the
+    error is not about one step.
+    """
+
+    def __init__(self, message: str, step: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -383,15 +391,16 @@ class ProofTrace:
         for i, step in enumerate(self.steps):
             rule = by_name.get(step.rule)
             if rule is None:
-                raise RewriteError(f"step {i}: unknown rule {step.rule!r}")
+                raise RewriteError(f"step {i}: unknown rule {step.rule!r}",
+                                   step=i)
             try:
                 current = apply_rule(current, rule, step.position,
                                      step.direction)
             except RewriteError as exc:
-                raise RewriteError(f"step {i}: {exc}") from None
+                raise RewriteError(f"step {i}: {exc}", step=i) from None
             if current != step.result:
                 raise RewriteError(
-                    f"step {i}: replay produced a different diagram"
+                    f"step {i}: replay produced a different diagram", step=i
                 )
         if current != canonicalize(self.rhs):
             raise RewriteError("replay did not reach the second endpoint")
@@ -463,7 +472,7 @@ def check_soundness(trace: ProofTrace, model_list, theory) -> SoundnessReport:
     """
     from fractions import Fraction
 
-    from .models import basis_state, evaluate
+    from .models import basis_sweep
 
     for model in model_list:
         missing = set(theory.flags) - set(model.satisfied_flags)
@@ -474,30 +483,21 @@ def check_soundness(trace: ProofTrace, model_list, theory) -> SoundnessReport:
             )
     try:
         trace.replay(theory.rules)
-        replay_ok, failed_step = True, None
     except RewriteError as exc:
-        message = str(exc)
-        index = -1
-        if message.startswith("step "):
-            index = int(message.split()[1].rstrip(":"))
-        return SoundnessReport(False, (index, message), [])
+        index = -1 if exc.step is None else exc.step
+        return SoundnessReport(False, (index, str(exc)), [])
 
     per_model = []
     for model in model_list:
         worst = Fraction(0)
         count = 0
-        for key in model.basis_iterator(trace.lhs.n_in):
-            a = evaluate(trace.lhs, model, basis_state(key))
-            b = evaluate(trace.rhs, model, basis_state(key))
-            diff = dict(a)
-            for k, v in b.items():
-                diff[k] = diff.get(k, Fraction(0)) - v
+        for _key, (diff,) in basis_sweep(trace.lhs, trace.rhs, model):
             for v in diff.values():
                 if abs(v) > worst:
                     worst = abs(v)
             count += 1
         per_model.append(ModelSoundness(model.name, worst, count))
-    return SoundnessReport(replay_ok, failed_step, per_model)
+    return SoundnessReport(True, None, per_model)
 
 
 # --- bidirectional search -----------------------------------------------

@@ -165,3 +165,48 @@ def test_prove_with_theory_file(tmp_path, capsys):
     code, out, _ = run(capsys, "prove", "--goal", "comoufang-c1",
                        "--theory", str(path))
     assert code == 0
+
+
+# Records of failing checks, pinned verbatim: witness, h-degree and the
+# insertion order of each difference are part of the output.
+GOLDEN_FAILURES = {
+    'delta1:6:3': (
+        ['deform', '--fixture', 'delta1:6:3'], 1,
+        [
+            "REC kind=deform name=delta1[binomial[6]] status=info detail='base binomial[6], order 3'",
+            "REC kind=coassociator name=degree-0 status=info detail='nonzero on 0 of 7 basis inputs'",
+            "REC kind=coassociator name=degree-1 status=info detail='nonzero on 4 of 7 basis inputs'",
+            "REC kind=coassociator name=degree-2 status=info detail='nonzero on 0 of 7 basis inputs'",
+            "REC kind=coassociator name=degree-3 status=info detail='nonzero on 0 of 7 basis inputs'",
+            'REC kind=comoufang name=left status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(2, 1, 1): Fraction(3, 1), (1, 2, 1): Fraction(3, 1), (3, 0, 1): Fraction(3, 1), (1, 1, 2): Fraction(-6, 1), (2, 0, 2): Fraction(-3, 1)}"',
+            'REC kind=comoufang name=right status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(2, 0, 2): Fraction(3, 1), (2, 1, 1): Fraction(6, 1), (1, 1, 2): Fraction(-3, 1), (1, 0, 3): Fraction(-3, 1), (1, 2, 1): Fraction(-3, 1)}"',
+        ],
+    ),
+    'delta1:4:2': (
+        ['deform', '--fixture', 'delta1:4:2'], 1,
+        [
+            "REC kind=deform name=delta1[binomial[4]] status=info detail='base binomial[4], order 2'",
+            "REC kind=coassociator name=degree-0 status=info detail='nonzero on 0 of 5 basis inputs'",
+            "REC kind=coassociator name=degree-1 status=info detail='nonzero on 2 of 5 basis inputs'",
+            "REC kind=coassociator name=degree-2 status=info detail='nonzero on 0 of 5 basis inputs'",
+            'REC kind=comoufang name=left status=pass',
+            'REC kind=comoufang name=right status=pass',
+            'REC kind=kernel-map name=R+S status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(1, 1, 2): Fraction(6, 1), (2, 0, 2): Fraction(3, 1), (1, 2, 1): Fraction(-3, 1), (2, 1, 1): Fraction(-3, 1), (3, 0, 1): Fraction(-3, 1)}"',
+        ],
+    ),
+    'check-model:binomial:6': (
+        ['check-model', '--model', 'binomial:6', '--identity', 'comul ; mul = id(1)'], 1,
+        [
+            "REC kind=model name=binomial[6] status=pass detail='registered flags: assoc coassoc cocomm comm comoufang_l comoufang_r'",
+            "REC kind=identity name=comul ; mul = id(1) status=fail detail='fails on basis input (a); difference {(1,): Fraction(1, 1)}'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FAILURES))
+def test_records_golden_failure_texts(capsys, case):
+    argv, expected_code, expected = GOLDEN_FAILURES[case]
+    code, out, _ = run(capsys, "--format", "records", *argv)
+    assert code == expected_code
+    assert out.splitlines() == expected

@@ -467,3 +467,11 @@ def test_symbolic_split_agrees_with_series_semantics():
         expected = evaluate_series(whole, deformation, basis_state((t,)))
         for n in range(3):
             assert {k: v for k, v in total[n].items() if v} == expected[n]
+
+
+@pytest.mark.parametrize("check", [check_moufang_mod, check_comoufang_mod])
+def test_series_checks_refuse_window_beyond_order(check):
+    deformation = shift_conjugation_deformation(8, 1)
+    with pytest.raises(DeformationError, match="degree window exceeds"):
+        check(deformation, "left", 3)
+    assert check(deformation, "left", 1).holds

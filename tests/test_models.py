@@ -244,3 +244,40 @@ def test_evaluation_invariant_under_canonicalization(binomial6):
             assert evaluate(raw, binomial6, basis_state(key)) == evaluate(
                 canon, binomial6, basis_state(key)
             )
+
+
+def _agreement_sides():
+    from moufang.theories import FLAGS, base_rules, flag_rules, goal_suite
+
+    for goal in goal_suite():
+        yield goal.name, goal.lhs
+        yield goal.name, goal.rhs
+    for rule in base_rules() + tuple(r for f in FLAGS for r in flag_rules(f)):
+        yield rule.name, rule.lhs
+        yield rule.name, rule.rhs
+
+
+@pytest.mark.parametrize("model_name", ["binomial6", "fn_o16"])
+def test_plain_evaluator_is_order_zero_series(model_name, request):
+    """A plain model evaluates exactly as its null deformation at degree 0."""
+    from moufang.deformation import evaluate_series, null_deformation
+
+    model = request.getfixturevalue(model_name)
+    null = null_deformation(model, 2)
+    rng = random.Random(5077)
+    for name, d in _agreement_sides():
+        state = {}
+        for _ in range(6):
+            key = tuple(rng.randrange(model.dim) for _ in range(d.n_in))
+            state[key] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        plain = evaluate(d, model, state)
+        series = evaluate_series(d, null, state)
+        assert list(plain.items()) == list(series[0].items()), name
+        assert series[1:] == [{}, {}], name
+
+
+def test_plain_model_refuses_positive_label(binomial6):
+    with pytest.raises(ModelError):
+        evaluate(parse("comul%+"), binomial6, basis_state((1,)))
+    with pytest.raises(ModelError):
+        holds_identity(parse("comul%+"), parse("comul"), binomial6)

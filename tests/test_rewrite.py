@@ -206,3 +206,29 @@ def test_passive_wire_pattern_rejected():
         find_matches(host, parse("counit * id(1)"))
     with pytest.raises(RewriteError):
         find_matches(host, parse("swap"))
+
+
+def test_rewrite_error_carries_failing_step(binomial6):
+    theory = named_theory("base")
+    lhs = parse("comul ; (counit * id(1))")
+    trace = prove_equal(lhs, parse("id(1)"), theory.rules, theory_name="base")
+    bad = ProofTrace(trace.lhs, trace.rhs, "base",
+                     list(trace.steps) + [TraceStep("no-such-rule", "->", "0",
+                                                    trace.rhs)])
+    with pytest.raises(RewriteError) as info:
+        bad.replay(theory.rules)
+    assert info.value.step == len(trace.steps)
+    assert str(info.value).startswith(f"step {len(trace.steps)}:")
+    report = check_soundness(bad, [binomial6], theory)
+    assert report.failed_step == (len(trace.steps), str(info.value))
+
+
+def test_rewrite_error_without_step(binomial6):
+    theory = named_theory("base")
+    unfinished = ProofTrace(parse("comul ; (counit * id(1))"), parse("id(1)"),
+                            "base", [])
+    with pytest.raises(RewriteError) as info:
+        unfinished.replay(theory.rules)
+    assert info.value.step is None
+    report = check_soundness(unfinished, [binomial6], theory)
+    assert report.failed_step[0] == -1
