@@ -12,6 +12,7 @@ import argparse
 import os
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,15 @@ from .dsl import parse, render
 
 class CliError(Exception):
     pass
+
+
+@contextmanager
+def _flag(name: str, value: str):
+    """Turn a malformed number in a flag value into a CliError naming it."""
+    try:
+        yield
+    except (ValueError, ZeroDivisionError) as exc:
+        raise CliError(f"{name}: bad value {value!r} ({exc})") from None
 
 
 def _load_theory(spec: str) -> theories.Theory:
@@ -37,18 +47,22 @@ def _load_theory(spec: str) -> theories.Theory:
         raise
 
 
-def _load_model(spec: str) -> models.FiniteBialgebraModel:
+def _load_model(spec: str, flag: str = "--model"
+                ) -> models.FiniteBialgebraModel:
     if Path(spec).exists():
         return models.load_model_text(Path(spec).read_text())
     head, _, arg = spec.partition(":")
+    if head in ("binomial", "loop-cyclic", "fn-cyclic"):
+        with _flag(flag, spec):
+            size = int(arg) if arg else (6 if head == "binomial" else 2)
     if head == "binomial":
-        return models.truncated_binomial_bialgebra(int(arg or 6))
+        return models.truncated_binomial_bialgebra(size)
     if head in ("loop-o16", "fn-o16"):
         loop = octonion.o16_loop()
         build = models.loop_bialgebra if head == "loop-o16" else models.function_bialgebra
         return build(loop)
     if head in ("loop-cyclic", "fn-cyclic"):
-        loop = models.cyclic_loop(int(arg or 2))
+        loop = models.cyclic_loop(size)
         build = models.loop_bialgebra if head == "loop-cyclic" else models.function_bialgebra
         return build(loop)
     raise CliError(
@@ -63,7 +77,9 @@ def _budget(text: str) -> rewrite.SearchBudget:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError("--budget expects STATES,DEPTH,SECONDS")
-    return rewrite.SearchBudget(int(parts[0]), int(parts[1]), float(parts[2]))
+    with _flag("--budget", text):
+        return rewrite.SearchBudget(int(parts[0]), int(parts[1]),
+                                    float(parts[2]))
 
 
 class Reporter:
@@ -124,7 +140,9 @@ def cmd_prove(args, reporter: Reporter) -> int:
 def cmd_eval(args, reporter: Reporter) -> int:
     diagram = parse(args.diagram)
     model = _load_model(args.model[0] if args.model else "binomial:6")
-    indices = tuple(int(x) for x in args.basis.split(",")) if args.basis else ()
+    with _flag("--basis", args.basis):
+        indices = (tuple(int(x) for x in args.basis.split(","))
+                   if args.basis else ())
     if len(indices) != diagram.n_in:
         raise CliError(
             f"--basis needs {diagram.n_in} indices for this diagram"
@@ -168,7 +186,8 @@ def cmd_check_model(args, reporter: Reporter) -> int:
 
 
 def cmd_octonion(args, reporter: Reporter) -> int:
-    params = [Fraction(p) for p in (args.params or "-1,-1,-1").split(",")]
+    with _flag("--params", args.params):
+        params = [Fraction(p) for p in (args.params or "-1,-1,-1").split(",")]
     if len(params) != 3:
         raise CliError("--params expects three rationals")
     algebra = octonion.octonion_algebra(*params)
@@ -200,21 +219,24 @@ def cmd_octonion(args, reporter: Reporter) -> int:
 
 def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
     if Path(spec).exists():
-        return dlab.load_deformation_text(Path(spec).read_text(), _load_model)
+        return dlab.load_deformation_text(
+            Path(spec).read_text(), lambda ref: _load_model(ref, "--fixture"))
     head, _, rest = spec.partition(":")
     if head == "null":
         model_spec, _, order = rest.rpartition(":")
-        return dlab.null_deformation(_load_model(model_spec), int(order or 1))
-    if head == "shift-conj":
+        with _flag("--fixture", spec):
+            order = int(order or 1)
+        return dlab.null_deformation(_load_model(model_spec, "--fixture"),
+                                     order)
+    if head in ("shift-conj", "delta1"):
+        build, degree, order = (
+            (dlab.shift_conjugation_deformation, 12, 3) if head == "shift-conj"
+            else (dlab.simple_comul_perturbation, 6, 1))
         parts = rest.split(":")
-        degree = int(parts[0]) if parts[0] else 12
-        order = int(parts[1]) if len(parts) > 1 else 3
-        return dlab.shift_conjugation_deformation(degree, order)
-    if head == "delta1":
-        parts = rest.split(":")
-        degree = int(parts[0]) if parts[0] else 6
-        order = int(parts[1]) if len(parts) > 1 else 1
-        return dlab.simple_comul_perturbation(degree, order)
+        with _flag("--fixture", spec):
+            degree = int(parts[0]) if parts[0] else degree
+            order = int(parts[1]) if len(parts) > 1 else order
+        return build(degree, order)
     raise CliError(
         f"unknown fixture {spec!r}: expected null:MODEL:ORDER, "
         "shift-conj:D:ORDER or delta1:D:ORDER"

@@ -17,7 +17,7 @@ and first-cohomology computations for the Lie-algebra case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 from . import linalg
 from .diagram import Diagram
 from .dsl import parse
-from .linalg import Matrix, Vector
+from .linalg import BilinearRows, Matrix, Vector, basis_vector, bilinear
 from .models import (
     ComulRows,
     FiniteBialgebraModel,
@@ -457,31 +457,18 @@ def _series_multiplicative_defect(deformation: TruncatedDeformation,
     """First failure of phi_h(x•y) = phi_h(x)•phi_h(y) at one h-degree."""
     model = deformation.base
     d = model.dim
+    e = [basis_vector(d, i) for i in range(d)]
     for key in model.basis_iterator(2):
         i, j = key
-        lhs = [Fraction(0)] * d
+        lhs = rhs = (Fraction(0),) * d
         for a in range(degree + 1):
-            rows = deformation.mul_rows_at(degree - a)
-            for k, c in rows.get((i, j), ()):
-                col = [phi.at(a)[r][k] * c for r in range(d)]
-                lhs = [x + y for x, y in zip(lhs, col)]
-        rhs = [Fraction(0)] * d
-        for a in range(degree + 1):
-            rows = deformation.mul_rows_at(a)
-            if not rows:
-                continue
+            prod = bilinear(deformation.mul_rows_at(degree - a), e[i], e[j])
+            lhs = [p + q for p, q in zip(lhs, linalg.mat_vec(phi.at(a), prod))]
             for b in range(degree + 1 - a):
-                c_deg = degree - a - b
                 x = [phi.at(b)[r][i] for r in range(d)]
-                y = [phi.at(c_deg)[r][j] for r in range(d)]
-                for s in range(d):
-                    if not x[s]:
-                        continue
-                    for t in range(d):
-                        if not y[t]:
-                            continue
-                        for k, c in rows.get((s, t), ()):
-                            rhs[k] += x[s] * y[t] * c
+                y = [phi.at(degree - a - b)[r][j] for r in range(d)]
+                prod = bilinear(deformation.mul_rows_at(a), x, y)
+                rhs = [p + q for p, q in zip(rhs, prod)]
         if lhs != rhs:
             return key
     return None
@@ -523,26 +510,16 @@ def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
     d = model.dim
     delta = [[phi.at(n)[r][c] - psi.at(n)[r][c] for c in range(d)]
              for r in range(d)]
+    e = [basis_vector(d, i) for i in range(d)]
     for key in model.basis_iterator(2):
         i, j = key
-        lhs = [Fraction(0)] * d
-        for k, c in model.mul_rows.get((i, j), ()):
-            for r in range(d):
-                if delta[r][k]:
-                    lhs[r] += c * delta[r][k]
-        rhs = [Fraction(0)] * d
+        lhs = linalg.mat_vec(delta, bilinear(model.mul_rows, e[i], e[j]))
         dx = [delta[r][i] for r in range(d)]
         y0 = [phi.at(0)[r][j] for r in range(d)]
         x0 = [psi.at(0)[r][i] for r in range(d)]
         dy = [delta[r][j] for r in range(d)]
-        for s in range(d):
-            for t in range(d):
-                if dx[s] and y0[t]:
-                    for k, c in model.mul_rows.get((s, t), ()):
-                        rhs[k] += dx[s] * y0[t] * c
-                if x0[s] and dy[t]:
-                    for k, c in model.mul_rows.get((s, t), ()):
-                        rhs[k] += x0[s] * dy[t] * c
+        rhs = [p + q for p, q in zip(bilinear(model.mul_rows, dx, y0),
+                                     bilinear(model.mul_rows, x0, dy))]
         if lhs != rhs:
             diff = {
                 (r,): lhs[r] - rhs[r] for r in range(d) if lhs[r] != rhs[r]
@@ -668,7 +645,7 @@ class LieAlgebraModel:
     """A Lie algebra by structure constants; Jacobi checked at construction."""
 
     dim: int
-    bracket_rows: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+    bracket_rows: BilinearRows
     labels: tuple[str, ...] = ()
     killing: Matrix = field(default_factory=list)
 
@@ -677,7 +654,15 @@ class LieAlgebraModel:
                       brackets: dict[tuple[int, int], dict[int, Fraction]],
                       labels: Optional[Sequence[str]] = None
                       ) -> "LieAlgebraModel":
-        rows: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
+        from .octonion import jacobian
+
+        for (i, j), entries in brackets.items():
+            if not all(0 <= t < dim for t in (i, j, *entries)):
+                raise DeformationError(
+                    f"bracket entry at ({i}, {j}) has an index outside "
+                    f"dimension {dim}"
+                )
+        rows: BilinearRows = {}
         for i in range(dim):
             for j in range(dim):
                 entries = brackets.get((i, j))
@@ -687,72 +672,36 @@ class LieAlgebraModel:
                 rows[(i, j)] = tuple(sorted(
                     (k, Fraction(c)) for k, c in entries.items() if c
                 ))
-        def br(i, j):
-            v = [Fraction(0)] * dim
-            for k, c in rows[(i, j)]:
-                v[k] += c
-            return v
+        g = cls(dim, rows,
+                tuple(labels) if labels else tuple(str(i) for i in range(dim)))
+        e = [basis_vector(dim, i) for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
-                anti = [x + y for x, y in zip(br(i, j), br(j, i))]
-                if any(anti):
+                if any(p + q for p, q in zip(g.bracket_vec(e[i], e[j]),
+                                             g.bracket_vec(e[j], e[i]))):
                     raise DeformationError(
                         f"bracket is not antisymmetric at ({i}, {j})"
                     )
-        def br_vec(x, y):
-            out = [Fraction(0)] * dim
-            for i, xi in enumerate(x):
-                if not xi:
-                    continue
-                for j, yj in enumerate(y):
-                    if yj:
-                        for k, c in rows[(i, j)]:
-                            out[k] += xi * yj * c
-            return out
-        basis = [[Fraction(1 if t == s else 0) for t in range(dim)]
-                 for s in range(dim)]
         for i, j, k in itertools.product(range(dim), repeat=3):
-            jac = [
-                p + q + r for p, q, r in zip(
-                    br_vec(br_vec(basis[i], basis[j]), basis[k]),
-                    br_vec(br_vec(basis[j], basis[k]), basis[i]),
-                    br_vec(br_vec(basis[k], basis[i]), basis[j]),
-                )
-            ]
-            if any(jac):
+            if any(jacobian(g, e[i], e[j], e[k])):
                 raise DeformationError(
                     f"Jacobi identity fails at basis triple {(i, j, k)}"
                 )
-        ad = [cls._ad_matrix(rows, dim, i) for i in range(dim)]
-        killing = [
+        ad = [g.ad(i) for i in range(dim)]
+        return replace(g, killing=[
             [_trace(linalg.mat_mul(ad[i], ad[j])) for j in range(dim)]
             for i in range(dim)
-        ]
-        return cls(dim, rows,
-                   tuple(labels) if labels else tuple(str(i) for i in range(dim)),
-                   killing)
+        ])
 
-    @staticmethod
-    def _ad_matrix(rows, dim: int, i: int) -> Matrix:
-        m = linalg.zeros(dim, dim)
-        for j in range(dim):
-            for k, c in rows[(i, j)]:
+    def ad(self, i: int) -> Matrix:
+        m = linalg.zeros(self.dim, self.dim)
+        for j in range(self.dim):
+            for k, c in self.bracket_rows[(i, j)]:
                 m[k][j] += c
         return m
 
-    def ad(self, i: int) -> Matrix:
-        return self._ad_matrix(self.bracket_rows, self.dim, i)
-
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, c in self.bracket_rows[(i, j)]:
-                        out[k] += xi * yj * c
-        return tuple(out)
+        return bilinear(self.bracket_rows, x, y)
 
 
 def _trace(m: Matrix) -> Fraction:
@@ -894,8 +843,7 @@ def h1_dimension(g: LieAlgebraModel, action: Sequence[Matrix]) -> H1Report:
                     row[cell(i, m_col)] += action[j][m_row][m_col]
                 rows.append(row)
     cocycles = linalg.nullspace(rows) if rows else [
-        [Fraction(1) if t == s else Fraction(0) for t in range(n_unknowns)]
-        for s in range(n_unknowns)
+        list(basis_vector(n_unknowns, s)) for s in range(n_unknowns)
     ]
     cob_cols = []
     for m_col in range(dim_m):
@@ -954,19 +902,10 @@ def shift_conjugation_deformation(max_degree: int, order: int,
                 acc = [Fraction(0)] * d
                 for a in range(m + 1):
                     for b in range(m + 1 - a):
-                        c_deg = m - a - b
                         x = [inv[b][r][i] for r in range(d)]
-                        y = [inv[c_deg][r][j] for r in range(d)]
-                        prod = [Fraction(0)] * d
-                        for s in range(d):
-                            if not x[s]:
-                                continue
-                            for t in range(d):
-                                if not y[t]:
-                                    continue
-                                for k, c in model.mul_rows.get((s, t), ()):
-                                    prod[k] += x[s] * y[t] * c
-                        img = linalg.mat_vec(fwd[a], prod)
+                        y = [inv[m - a - b][r][j] for r in range(d)]
+                        img = linalg.mat_vec(fwd[a],
+                                             bilinear(model.mul_rows, x, y))
                         acc = [p + q for p, q in zip(acc, img)]
                 entries = tuple(
                     (k, v) for k, v in enumerate(acc) if v
@@ -1063,9 +1002,8 @@ def load_deformation_text(text: str, resolve_base,
     """Parse a fixture file; `resolve_base` maps the base reference string
     to a FiniteBialgebraModel."""
     name, base_ref, order = "deformation", None, None
-    comul_raw: dict[int, dict[int, list]] = {}
-    mul_raw: dict[int, dict[tuple[int, int], list]] = {}
-    for line in text.splitlines():
+    components = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
         words = line.split()
         if not words or words[0] in ("end",) or words[0].startswith("#"):
             continue
@@ -1075,29 +1013,34 @@ def load_deformation_text(text: str, resolve_base,
             base_ref = words[1]
         elif words[0] == "order":
             order = int(words[1])
-        elif words[0] == "comul":
-            n, i, j, k = (int(w) for w in words[1:5])
-            comul_raw.setdefault(n, {}).setdefault(i, []).append(
-                ((j, k), Fraction(words[5]))
-            )
-        elif words[0] == "mul":
-            n, i, j, k = (int(w) for w in words[1:5])
-            mul_raw.setdefault(n, {}).setdefault((i, j), []).append(
-                (k, Fraction(words[5]))
-            )
+        elif words[0] in ("comul", "mul"):
+            try:
+                n, i, j, k, c = words[1:]
+                components.append((lineno, line, words[0], int(n), int(i),
+                                   int(j), int(k), Fraction(c)))
+            except (ValueError, ZeroDivisionError):
+                raise DeformationError(
+                    f"line {lineno}: malformed {words[0]} line {line!r}"
+                ) from None
         else:
             raise DeformationError(f"unknown line in fixture file: {line!r}")
     if base_ref is None or order is None:
         raise DeformationError("fixture file needs base and order lines")
     model = resolve_base(base_ref)
-    comul_maps = [
-        {i: tuple(entries) for i, entries in comul_raw.get(n, {}).items()}
-        for n in range(1, order + 1)
-    ]
-    mul_maps = [
-        {ij: tuple(entries) for ij, entries in mul_raw.get(n, {}).items()}
-        for n in range(1, order + 1)
-    ]
+    comul_raw: list[dict] = [{} for _ in range(order)]
+    mul_raw: list[dict] = [{} for _ in range(order)]
+    for lineno, line, kind, n, i, j, k, c in components:
+        if not (1 <= n <= order and all(0 <= t < model.dim for t in (i, j, k))):
+            raise DeformationError(
+                f"line {lineno}: {line!r} lies outside order {order} or "
+                f"dimension {model.dim}"
+            )
+        if kind == "comul":
+            comul_raw[n - 1].setdefault(i, []).append(((j, k), c))
+        else:
+            mul_raw[n - 1].setdefault((i, j), []).append((k, c))
+    comul_maps = [{i: tuple(v) for i, v in m.items()} for m in comul_raw]
+    mul_maps = [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw]
     return deformation_from_maps(model, order, comul_maps, mul_maps,
                                  name=name, strict=strict)
 

@@ -1,7 +1,9 @@
 """Exact linear algebra over the rationals.
 
 Matrices are lists of rows of Fractions.  Everything here is a plain
-Gaussian-elimination routine; no floating point is used anywhere.
+Gaussian-elimination routine, plus the one bilinear product that applies
+a sparse structure-constant table to two coefficient vectors; no floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -11,6 +13,26 @@ from typing import Optional, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
+# rows[(i, j)] = ((k, c), ...) means b(e_i, e_j) = sum of c * e_k; a missing
+# pair means zero.  Model products (`models.MulRows`) use this format.
+BilinearRows = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+
+
+def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
+
+
+def bilinear(rows: BilinearRows, x: Sequence[Fraction],
+             y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """b(x, y) for the bilinear map b : V x V -> V with the table `rows`."""
+    out = [Fraction(0)] * len(x)
+    for i, xi in enumerate(x):
+        if xi:
+            for j, yj in enumerate(y):
+                if yj:
+                    for k, c in rows.get((i, j), ()):
+                        out[k] += xi * yj * c
+    return tuple(out)
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -86,10 +108,7 @@ def nullspace(m: Matrix) -> list[Vector]:
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if rows == 0:
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(cols)]
-            for i in range(cols)
-        ]
+        return [list(basis_vector(cols, i)) for i in range(cols)]
     red, pivots = rref(m)
     pivot_set = set(pivots)
     basis = []

@@ -31,6 +31,7 @@ from math import comb
 from typing import Iterable, Optional, Sequence
 
 from .diagram import ArityMismatch, Diagram
+from .linalg import BilinearRows
 
 Scalar = Fraction
 State = dict[tuple[int, ...], Fraction]
@@ -135,7 +136,7 @@ def cyclic_loop(n: int) -> MoufangLoop:
 
 # --- models -------------------------------------------------------------
 
-MulRows = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+MulRows = BilinearRows
 ComulRows = dict[int, tuple[tuple[tuple[int, int], Fraction], ...]]
 
 

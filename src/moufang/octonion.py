@@ -18,8 +18,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
+from .linalg import BilinearRows, basis_vector, bilinear
 from .models import MoufangLoop
 
 Vector = tuple[Fraction, ...]
@@ -46,25 +48,18 @@ class CayleyAlgebra:
     conj_signs: tuple[int, ...]
     labels: tuple[str, ...]
 
+    @cached_property
+    def mul_rows(self) -> BilinearRows:
+        return {ij: (kc,) for ij, kc in self.mul.items()}
+
     def product(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                k, c = self.mul[(i, j)]
-                out[k] += xi * yj * c
-        return tuple(out)
+        return bilinear(self.mul_rows, x, y)
 
     def conj(self, x: Vector) -> Vector:
         return tuple(s * xi for s, xi in zip(self.conj_signs, x))
 
     def basis(self, i: int) -> Vector:
-        return tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
-        )
+        return basis_vector(self.dim, i)
 
     def norm(self, x: Vector) -> Fraction:
         """n(x) = x conj(x); raises if the product is not scalar."""
@@ -175,38 +170,35 @@ def check_moufang(a: CayleyAlgebra, which: str) -> Optional[tuple]:
     is equivalent and complete.  Returns a witness quadruple or None.
     """
     p = a.product
-    if which == "left":     # a(x(ay)) = ((ax)a)y
-        def law(s, x, y):
-            return tuple(
-                u - v for u, v in zip(p(s, p(x, p(s, y))),
-                                      p(p(p(s, x), s), y))
-            )
-    elif which == "middle":  # (ax)(ya) = (a(xy))a
-        def law(s, x, y):
-            return tuple(
-                u - v for u, v in zip(p(p(s, x), p(y, s)),
-                                      p(p(s, p(x, y)), s))
-            )
-    elif which == "right":   # ((xa)y)a = x(a(ya))
-        def law(s, x, y):
-            return tuple(
-                u - v for u, v in zip(p(p(p(x, s), y), s),
-                                      p(x, p(s, p(y, s))))
-            )
-    else:
+    laws = {   # each law as its two sides, functions of (a, x, y)
+        "left": (lambda s, x, y: p(s, p(x, p(s, y))),     # a(x(ay))
+                 lambda s, x, y: p(p(p(s, x), s), y)),    # = ((ax)a)y
+        "middle": (lambda s, x, y: p(p(s, x), p(y, s)),   # (ax)(ya)
+                   lambda s, x, y: p(p(s, p(x, y)), s)),  # = (a(xy))a
+        "right": (lambda s, x, y: p(p(p(x, s), y), s),    # ((xa)y)a
+                  lambda s, x, y: p(x, p(s, p(y, s)))),   # = x(a(ya))
+    }
+    if which not in laws:
         raise AlgebraError(f"unknown Moufang law {which!r}")
+    return _polarization_witness(a.dim, *laws[which])
 
-    zero = (Fraction(0),) * a.dim
-    def add(u, v):
-        return tuple(x + y for x, y in zip(u, v))
 
-    for i, j, k, l in itertools.product(range(a.dim), repeat=4):
-        e_i, e_j, x, y = a.basis(i), a.basis(j), a.basis(k), a.basis(l)
-        # polarization of the quadratic variable
-        full = add(law(add(e_i, e_j), x, y),
-                   tuple(-(u + v) for u, v in zip(law(e_i, x, y),
-                                                  law(e_j, x, y))))
-        if full != zero:
+def _polarization_witness(dim: int, lhs, rhs) -> Optional[tuple]:
+    """First basis quadruple (i, j, k, l) at which a law lhs = rhs that is
+    quadratic in its first argument fails in polarized form, or None.
+
+    Each side f is compared through f(e_i + e_j, e_k, e_l) - f(e_i, e_k, e_l)
+    - f(e_j, e_k, e_l).
+    """
+    e = [basis_vector(dim, i) for i in range(dim)]
+    for i, j, k, l in itertools.product(range(dim), repeat=4):
+        both, x, y = tuple(p + q for p, q in zip(e[i], e[j])), e[k], e[l]
+        left, right = (
+            [m - p - q for m, p, q in zip(f(both, x, y), f(e[i], x, y),
+                                          f(e[j], x, y))]
+            for f in (lhs, rhs)
+        )
+        if left != right:
             return (i, j, k, l)
     return None
 
@@ -222,28 +214,21 @@ class MalcevAlgebra:
     bracket: dict[tuple[int, int], tuple[Fraction, ...]]
     labels: tuple[str, ...]
 
+    @cached_property
+    def bracket_rows(self) -> BilinearRows:
+        return {ij: tuple((k, c) for k, c in enumerate(row) if c)
+                for ij, row in self.bracket.items()}
+
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                row = self.bracket[(i, j)]
-                c = xi * yj
-                for k, ck in enumerate(row):
-                    if ck:
-                        out[k] += c * ck
-        return tuple(out)
+        return bilinear(self.bracket_rows, x, y)
 
     def basis(self, i: int) -> Vector:
-        return tuple(
-            Fraction(1) if j == i else Fraction(0) for j in range(self.dim)
-        )
+        return basis_vector(self.dim, i)
 
 
 def jacobian(m: MalcevAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
+    """[[a,b],c] + [[b,c],a] + [[c,a],b] for any algebra with a
+    `bracket_vec` (Malcev here, Lie in `deformation`)."""
     br = m.bracket_vec
     terms = (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b))
     return tuple(sum(t[k] for t in terms) for k in range(m.dim))
@@ -256,22 +241,10 @@ def malcev_witness(m: MalcevAlgebra) -> Optional[tuple]:
     runs its full polarization over all basis quadruples.
     """
     br = m.bracket_vec
-    zero = (Fraction(0),) * m.dim
-
-    def law(a, b, c):
-        lhs = jacobian(m, a, b, br(a, c))
-        rhs = br(jacobian(m, a, b, c), a)
-        return tuple(p - q for p, q in zip(lhs, rhs))
-
-    for i, j, k, l in itertools.product(range(m.dim), repeat=4):
-        a1, a2 = m.basis(i), m.basis(j)
-        b, c = m.basis(k), m.basis(l)
-        both = tuple(p + q for p, q in zip(law(a1, b, c), law(a2, b, c)))
-        mixed = law(tuple(p + q for p, q in zip(a1, a2)), b, c)
-        diff = tuple(p - q for p, q in zip(mixed, both))
-        if diff != zero:
-            return (i, j, k, l)
-    return None
+    return _polarization_witness(
+        m.dim, lambda a, b, c: jacobian(m, a, b, br(a, c)),
+        lambda a, b, c: br(jacobian(m, a, b, c), a),
+    )
 
 
 def traceless_malcev(a: CayleyAlgebra, check: bool = True) -> MalcevAlgebra:

@@ -320,8 +320,12 @@ def load_goals_text(text: str) -> GoalSuite:
         words = line.split()
         if not words or words[0].startswith("#"):
             continue
+        if words[0] in ("goal", "source", "lhs", "rhs") and len(words) < 2:
+            raise TheoryError(f"line {lineno}: {words[0]} needs a value")
         if words[0] == "goal":
-            current = {"name": words[1], "theory": "base",
+            if current is not None:
+                raise TheoryError(f"line {current['line']}: goal has no end")
+            current = {"name": words[1], "theory": "base", "line": lineno,
                        "kind": "provable", "countermodel": None, "source": ""}
             for word in words[2:]:
                 key, _, value = word.partition("=")
@@ -335,6 +339,10 @@ def load_goals_text(text: str) -> GoalSuite:
         elif words[0] == "end":
             if current is None:
                 raise TheoryError(f"line {lineno}: stray end")
+            missing = {"lhs", "rhs"} - current.keys()
+            if missing:
+                raise TheoryError(f"line {lineno}: goal lacks "
+                                  + " and ".join(sorted(missing)))
             goals.append(Goal(
                 current["name"], parse(current["lhs"]), parse(current["rhs"]),
                 current["theory"], current["kind"], current["countermodel"],
@@ -343,4 +351,6 @@ def load_goals_text(text: str) -> GoalSuite:
             current = None
         else:
             raise TheoryError(f"line {lineno}: unknown directive {words[0]!r}")
+    if current is not None:
+        raise TheoryError(f"line {current['line']}: goal has no end")
     return GoalSuite(tuple(goals))

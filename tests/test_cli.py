@@ -34,6 +34,23 @@ def test_prove_bad_input_is_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    ("eval mul --model binomial:x", "--model"),
+    ("check-model --model fn-cyclic:x", "--model"),
+    ("prove mul mul --budget 1,2,x", "--budget"),
+    ("prove mul mul --budget 0,2,1", "--budget"),
+    ("eval mul --basis a,b", "--basis"),
+    ("octonion --params=1/0,1,1", "--params"),
+    ("deform --fixture shift-conj:x:3", "--fixture"),
+    ("deform --fixture null:fn-o16:x", "--fixture"),
+])
+def test_bad_flag_value_is_exit_1(capsys, argv, flag):
+    code, _, err = run(capsys, *argv.split())
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err
+
+
 def test_prove_arity_mismatch_is_exit_1(capsys):
     code, _, err = run(capsys, "prove", "mul", "id(1)")
     assert code == 1

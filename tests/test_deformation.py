@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -352,10 +353,35 @@ def test_sl2_killing_form():
 
 
 def test_jacobi_enforced():
-    with pytest.raises(DeformationError):
+    with pytest.raises(DeformationError,
+                       match=r"^Jacobi identity fails at basis triple "
+                             r"\(0, 1, 2\)$"):
         LieAlgebraModel.from_brackets(
             3, {(0, 1): {2: F(1)}, (1, 2): {0: F(1)}, (2, 0): {0: F(1)}}
         )
+    with pytest.raises(DeformationError,
+                       match=r"^bracket is not antisymmetric at \(0, 1\)$"):
+        LieAlgebraModel.from_brackets(
+            3, {(0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
+        )
+
+
+@pytest.mark.parametrize("brackets", [
+    {(0, 5): {0: F(1)}},
+    {(0, -1): {0: F(1)}},
+    {(0, 1): {5: F(1)}},
+])
+def test_lie_brackets_outside_dimension_refused(brackets):
+    pair = next(iter(brackets))
+    with pytest.raises(DeformationError, match=re.escape(str(pair))):
+        LieAlgebraModel.from_brackets(2, brackets)
+
+
+def test_lie_file_refuses_bracket_outside_dimension():
+    from moufang.deformation import load_lie_algebra_text
+
+    with pytest.raises(DeformationError, match=r"\(0, 5\)"):
+        load_lie_algebra_text("lie g\ndim 2\nbracket 0 5 0 1\nend\n")
 
 
 def test_casimir_adjoint_is_identity():
@@ -427,6 +453,23 @@ def test_deformation_fixture_file_requires_header():
 
     with pytest.raises(DeformationError):
         load_deformation_text("comul 1 0 0 0 1\nend\n", lambda ref: None)
+
+
+@pytest.mark.parametrize("line", [
+    "comul 5 0 0 0 1",      # degree beyond the order
+    "mul 0 1 1 2 1",        # degree 0 lives in the base model
+    "mul 1 0 9 0 1",        # index beyond the base dimension
+    "comul 1 0 0",          # short line
+    "mul 1 0 0 0 1/0",      # bad coefficient
+])
+def test_deformation_fixture_file_refuses_bad_components(line):
+    from moufang.deformation import load_deformation_text
+
+    text = f"deformation bad\nbase binomial:4\norder 1\n{line}\nend\n"
+    with pytest.raises(DeformationError, match="^line 4: "):
+        load_deformation_text(
+            text, lambda ref: truncated_binomial_bialgebra(4), strict=False
+        )
 
 
 def test_lie_algebra_file_roundtrip():

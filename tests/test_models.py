@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moufang.diagram import flip
 from moufang.dsl import parse
+from moufang.linalg import bilinear
 from moufang.models import (
     FiniteBialgebraModel,
     ModelError,
@@ -281,3 +283,21 @@ def test_plain_model_refuses_positive_label(binomial6):
         evaluate(parse("comul%+"), binomial6, basis_state((1,)))
     with pytest.raises(ModelError):
         holds_identity(parse("comul%+"), parse("comul"), binomial6)
+
+
+_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+
+
+@pytest.mark.parametrize("model_name", ["binomial6", "fn_o16"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_bilinear_agrees_with_evaluator(request, model_name, data):
+    m = request.getfixturevalue(model_name)
+    vec = st.lists(_RATIONALS, min_size=m.dim, max_size=m.dim)
+    x, y = data.draw(vec), data.draw(vec)
+    state = {(i, j): xi * yj for i, xi in enumerate(x)
+             for j, yj in enumerate(y) if xi * yj}
+    out = evaluate(parse("mul"), m, state)
+    assert bilinear(m.mul_rows, x, y) == tuple(
+        out.get((k,), Fraction(0)) for k in range(m.dim)
+    )

@@ -100,7 +100,12 @@ def test_moufang_negative_control():
     bad_mul = dict(o.mul)
     bad_mul[(3, 5)] = (6, Fraction(7))
     bad = CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
-    assert check_moufang(bad, "right") is not None
+    # the exact witnesses pin the sweep order
+    assert check_moufang(bad, "right") == (0, 1, 2, 5)
+    assert check_moufang(bad, "left") == (0, 1, 3, 4)
+    assert check_moufang(bad, "middle") == (0, 1, 2, 5)
+    assert check_alternative(bad) == (1, 2, 5)
+    assert malcev_witness(traceless_malcev(bad, check=False)) == (0, 0, 1, 3)
 
 
 def test_norm_multiplicative():

@@ -107,6 +107,20 @@ def test_goals_file_roundtrip():
         assert (a.lhs, a.rhs, a.theory, a.kind) == (b.lhs, b.rhs, b.theory, b.kind)
 
 
+@pytest.mark.parametrize("text,lineno", [
+    pytest.param("goal a\n  lhs mul\n  rhs mul\n", 1, id="no-end"),
+    pytest.param("goal a\n  lhs mul\ngoal b\n  lhs mul\n  rhs mul\nend\n",
+                 1, id="no-end-before-next-goal"),
+    pytest.param("goal a\n  lhs mul\nend\n", 3, id="no-rhs"),
+    pytest.param("goal a\n  rhs mul\nend\n", 3, id="no-lhs"),
+    pytest.param("goal\n", 1, id="bare-goal"),
+    pytest.param("goal a\n  lhs\n", 2, id="bare-field"),
+])
+def test_goals_file_malformed_blocks_name_the_line(text, lineno):
+    with pytest.raises(TheoryError, match=f"^line {lineno}: "):
+        load_goals_text(text)
+
+
 def test_named_theories():
     assert named_theory("comoufang").flags == {"comoufang_l", "comoufang_r"}
     with pytest.raises(TheoryError):
