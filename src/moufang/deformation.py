@@ -38,6 +38,7 @@ from .models import (
     first_difference,
     subtract_state,
 )
+from .reader import Many, read, settings
 
 
 class DeformationError(Exception):
@@ -1001,48 +1002,31 @@ def load_deformation_text(text: str, resolve_base,
                           strict: bool = True) -> TruncatedDeformation:
     """Parse a fixture file; `resolve_base` maps the base reference string
     to a FiniteBialgebraModel."""
-    name, base_ref, order = "deformation", None, None
-    components = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = line.split()
-        if not words or words[0] in ("end",) or words[0].startswith("#"):
-            continue
-        if words[0] == "deformation":
-            name = words[1]
-        elif words[0] == "base":
-            base_ref = words[1]
-        elif words[0] == "order":
-            order = int(words[1])
-        elif words[0] in ("comul", "mul"):
-            try:
-                n, i, j, k, c = words[1:]
-                components.append((lineno, line, words[0], int(n), int(i),
-                                   int(j), int(k), Fraction(c)))
-            except (ValueError, ZeroDivisionError):
-                raise DeformationError(
-                    f"line {lineno}: malformed {words[0]} line {line!r}"
-                ) from None
-        else:
-            raise DeformationError(f"unknown line in fixture file: {line!r}")
-    if base_ref is None or order is None:
+    entry = (int,) * 4 + (Fraction,)
+    records = read(text, {"deformation": (str,), "base": (str,),
+                          "order": (int,), "comul": entry, "mul": entry,
+                          "end": ()}, DeformationError)
+    given = settings(records)
+    if "base" not in given or "order" not in given:
         raise DeformationError("fixture file needs base and order lines")
-    model = resolve_base(base_ref)
+    model, order = resolve_base(given["base"]), given["order"]
     comul_raw: list[dict] = [{} for _ in range(order)]
     mul_raw: list[dict] = [{} for _ in range(order)]
-    for lineno, line, kind, n, i, j, k, c in components:
+    for r in records:
+        if r.head not in ("comul", "mul"):
+            continue
+        n, i, j, k, c = r.values
         if not (1 <= n <= order and all(0 <= t < model.dim for t in (i, j, k))):
-            raise DeformationError(
-                f"line {lineno}: {line!r} lies outside order {order} or "
-                f"dimension {model.dim}"
-            )
-        if kind == "comul":
+            raise r.fail(f"{r.head} entry lies outside order {order} or "
+                         f"dimension {model.dim}")
+        if r.head == "comul":
             comul_raw[n - 1].setdefault(i, []).append(((j, k), c))
         else:
             mul_raw[n - 1].setdefault((i, j), []).append((k, c))
-    comul_maps = [{i: tuple(v) for i, v in m.items()} for m in comul_raw]
-    mul_maps = [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw]
-    return deformation_from_maps(model, order, comul_maps, mul_maps,
-                                 name=name, strict=strict)
+    return deformation_from_maps(
+        model, order, [{i: tuple(v) for i, v in m.items()} for m in comul_raw],
+        [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw],
+        name=given.get("deformation", "deformation"), strict=strict)
 
 
 def save_lie_algebra_text(g: LieAlgebraModel, name: str = "lie") -> str:
@@ -1059,25 +1043,19 @@ def save_lie_algebra_text(g: LieAlgebraModel, name: str = "lie") -> str:
 
 
 def load_lie_algebra_text(text: str) -> LieAlgebraModel:
-    dim = None
-    labels = None
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for line in text.splitlines():
-        words = line.split()
-        if not words or words[0] in ("end", "lie") or words[0].startswith("#"):
-            continue
-        if words[0] == "dim":
-            dim = int(words[1])
-        elif words[0] == "labels":
-            labels = words[1:]
-        elif words[0] == "bracket":
-            i, j, k = int(words[1]), int(words[2]), int(words[3])
-            brackets.setdefault((i, j), {})[k] = Fraction(words[4])
-        else:
-            raise DeformationError(f"unknown line in Lie file: {line!r}")
-    if dim is None:
+    records = read(text, {"lie": (str,), "dim": (int,), "labels": (Many(),),
+                          "bracket": (int, int, int, Fraction), "end": ()},
+                   DeformationError)
+    given = settings(records)
+    if "dim" not in given:
         raise DeformationError("Lie-algebra file needs a dim line")
-    return LieAlgebraModel.from_brackets(dim, brackets, labels)
+    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for r in records:
+        if r.head == "bracket":
+            i, j, k, c = r.values
+            brackets.setdefault((i, j), {})[k] = c
+    return LieAlgebraModel.from_brackets(given["dim"], brackets,
+                                         given.get("labels"))
 
 
 def exp_derivation_series(model: FiniteBialgebraModel, derivation: Matrix,

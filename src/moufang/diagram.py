@@ -53,28 +53,6 @@ def _check_generator(kind: str, label: Optional[str]) -> None:
         raise DiagramError(f"unknown label {label!r}")
 
 
-@dataclass(frozen=True)
-class Generator:
-    """A single generator occurrence: kind, optional label, and arities."""
-
-    kind: str
-    label: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        _check_generator(self.kind, self.label)
-
-    @property
-    def arity_in(self) -> int:
-        return ARITY[self.kind][0]
-
-    @property
-    def arity_out(self) -> int:
-        return ARITY[self.kind][1]
-
-    def __str__(self) -> str:
-        return self.kind if self.label is None else f"{self.kind}%{self.label}"
-
-
 # A slice is (kind, label, offset): one generator applied at `offset`, with
 # identity wires elsewhere.  A diagram is a sequence of slices plus boundary
 # arities; identity slices are never stored.

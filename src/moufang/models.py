@@ -32,6 +32,8 @@ from typing import Iterable, Optional, Sequence
 
 from .diagram import ArityMismatch, Diagram
 from .linalg import BilinearRows
+from .reader import Many, read, settings
+from .theories import known_flag
 
 Scalar = Fraction
 State = dict[tuple[int, ...], Fraction]
@@ -110,22 +112,18 @@ class MoufangLoop:
 
     @classmethod
     def from_cayley_text(cls, text: str) -> "MoufangLoop":
-        name, labels, rows = "loop", None, []
-        for line in text.splitlines():
-            words = line.split()
-            if not words:
-                continue
-            if words[0] == "loop":
-                name = words[1]
-            elif words[0] == "labels":
-                labels = words[1:]
-            elif words[0] == "row":
-                rows.append([int(x) for x in words[1:]])
-            elif words[0] in ("order", "identity", "end"):
-                continue
-            else:
-                raise ModelError(f"unknown line in loop file: {line!r}")
-        return cls.from_table(rows, labels, name)
+        records = read(text, {
+            "loop": (str,), "order": (int,), "identity": (int,),
+            "labels": (Many(),), "row": (Many(int),), "end": ()}, ModelError)
+        given = settings(records)
+        loop = cls.from_table([r.values[0] for r in records if r.head == "row"],
+                              given.get("labels"), given.get("loop", "loop"))
+        table_says = {"order": loop.order, "identity": loop.identity}
+        for r in records:
+            if r.head in table_says and r.values[0] != table_says[r.head]:
+                raise r.fail(f"{r.head} {r.values[0]} disagrees with the "
+                             f"table ({table_says[r.head]})")
+        return loop
 
 
 def cyclic_loop(n: int) -> MoufangLoop:
@@ -476,61 +474,42 @@ def save_model_text(model: FiniteBialgebraModel) -> str:
 
 
 def load_model_text(text: str, check: bool = True) -> FiniteBialgebraModel:
-    name, dim, flags = "model", None, frozenset()
-    basis: tuple[str, ...] = ()
-    degrees = None
-    cap = None
-    mul_rows: dict[tuple[int, int], list] = {}
-    comul_rows: dict[int, list] = {}
-    unit_entries: list = []
-    counit_entries: dict[int, Fraction] = {}
-    for line in text.splitlines():
-        words = line.split()
-        if not words or words[0] == "end":
-            continue
-        head = words[0]
-        if head == "model":
-            name = words[1]
-        elif head == "dim":
-            dim = int(words[1])
-        elif head == "flags":
-            flags = frozenset(words[1:])
-        elif head == "basis":
-            basis = tuple(words[1:])
-        elif head == "degree":
-            degrees = tuple(int(w) for w in words[1:])
-        elif head == "cap":
-            cap = int(words[1])
-        elif head == "mul":
-            i, j, k = int(words[1]), int(words[2]), int(words[3])
-            mul_rows.setdefault((i, j), []).append((k, Fraction(words[4])))
-        elif head == "comul":
-            i, j, k = int(words[1]), int(words[2]), int(words[3])
-            comul_rows.setdefault(i, []).append(((j, k), Fraction(words[4])))
-        elif head == "unit":
-            unit_entries.append((int(words[1]), Fraction(words[2])))
-        elif head == "counit":
-            counit_entries[int(words[1])] = Fraction(words[2])
-        elif head == "kind" and words[1] == "algebra":
-            raise ModelError(
-                "file holds bare algebra structure constants, not a bialgebra"
-            )
-        else:
-            raise ModelError(f"unknown line in model file: {line!r}")
-    if dim is None:
+    entry = (int, int, int, Fraction)
+    records = read(text, {
+        "model": (str,), "dim": (int,), "flags": (Many(known_flag),),
+        "basis": (Many(),), "degree": (Many(int),), "cap": (int,),
+        "kind": (str,), "mul": entry, "comul": entry, "unit": (int, Fraction),
+        "counit": (int, Fraction), "end": ()}, ModelError)
+    given = settings(records)
+    if "dim" not in given:
         raise ModelError("model file lacks a dim line")
+    dim = given["dim"]
+    mul_rows, comul_rows, unit_entries, counit_entries = {}, {}, [], {}
+    for r in records:
+        if r.head == "kind":
+            raise r.fail(f"a kind {r.values[0]} file is not a bialgebra")
+        if r.head in ("basis", "degree") and len(r.values[0]) != dim:
+            raise r.fail(f"{r.head} lists {len(r.values[0])} entries for "
+                         f"dimension {dim}")
+        if r.head not in ("mul", "comul", "unit", "counit"):
+            continue
+        *at, c = r.values
+        if not all(0 <= i < dim for i in at):
+            raise r.fail(f"{r.head} index outside dimension {dim}")
+        if r.head == "mul":
+            mul_rows.setdefault((at[0], at[1]), []).append((at[2], c))
+        elif r.head == "comul":
+            comul_rows.setdefault(at[0], []).append(((at[1], at[2]), c))
+        elif r.head == "unit":
+            unit_entries.append((at[0], c))
+        else:
+            counit_entries[at[0]] = c
     model = FiniteBialgebraModel(
-        name=name,
-        dim=dim,
-        mul_rows={k: tuple(v) for k, v in mul_rows.items()},
-        comul_rows={k: tuple(v) for k, v in comul_rows.items()},
-        unit_entries=tuple(unit_entries),
-        counit_entries=counit_entries,
-        satisfied_flags=flags,
-        basis_labels=basis,
-        degrees=degrees,
-        check_cap=cap,
-    )
+        given.get("model", "model"), dim,
+        {k: tuple(v) for k, v in mul_rows.items()},
+        {k: tuple(v) for k, v in comul_rows.items()}, tuple(unit_entries),
+        counit_entries, frozenset(given.get("flags", ())),
+        given.get("basis", ()), given.get("degree"), given.get("cap"))
     if check:
         verify_registration(model)
     return model

@@ -135,14 +135,9 @@ def check_alternative(a: CayleyAlgebra) -> Optional[tuple]:
     zero = (Fraction(0),) * a.dim
     for i, j, k in itertools.product(range(a.dim), repeat=3):
         x, y, z = a.basis(i), a.basis(j), a.basis(k)
-        left = tuple(
-            p + q for p, q in zip(associator(a, x, y, z),
-                                  associator(a, y, x, z))
-        )
-        right = tuple(
-            p + q for p, q in zip(associator(a, x, y, z),
-                                  associator(a, x, z, y))
-        )
+        xyz = associator(a, x, y, z)
+        left = tuple(p + q for p, q in zip(xyz, associator(a, y, x, z)))
+        right = tuple(p + q for p, q in zip(xyz, associator(a, x, z, y)))
         if left != zero or right != zero:
             return (i, j, k)
     return None

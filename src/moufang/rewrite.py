@@ -27,6 +27,8 @@ from .diagram import (
     _canonical_from_graph,
     canonicalize,
 )
+from .dsl import parse, print_diagram
+from .reader import ANY, Rest, read
 
 
 class RewriteError(DiagramError):
@@ -408,8 +410,6 @@ class ProofTrace:
 
 def serialize_trace(trace: ProofTrace) -> str:
     """Line format: `<rule> <dir> <position> -> <canonical-print>`."""
-    from .dsl import print_diagram
-
     lines = []
     for step in trace.steps:
         lines.append(
@@ -419,23 +419,19 @@ def serialize_trace(trace: ProofTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _trace_step(text: str) -> TraceStep:
+    head, arrow, result_text = text.rpartition("->")
+    words = head.split()
+    if not arrow or len(words) != 3:
+        raise ValueError("malformed trace step")
+    return TraceStep(*words, parse(result_text.strip()))
+
+
 def parse_trace(text: str, lhs: Diagram, rhs: Diagram,
                 theory_name: str) -> ProofTrace:
-    from .dsl import parse
-
-    steps = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            head, result_text = line.rsplit("->", 1)
-            rule, direction, position = head.split()
-        except ValueError:
-            raise RewriteError(f"line {lineno}: malformed trace step") from None
-        steps.append(
-            TraceStep(rule, direction, position, parse(result_text.strip()))
-        )
-    return ProofTrace(canonicalize(lhs), canonicalize(rhs), theory_name, steps)
+    records = read(text, {ANY: (Rest(_trace_step),)}, RewriteError)
+    return ProofTrace(canonicalize(lhs), canonicalize(rhs), theory_name,
+                      [r.values[0] for r in records])
 
 
 # --- soundness of traces against models -----------------------------------

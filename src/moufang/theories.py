@@ -21,6 +21,7 @@ from typing import Optional
 
 from .diagram import Diagram, flip
 from .dsl import parse, print_diagram
+from .reader import Many, Record, Rest, read, settings
 from .rewrite import RewriteRule
 
 FLAGS = (
@@ -100,6 +101,12 @@ def flag_rules(flag: str) -> tuple[RewriteRule, ...]:
         return _FLAG_RULES[flag]
     except KeyError:
         raise TheoryError(f"unknown theory flag {flag!r}") from None
+
+
+def known_flag(word: str) -> str:
+    if word not in _FLAG_RULES:
+        raise ValueError("unknown theory flag")
+    return word
 
 
 @dataclass(frozen=True)
@@ -271,32 +278,21 @@ def save_theory_text(theory: Theory) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _rule_line(text: str) -> RewriteRule:
+    name, colon, body = text.partition(":")
+    lhs, equals, rhs = body.partition("=")
+    if not (colon and equals):
+        raise ValueError("malformed rule")
+    return _rule(name.strip(), lhs.strip(), rhs.strip())
+
+
 def load_theory_text(text: str) -> Theory:
-    name = "theory"
-    flags: frozenset[str] = frozenset()
-    extra: list[RewriteRule] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = line.split()
-        if not words or words[0] == "end" or words[0].startswith("#"):
-            continue
-        if words[0] == "theory":
-            name = words[1]
-        elif words[0] == "flags":
-            unknown = [w for w in words[1:] if w not in _FLAG_RULES]
-            if unknown:
-                raise TheoryError(f"line {lineno}: unknown flags {unknown}")
-            flags = frozenset(words[1:])
-        elif words[0] == "rule":
-            rest = line.split(None, 1)[1]
-            try:
-                head, body = rest.split(":", 1)
-                lhs, rhs = body.split("=", 1)
-            except ValueError:
-                raise TheoryError(f"line {lineno}: malformed rule") from None
-            extra.append(_rule(head.strip(), lhs.strip(), rhs.strip()))
-        else:
-            raise TheoryError(f"line {lineno}: unknown directive {words[0]!r}")
-    return Theory(name, flags, tuple(extra))
+    records = read(text, {"theory": (str,), "flags": (Many(known_flag),),
+                          "rule": (Rest(_rule_line),), "end": ()}, TheoryError)
+    given = settings(records)
+    return Theory(given.get("theory", "theory"),
+                  frozenset(given.get("flags", ())),
+                  tuple(r.values[0] for r in records if r.head == "rule"))
 
 
 def save_goals_text(suite: GoalSuite) -> str:
@@ -315,42 +311,28 @@ def save_goals_text(suite: GoalSuite) -> str:
 
 def load_goals_text(text: str) -> GoalSuite:
     goals: list[Goal] = []
-    current: Optional[dict] = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        words = line.split()
-        if not words or words[0].startswith("#"):
-            continue
-        if words[0] in ("goal", "source", "lhs", "rhs") and len(words) < 2:
-            raise TheoryError(f"line {lineno}: {words[0]} needs a value")
-        if words[0] == "goal":
-            if current is not None:
-                raise TheoryError(f"line {current['line']}: goal has no end")
-            current = {"name": words[1], "theory": "base", "line": lineno,
-                       "kind": "provable", "countermodel": None, "source": ""}
-            for word in words[2:]:
-                key, _, value = word.partition("=")
+    start: Optional[Record] = None
+    for r in read(text, {"goal": (str, Many()), "source": (Rest(),),
+                         "lhs": (Rest(parse),), "rhs": (Rest(parse),),
+                         "end": ()}, TheoryError):
+        if r.head == "goal":
+            if start is not None:
+                raise start.fail("goal has no end")
+            start, fields = r, {"name": r.values[0], "theory": "base"}
+            for key, _, value in (w.partition("=") for w in r.values[1]):
                 if key not in ("theory", "kind", "countermodel"):
-                    raise TheoryError(f"line {lineno}: unknown key {key!r}")
-                current[key] = value
-        elif words[0] in ("source", "lhs", "rhs"):
-            if current is None:
-                raise TheoryError(f"line {lineno}: field outside a goal")
-            current[words[0]] = line.split(None, 1)[1]
-        elif words[0] == "end":
-            if current is None:
-                raise TheoryError(f"line {lineno}: stray end")
-            missing = {"lhs", "rhs"} - current.keys()
-            if missing:
-                raise TheoryError(f"line {lineno}: goal lacks "
-                                  + " and ".join(sorted(missing)))
-            goals.append(Goal(
-                current["name"], parse(current["lhs"]), parse(current["rhs"]),
-                current["theory"], current["kind"], current["countermodel"],
-                current["source"],
-            ))
-            current = None
+                    raise r.fail(f"unknown key {key!r}")
+                fields[key] = value
+        elif start is None:
+            raise r.fail(f"{r.head} outside a goal")
+        elif r.head != "end":
+            fields[r.head] = r.values[0]
         else:
-            raise TheoryError(f"line {lineno}: unknown directive {words[0]!r}")
-    if current is not None:
-        raise TheoryError(f"line {current['line']}: goal has no end")
+            missing = {"lhs", "rhs"} - fields.keys()
+            if missing:
+                raise r.fail("goal lacks " + " and ".join(sorted(missing)))
+            goals.append(Goal(**fields))
+            start = None
+    if start is not None:
+        raise start.fail("goal has no end")
     return GoalSuite(tuple(goals))

@@ -51,6 +51,29 @@ def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     assert flag in err
 
 
+@pytest.mark.parametrize("argv,text,lineno", [
+    ("eval mul --model {}", "model m\ndim 2\nmul 1 2\nend\n", 3),
+    ("prove mul mul --theory {}", "theory t\nrule\nend\n", 2),
+    ("prove mul mul --theory {}", "# custom\nrule r : mul ; = mul\n", 2),
+])
+def test_malformed_file_is_exit_1(tmp_path, capsys, argv, text, lineno):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    code, _, err = run(capsys, *argv.format(path).split())
+    assert code == 1
+    assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
+
+
+def test_check_model_malformed_file_is_a_fail_record(tmp_path, capsys):
+    path = tmp_path / "model.txt"
+    path.write_text("model m\ndim x\nend\n")
+    code, out, err = run(capsys, "--format", "records", "check-model",
+                         "--model", str(path))
+    assert code == 1 and not err
+    assert out.startswith("REC kind=model") and out.count("\n") == 1
+    assert "status=fail detail=" in out and "line 2: dim: bad value" in out
+
+
 def test_prove_arity_mismatch_is_exit_1(capsys):
     code, _, err = run(capsys, "prove", "mul", "id(1)")
     assert code == 1
