@@ -1,3 +1,4 @@
+import hashlib
 import re
 from fractions import Fraction
 
@@ -275,19 +276,26 @@ def test_derivation_defect_precondition():
     e = euler_derivation(model)
     phi = exp_derivation_series(model, e, 1, 3)
     psi = identity_series(model, 3)
-    with pytest.raises(DeformationError):
+    with pytest.raises(DeformationError, match=re.escape(
+            "series differ already at degree 1 (need agreement below 2)")):
         derivation_defect(phi, psi, deformation, 2)
 
 
-def test_derivation_defect_rejects_nonmultiplicative():
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_derivation_defect_rejects_nonmultiplicative(bad_first):
     model = truncated_binomial_bialgebra(6)
     deformation = null_deformation(model, 2)
     bad = [linalg.eye(model.dim) for _ in range(3)]
     bad[1] = linalg.zeros(model.dim, model.dim)
     bad[1][0][1] = F(1)  # a -> 1 at degree 1: not multiplicative
     series = TruncatedSeriesMap(tuple(bad))
-    with pytest.raises(DeformationError):
-        derivation_defect(series, identity_series(model, 2), deformation, 1)
+    good = identity_series(model, 2)
+    name = "first" if bad_first else "second"
+    pair = (series, good) if bad_first else (good, series)
+    with pytest.raises(DeformationError, match=re.escape(
+            f"{name} series is not multiplicative at degree 1, "
+            "basis pair (1, 1)")):
+        derivation_defect(*pair, deformation, 1)
 
 
 def test_kernel_map_RS_on_function_model(fn_o16):
@@ -446,6 +454,50 @@ def test_deformation_fixture_file_roundtrip(tmp_path):
     assert loaded.order == fixture.order
     assert loaded.comul_components == fixture.comul_components
     assert loaded.mul_components == fixture.mul_components
+
+
+SHIFT_CONJ_4_2 = """\
+deformation shift-conj[binomial[4],order=2]
+base b
+order 2
+comul 1 1 1 1 -2
+comul 1 2 1 2 -1
+comul 1 2 2 1 -1
+comul 1 3 1 3 -1
+comul 1 3 3 1 -1
+comul 1 4 1 4 4
+comul 1 4 2 3 10
+comul 1 4 3 2 10
+comul 1 4 4 1 4
+mul 1 1 1 3 -1
+mul 1 1 2 4 -1
+mul 1 2 1 4 -1
+comul 2 1 1 2 -1/2
+comul 2 1 2 1 -1/2
+comul 2 2 2 2 -1
+comul 2 3 1 4 -5/2
+comul 2 3 2 3 -11/2
+comul 2 3 3 2 -11/2
+comul 2 3 4 1 -5/2
+comul 2 4 2 4 7
+comul 2 4 3 3 10
+comul 2 4 4 2 7
+mul 2 1 1 4 1/2
+end
+"""
+
+
+def test_shift_conjugation_components_are_pinned():
+    """The conjugated components themselves, not only the verdicts that the
+    `deform` records show."""
+    from moufang.deformation import save_deformation_text
+
+    text = save_deformation_text(shift_conjugation_deformation(4, 2), "b")
+    assert text == SHIFT_CONJ_4_2
+    text = save_deformation_text(shift_conjugation_deformation(12, 3),
+                                 "binomial:12")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b3440d669face6cab87c303de7cbe3c308dc09f74af4cf935c61cd1aeae8423c")
 
 
 def test_deformation_fixture_file_requires_header():
