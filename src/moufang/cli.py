@@ -28,10 +28,11 @@ class CliError(Exception):
 
 @contextmanager
 def _flag(name: str, value: str):
-    """Turn a malformed number in a flag value into a CliError naming it."""
+    """Turn a malformed number in a flag value, or a fixture size the
+    builder refuses, into a CliError naming the flag."""
     try:
         yield
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, dlab.DeformationError) as exc:
         raise CliError(f"{name}: bad value {value!r} ({exc})") from None
 
 
@@ -226,8 +227,9 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
         model_spec, _, order = rest.rpartition(":")
         with _flag("--fixture", spec):
             order = int(order or 1)
-        return dlab.null_deformation(_load_model(model_spec, "--fixture"),
-                                     order)
+        model = _load_model(model_spec, "--fixture")
+        with _flag("--fixture", spec):
+            return dlab.null_deformation(model, order)
     if head in ("shift-conj", "delta1"):
         build, degree, order = (
             (dlab.shift_conjugation_deformation, 12, 3) if head == "shift-conj"
@@ -236,7 +238,7 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
         with _flag("--fixture", spec):
             degree = int(parts[0]) if parts[0] else degree
             order = int(parts[1]) if len(parts) > 1 else order
-        return build(degree, order)
+            return build(degree, order)
     raise CliError(
         f"unknown fixture {spec!r}: expected null:MODEL:ORDER, "
         "shift-conj:D:ORDER or delta1:D:ORDER"

@@ -31,14 +31,18 @@ from .models import (
     FiniteBialgebraModel,
     MulRows,
     State,
+    _accumulate,
+    _clean,
+    add_state,
     basis_state,
     basis_sweep,
     evaluate,
     evaluate_components,
     first_difference,
     subtract_state,
+    truncated_binomial_bialgebra,
 )
-from .reader import Many, read, settings
+from .reader import Many, at_least, read, settings
 
 
 class DeformationError(Exception):
@@ -70,6 +74,21 @@ class TruncatedSeriesMap:
         return self.components[n]
 
 
+def _apply_series_slot(phi: TruncatedSeriesMap, states: list[State],
+                       slot: int) -> list[State]:
+    """phi_h = sum h^a phi_a on one slot of tensors indexed by h-degree,
+    modulo h^len(states)."""
+    out: list[State] = [{} for _ in states]
+    for a, m in enumerate(phi.components[:len(states)]):
+        for b in range(len(states) - a):
+            _accumulate(out[a + b], (
+                (key[:slot] + (r,) + key[slot + 1:], coeff * row[key[slot]])
+                for key, coeff in states[b].items()
+                for r, row in enumerate(m) if row[key[slot]]
+            ))
+    return [_clean(state) for state in out]
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """A basis-aligned grading: degree of each basis vector."""
@@ -85,15 +104,6 @@ class GradedSpace:
 
 
 # --- truncated deformations ------------------------------------------------
-
-
-def _add_state(acc: State, extra: State) -> None:
-    for key, value in extra.items():
-        new = acc.get(key, Fraction(0)) + value
-        if new:
-            acc[key] = new
-        else:
-            acc.pop(key, None)
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,9 @@ class TruncatedDeformation:
     name: str = "deformation"
 
     def __post_init__(self) -> None:
+        if self.order < 0:
+            raise DeformationError(
+                f"order must be nonnegative, got {self.order}")
         if len(self.comul_components) != self.order + 1:
             raise DeformationError("coproduct components do not match order")
         if len(self.mul_components) != self.order + 1:
@@ -181,6 +194,8 @@ _COASSOC_R = parse("comul ; id(1) * comul")
 _BIALG_L = parse("mul ; comul")
 _BIALG_R = parse("comul * comul ; id(1) * swap * id(1) ; mul * mul")
 _ID = parse("id(1)")
+_MUL = parse("mul")
+_COMUL = parse("comul")
 
 
 def verify_deformation(deformation: TruncatedDeformation) -> None:
@@ -389,12 +404,11 @@ def antisymmetrize(t: State, slots: tuple[int, ...]) -> State:
     norm = Fraction(1, len(perms))
     for key, coeff in t.items():
         for perm in perms:
-            sign = _perm_sign(perm)
             new = list(key)
             for target_pos, source_pos in enumerate(perm):
                 new[slots[target_pos]] = key[slots[source_pos]]
-            _add_state(out, {tuple(new): coeff * norm * sign})
-    return out
+            _accumulate(out, [(tuple(new), coeff * norm * _perm_sign(perm))])
+    return _clean(out)
 
 
 def _perm_sign(perm: Sequence[int]) -> int:
@@ -452,27 +466,19 @@ def wedge_membership(t: State, slots: str, primitive: Sequence[int]) -> bool:
 # --- multiplicative series and the defect identity ---------------------------
 
 
-def _series_multiplicative_defect(deformation: TruncatedDeformation,
-                                  phi: TruncatedSeriesMap,
-                                  degree: int) -> Optional[tuple]:
-    """First failure of phi_h(x•y) = phi_h(x)•phi_h(y) at one h-degree."""
-    model = deformation.base
-    d = model.dim
-    e = [basis_vector(d, i) for i in range(d)]
-    for key in model.basis_iterator(2):
-        i, j = key
-        lhs = rhs = (Fraction(0),) * d
-        for a in range(degree + 1):
-            prod = bilinear(deformation.mul_rows_at(degree - a), e[i], e[j])
-            lhs = [p + q for p, q in zip(lhs, linalg.mat_vec(phi.at(a), prod))]
-            for b in range(degree + 1 - a):
-                x = [phi.at(b)[r][i] for r in range(d)]
-                y = [phi.at(degree - a - b)[r][j] for r in range(d)]
-                prod = bilinear(deformation.mul_rows_at(a), x, y)
-                rhs = [p + q for p, q in zip(rhs, prod)]
-        if lhs != rhs:
-            return key
-    return None
+def _multiplicative_failures(deformation: TruncatedDeformation,
+                             phi: TruncatedSeriesMap):
+    """Yield (degree, basis pair) wherever phi_h(x•y) != phi_h(x)•phi_h(y)
+    modulo h^(min(order, phi.order)+1)."""
+    order = min(deformation.order, phi.order)
+    for key in deformation.base.basis_iterator(2):
+        states = [basis_state(key)] + [{} for _ in range(order)]
+        lhs = _apply_series_slot(
+            phi, evaluate_series(_MUL, deformation, states, order), 0)
+        for slot in (0, 1):
+            states = _apply_series_slot(phi, states, slot)
+        rhs = evaluate_series(_MUL, deformation, states, order)
+        yield from ((n, key) for n in range(order + 1) if lhs[n] != rhs[n])
 
 
 def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
@@ -490,17 +496,16 @@ def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
 
     with x y the base product.
     """
-    order = deformation.order
     if n < 1 or n > min(phi.order, psi.order):
         raise DeformationError(f"degree {n} outside both series")
     for name, series in (("first", phi), ("second", psi)):
-        for m in range(min(order, series.order) + 1):
-            bad = _series_multiplicative_defect(deformation, series, m)
-            if bad is not None:
-                raise DeformationError(
-                    f"{name} series is not multiplicative at degree {m}, "
-                    f"basis pair {bad}"
-                )
+        # lowest degree, then first pair (basis_iterator is lexicographic)
+        bad = min(_multiplicative_failures(deformation, series), default=None)
+        if bad is not None:
+            raise DeformationError(
+                f"{name} series is not multiplicative at degree {bad[0]}, "
+                f"basis pair {bad[1]}"
+            )
     for i in range(n):
         if phi.at(i) != psi.at(i):
             raise DeformationError(
@@ -544,12 +549,7 @@ def apply_kernel_map(deformation: TruncatedDeformation,
     """
     r_out = evaluate_series(_R_DIAG, deformation, states)
     s_out = evaluate_series(_S_DIAG, deformation, states)
-    merged = []
-    for r, s in zip(r_out, s_out):
-        total = dict(r)
-        _add_state(total, s)
-        merged.append(total)
-    return merged
+    return [add_state(r, s) for r, s in zip(r_out, s_out)]
 
 
 def kernel_map_RS(deformation: TruncatedDeformation) -> SeriesReport:
@@ -579,9 +579,9 @@ _ASSOC_R = parse("id(1) * mul ; mul")
 def is_primitive(model: FiniteBialgebraModel, v: Vector) -> bool:
     """Is Δ(v) = v⊗1 + 1⊗v in the base model?"""
     state = {(i,): c for i, c in enumerate(v) if c}
-    expected = evaluate(parse("id(1) * unit"), model, state)
-    _add_state(expected, evaluate(parse("unit * id(1)"), model, state))
-    return evaluate(parse("comul"), model, state) == expected
+    expected = add_state(evaluate(parse("id(1) * unit"), model, state),
+                         evaluate(parse("unit * id(1)"), model, state))
+    return evaluate(_COMUL, model, state) == expected
 
 
 def _associator_series(deformation: TruncatedDeformation,
@@ -619,7 +619,7 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
             if c:
                 key = [y, z]
                 key.insert(position, i)
-                _add_state(state, {tuple(key): c})
+                state[tuple(key)] = c
         return [state] + [{} for _ in range(order)]
 
     for y in range(model.dim):
@@ -628,8 +628,7 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
             second = _associator_series(deformation, embed(1, y, z))
             third = _associator_series(deformation, embed(2, y, z))
             for n in range(order + 1):
-                anti = dict(first[n])
-                _add_state(anti, second[n])
+                anti = add_state(first[n], second[n])
                 if anti:
                     return SeriesReport(False, n, (y, z), anti)
                 cyc = subtract_state(first[n], third[n])
@@ -673,8 +672,10 @@ class LieAlgebraModel:
                 rows[(i, j)] = tuple(sorted(
                     (k, Fraction(c)) for k, c in entries.items() if c
                 ))
-        g = cls(dim, rows,
-                tuple(labels) if labels else tuple(str(i) for i in range(dim)))
+        labels = tuple(labels) if labels else tuple(map(str, range(dim)))
+        if len(labels) != dim:
+            raise DeformationError("label count does not match dimension")
+        g = cls(dim, rows, labels)
         e = [basis_vector(dim, i) for i in range(dim)]
         for i in range(dim):
             for j in range(dim):
@@ -863,18 +864,6 @@ def h1_dimension(g: LieAlgebraModel, action: Sequence[Matrix]) -> H1Report:
 # --- fixture deformations ----------------------------------------------------
 
 
-def _exp_series(f: Matrix, order: int, sign: int = 1) -> list[Matrix]:
-    """Components of exp(±h f) up to the given order."""
-    d = len(f)
-    out = [linalg.eye(d)]
-    power = linalg.eye(d)
-    for k in range(1, order + 1):
-        power = linalg.mat_mul(power, f)
-        coeff = Fraction(sign ** k, factorial(k))
-        out.append(linalg.mat_scale(power, coeff))
-    return out
-
-
 def shift_conjugation_deformation(max_degree: int, order: int,
                                   check: bool = True) -> TruncatedDeformation:
     """Conjugate the binomial model by exp(h·shift), shift: a^n -> a^(n+1).
@@ -885,67 +874,37 @@ def shift_conjugation_deformation(max_degree: int, order: int,
     counit, compatibility, both Moufang families and both co-Moufang
     families) transports exactly, degree by degree.
     """
-    from .models import truncated_binomial_bialgebra
-
     model = truncated_binomial_bialgebra(max_degree)
     d = model.dim
     f = linalg.zeros(d, d)
     for n in range(1, d - 1):
         f[n + 1][n] = Fraction(1)
-    fwd = _exp_series(f, order)
-    inv = _exp_series(f, order, sign=-1)
+    fwd = exp_derivation_series(model, f, 1, order)
+    inv = exp_derivation_series(model, linalg.mat_scale(f, Fraction(-1)), 1,
+                                order)
 
-    mul_maps: list[MulRows] = []
-    for m in range(1, order + 1):
-        rows: MulRows = {}
-        for i in range(d):
-            for j in range(d):
-                acc = [Fraction(0)] * d
-                for a in range(m + 1):
-                    for b in range(m + 1 - a):
-                        x = [inv[b][r][i] for r in range(d)]
-                        y = [inv[m - a - b][r][j] for r in range(d)]
-                        img = linalg.mat_vec(fwd[a],
-                                             bilinear(model.mul_rows, x, y))
-                        acc = [p + q for p, q in zip(acc, img)]
-                entries = tuple(
-                    (k, v) for k, v in enumerate(acc) if v
-                )
-                if entries:
-                    rows[(i, j)] = entries
-        mul_maps.append(rows)
+    def conjugated(diagram: Diagram, key: tuple[int, ...]) -> list[State]:
+        """fwd ∘ diagram ∘ (inv ⊗ ... ⊗ inv) on one basis input, per
+        h-degree; the plain base model is the order-0 series."""
+        states = [basis_state(key)] + [{} for _ in range(order)]
+        for slot in range(diagram.n_in):
+            states = _apply_series_slot(inv, states, slot)
+        states = evaluate_components(diagram, states, model,
+                                     (model.mul_rows,), (model.comul_rows,))
+        for slot in range(diagram.n_out):
+            states = _apply_series_slot(fwd, states, slot)
+        return states
 
-    comul_maps: list[ComulRows] = []
-    for m in range(1, order + 1):
-        rows_c: ComulRows = {}
-        for i in range(d):
-            acc: State = {}
-            for a in range(m + 1):
-                for b in range(m + 1 - a):
-                    c_deg = m - a - b
-                    x = [inv[c_deg][r][i] for r in range(d)]
-                    split: State = {}
-                    for s in range(d):
-                        if not x[s]:
-                            continue
-                        for (j, k), c in model.comul_rows.get(s, ()):
-                            _add_state(split, {(j, k): x[s] * c})
-                    for (j, k), c in split.items():
-                        left = [fwd[a][r][j] for r in range(d)]
-                        right = [fwd[b][r][k] for r in range(d)]
-                        for r1 in range(d):
-                            if not left[r1]:
-                                continue
-                            for r2 in range(d):
-                                if right[r2]:
-                                    _add_state(
-                                        acc,
-                                        {(r1, r2): c * left[r1] * right[r2]},
-                                    )
-            entries = tuple(sorted(acc.items()))
-            if entries:
-                rows_c[i] = entries
-        comul_maps.append(rows_c)
+    mul_maps: list[MulRows] = [{} for _ in range(order)]
+    for key in itertools.product(range(d), repeat=2):
+        for rows, state in zip(mul_maps, conjugated(_MUL, key)[1:]):
+            if state:
+                rows[key] = tuple((k, v) for (k,), v in sorted(state.items()))
+    comul_maps: list[ComulRows] = [{} for _ in range(order)]
+    for i in range(d):
+        for rows_c, state in zip(comul_maps, conjugated(_COMUL, (i,))[1:]):
+            if state:
+                rows_c[i] = tuple(sorted(state.items()))
 
     return deformation_from_maps(
         model, order, comul_maps, mul_maps,
@@ -962,8 +921,8 @@ def simple_comul_perturbation(max_degree: int, order: int = 1
     registration; useful for exercising witness reporting and the pure
     degree bookkeeping of the coassociator.
     """
-    from .models import truncated_binomial_bialgebra
-
+    if order < 1:
+        raise DeformationError(f"delta1 needs order at least 1, got {order}")
     model = truncated_binomial_bialgebra(max_degree)
     comul1: ComulRows = {1: (((1, 1), Fraction(1)),)}
     comul_maps: list[ComulRows] = [comul1] + [{} for _ in range(order - 1)]
@@ -1004,8 +963,8 @@ def load_deformation_text(text: str, resolve_base,
     to a FiniteBialgebraModel."""
     entry = (int,) * 4 + (Fraction,)
     records = read(text, {"deformation": (str,), "base": (str,),
-                          "order": (int,), "comul": entry, "mul": entry,
-                          "end": ()}, DeformationError)
+                          "order": (at_least(0),), "comul": entry,
+                          "mul": entry, "end": ()}, DeformationError)
     given = settings(records)
     if "base" not in given or "order" not in given:
         raise DeformationError("fixture file needs base and order lines")
@@ -1043,7 +1002,8 @@ def save_lie_algebra_text(g: LieAlgebraModel, name: str = "lie") -> str:
 
 
 def load_lie_algebra_text(text: str) -> LieAlgebraModel:
-    records = read(text, {"lie": (str,), "dim": (int,), "labels": (Many(),),
+    records = read(text, {"lie": (str,), "dim": (at_least(1),),
+                          "labels": (Many(),),
                           "bracket": (int, int, int, Fraction), "end": ()},
                    DeformationError)
     given = settings(records)
@@ -1051,6 +1011,9 @@ def load_lie_algebra_text(text: str) -> LieAlgebraModel:
         raise DeformationError("Lie-algebra file needs a dim line")
     brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
     for r in records:
+        if r.head == "labels" and len(r.values[0]) != given["dim"]:
+            raise r.fail(f"labels lists {len(r.values[0])} entries for "
+                         f"dimension {given['dim']}")
         if r.head == "bracket":
             i, j, k, c = r.values
             brackets.setdefault((i, j), {})[k] = c

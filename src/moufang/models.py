@@ -32,7 +32,7 @@ from typing import Iterable, Optional, Sequence
 
 from .diagram import ArityMismatch, Diagram
 from .linalg import BilinearRows
-from .reader import Many, read, settings
+from .reader import Many, at_least, read, settings
 from .theories import known_flag
 
 Scalar = Fraction
@@ -265,11 +265,16 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
                                (model.comul_rows,))[0]
 
 
+def add_state(a: State, b: State) -> State:
+    """a + b, keeping a's key order and appending b's new keys."""
+    total = dict(a)
+    _accumulate(total, b.items())
+    return _clean(total)
+
+
 def subtract_state(a: State, b: State) -> State:
     """a - b, keeping a's key order and appending b's new keys."""
-    diff = dict(a)
-    _accumulate(diff, ((k, -v) for k, v in b.items()))
-    return _clean(diff)
+    return add_state(a, {k: -v for k, v in b.items()})
 
 
 def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
@@ -476,7 +481,7 @@ def save_model_text(model: FiniteBialgebraModel) -> str:
 def load_model_text(text: str, check: bool = True) -> FiniteBialgebraModel:
     entry = (int, int, int, Fraction)
     records = read(text, {
-        "model": (str,), "dim": (int,), "flags": (Many(known_flag),),
+        "model": (str,), "dim": (at_least(1),), "flags": (Many(known_flag),),
         "basis": (Many(),), "degree": (Many(int),), "cap": (int,),
         "kind": (str,), "mul": entry, "comul": entry, "unit": (int, Fraction),
         "counit": (int, Fraction), "end": ()}, ModelError)

@@ -18,6 +18,16 @@ Many = namedtuple("Many", "parse", defaults=(str,))
 Rest = namedtuple("Rest", "parse", defaults=(str,))
 
 
+def at_least(least: int) -> Callable[[str], int]:
+    """A field parse function for an integer no smaller than `least`."""
+    def parse(word: str) -> int:
+        value = int(word)
+        if value < least:
+            raise ValueError(f"must be at least {least}")
+        return value
+    return parse
+
+
 class Record(NamedTuple):
     line: int
     head: Optional[str]

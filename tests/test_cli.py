@@ -43,6 +43,8 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("octonion --params=1/0,1,1", "--params"),
     ("deform --fixture shift-conj:x:3", "--fixture"),
     ("deform --fixture null:fn-o16:x", "--fixture"),
+    ("deform --fixture null:fn-o16:-1", "--fixture"),
+    ("deform --fixture delta1:6:0", "--fixture"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())

@@ -281,8 +281,7 @@ def test_derivation_defect_precondition():
         derivation_defect(phi, psi, deformation, 2)
 
 
-@pytest.mark.parametrize("bad_first", [True, False])
-def test_derivation_defect_rejects_nonmultiplicative(bad_first):
+def test_derivation_defect_rejects_nonmultiplicative():
     model = truncated_binomial_bialgebra(6)
     deformation = null_deformation(model, 2)
     bad = [linalg.eye(model.dim) for _ in range(3)]
@@ -290,12 +289,38 @@ def test_derivation_defect_rejects_nonmultiplicative(bad_first):
     bad[1][0][1] = F(1)  # a -> 1 at degree 1: not multiplicative
     series = TruncatedSeriesMap(tuple(bad))
     good = identity_series(model, 2)
-    name = "first" if bad_first else "second"
-    pair = (series, good) if bad_first else (good, series)
+    for name, pair in (("first", (series, good)), ("second", (good, series))):
+        with pytest.raises(DeformationError, match=re.escape(
+                f"{name} series is not multiplicative at degree 1, "
+                "basis pair (1, 1)")):
+            derivation_defect(*pair, deformation, 1)
+
+
+def test_derivation_defect_reports_lowest_degree_first():
+    """A degree-2 failure at an earlier pair loses to a degree-1 failure."""
+    model = truncated_binomial_bialgebra(6)
+    deformation = null_deformation(model, 3)
+    comps = [linalg.eye(model.dim)] + [linalg.zeros(model.dim, model.dim)
+                                       for _ in range(3)]
+    comps[1][3][3] = F(1)  # first seen at degree 1 on the pair (1, 2)
+    comps[2][0][0] = F(1)  # already seen at degree 2 on the pair (0, 0)
     with pytest.raises(DeformationError, match=re.escape(
-            f"{name} series is not multiplicative at degree 1, "
-            "basis pair (1, 1)")):
-        derivation_defect(*pair, deformation, 1)
+            "first series is not multiplicative at degree 1, "
+            "basis pair (1, 2)")):
+        derivation_defect(TruncatedSeriesMap(tuple(comps)),
+                          identity_series(model, 3), deformation, 1)
+
+
+def test_orders_and_label_counts_are_checked():
+    model = truncated_binomial_bialgebra(4)
+    with pytest.raises(DeformationError,
+                       match="^order must be nonnegative, got -1$"):
+        null_deformation(model, -1)
+    with pytest.raises(DeformationError,
+                       match="^delta1 needs order at least 1, got 0$"):
+        simple_comul_perturbation(4, 0)
+    with pytest.raises(DeformationError, match="label count"):
+        LieAlgebraModel.from_brackets(2, {}, labels=("a",))
 
 
 def test_kernel_map_RS_on_function_model(fn_o16):

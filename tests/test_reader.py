@@ -77,6 +77,8 @@ _C3 = cyclic_loop(3).cayley_text()
     pytest.param("model", _DIM1 + "degree 0 1 2\n", 9, id="model-degree-length"),
     pytest.param("model", _DIM1 + "basis a b\n", 9, id="model-basis-length"),
     pytest.param("model", _DIM1 + "flags nope\n", 9, id="model-unknown-flag"),
+    pytest.param("model", "dim -2\n", 1, id="model-dim-negative"),
+    pytest.param("model", "model m\ndim 0\n", 2, id="model-dim-zero"),
     pytest.param("loop", _C3.replace("order 3", "order 7"), 2,
                  id="loop-order"),
     pytest.param("loop", _C3.replace("identity 0", "identity 2"), 3,
@@ -95,7 +97,12 @@ _C3 = cyclic_loop(3).cayley_text()
     pytest.param("fixture", "base\norder 1\n", 1, id="fixture-bare-base"),
     pytest.param("fixture", "deformation\nbase b\norder 1\n", 1,
                  id="fixture-bare-deformation"),
+    pytest.param("fixture", "base b\norder -1\n", 2,
+                 id="fixture-order-negative"),
     pytest.param("lie", "dim 2\nbracket 0 1\n", 2, id="lie-short-bracket"),
+    pytest.param("lie", "lie g\ndim -3\nend\n", 2, id="lie-dim-negative"),
+    pytest.param("lie", "lie g\ndim 2\nlabels a\nend\n", 3,
+                 id="lie-label-count"),
 ])
 def test_malformed_line_is_named(loader, text, lineno):
     load, error, _words = LOADERS[loader]
