@@ -28,11 +28,12 @@ class CliError(Exception):
 
 @contextmanager
 def _flag(name: str, value: str):
-    """Turn a malformed number in a flag value, or a fixture size the
-    builder refuses, into a CliError naming the flag."""
+    """Turn a malformed number in a flag value, or a model or fixture size
+    the builder refuses, into a CliError naming the flag."""
     try:
         yield
-    except (ValueError, ZeroDivisionError, dlab.DeformationError) as exc:
+    except (ValueError, ZeroDivisionError, models.ModelError,
+            dlab.DeformationError) as exc:
         raise CliError(f"{name}: bad value {value!r} ({exc})") from None
 
 
@@ -53,19 +54,15 @@ def _load_model(spec: str, flag: str = "--model"
     if Path(spec).exists():
         return models.load_model_text(Path(spec).read_text())
     head, _, arg = spec.partition(":")
+    build = (models.loop_bialgebra if head.startswith("loop-")
+             else models.function_bialgebra)
+    if head in ("loop-o16", "fn-o16"):
+        return build(octonion.o16_loop())
     if head in ("binomial", "loop-cyclic", "fn-cyclic"):
         with _flag(flag, spec):
-            size = int(arg) if arg else (6 if head == "binomial" else 2)
-    if head == "binomial":
-        return models.truncated_binomial_bialgebra(size)
-    if head in ("loop-o16", "fn-o16"):
-        loop = octonion.o16_loop()
-        build = models.loop_bialgebra if head == "loop-o16" else models.function_bialgebra
-        return build(loop)
-    if head in ("loop-cyclic", "fn-cyclic"):
-        loop = models.cyclic_loop(size)
-        build = models.loop_bialgebra if head == "loop-cyclic" else models.function_bialgebra
-        return build(loop)
+            if head == "binomial":
+                return models.truncated_binomial_bialgebra(int(arg or 6))
+            return build(models.cyclic_loop(int(arg or 2)))
     raise CliError(
         f"unknown model {spec!r}: expected a file or one of binomial:D, "
         "loop-o16, fn-o16, loop-cyclic:N, fn-cyclic:N"
@@ -314,17 +311,12 @@ def _multilinearity_probe(model: models.FiniteBialgebraModel,
     diagram = parse("comul ; mul")
     i, j = rng.randrange(model.dim), rng.randrange(model.dim)
     a, b = Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5))
-    combo: models.State = {}
-    for idx, c in ((i, a), (j, b)):
-        combo[(idx,)] = combo.get((idx,), Fraction(0)) + c
-    combo = {k: v for k, v in combo.items() if v}
-    lhs = models.evaluate(diagram, model, combo)
+    lhs = models.evaluate(diagram, model,
+                          models.add_state({(i,): a}, {(j,): b}))
     rhs: models.State = {}
     for idx, c in ((i, a), (j, b)):
-        part = models.evaluate(diagram, model, {(idx,): Fraction(1)})
-        for key, value in part.items():
-            rhs[key] = rhs.get(key, Fraction(0)) + c * value
-    rhs = {k: v for k, v in rhs.items() if v}
+        part = models.evaluate(diagram, model, models.basis_state((idx,)))
+        rhs = models.add_state(rhs, {k: c * v for k, v in part.items()})
     return lhs == rhs
 
 

@@ -9,7 +9,7 @@ point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -68,6 +68,18 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
 
 def mat_scale(a: Matrix, c: Fraction) -> Matrix:
     return [[c * x for x in row] for row in a]
+
+
+def mat_combination(terms: Iterable[tuple[Fraction, Matrix]], rows: int,
+                    cols: int) -> Matrix:
+    """The sum of c * m over the (c, m) pairs, as a rows x cols matrix."""
+    out = zeros(rows, cols)
+    for c, m in terms:
+        for out_row, row in zip(out, m):
+            for j, x in enumerate(row):
+                if x:
+                    out_row[j] += c * x
+    return out
 
 
 def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:

@@ -1,5 +1,6 @@
-"""Generalized octonion algebras by Cayley-Dickson doubling, and their
-traceless Malcev algebras.
+"""Generalized octonion algebras by Cayley-Dickson doubling, their
+traceless Malcev algebras, and the one bracket-algebra type that holds
+both these Malcev algebras and the Lie algebras of `deformation`.
 
 The doubling convention is fixed as
 
@@ -21,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .linalg import BilinearRows, basis_vector, bilinear
+from .linalg import BilinearRows, Matrix, basis_vector, bilinear, zeros
 from .models import MoufangLoop
 
 Vector = tuple[Fraction, ...]
@@ -202,17 +203,17 @@ def _polarization_witness(dim: int, lhs, rhs) -> Optional[tuple]:
 
 
 @dataclass(frozen=True)
-class MalcevAlgebra:
-    """Anticommutative algebra with the Malcev law, by structure constants."""
+class BracketAlgebra:
+    """An anticommutative algebra by sparse structure constants: the Malcev
+    algebra of `traceless_malcev`, or a Lie algebra (`deformation.lie_algebra`).
+
+    bracket_rows[(i, j)] lists [e_i, e_j] for every basis pair, in the
+    `linalg.BilinearRows` format.
+    """
 
     dim: int
-    bracket: dict[tuple[int, int], tuple[Fraction, ...]]
+    bracket_rows: BilinearRows
     labels: tuple[str, ...]
-
-    @cached_property
-    def bracket_rows(self) -> BilinearRows:
-        return {ij: tuple((k, c) for k, c in enumerate(row) if c)
-                for ij, row in self.bracket.items()}
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
         return bilinear(self.bracket_rows, x, y)
@@ -220,16 +221,44 @@ class MalcevAlgebra:
     def basis(self, i: int) -> Vector:
         return basis_vector(self.dim, i)
 
+    @cached_property
+    def ad(self) -> tuple[Matrix, ...]:
+        """ad[i][k][j] is the e_k coefficient of [e_i, e_j]."""
+        out = []
+        for i in range(self.dim):
+            m = zeros(self.dim, self.dim)
+            for j in range(self.dim):
+                for k, c in self.bracket_rows[(i, j)]:
+                    m[k][j] += c
+            out.append(m)
+        return tuple(out)
 
-def jacobian(m: MalcevAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
-    """[[a,b],c] + [[b,c],a] + [[c,a],b] for any algebra with a
-    `bracket_vec` (Malcev here, Lie in `deformation`)."""
+    @cached_property
+    def killing(self) -> Matrix:
+        """The Killing form tr(ad_i ad_j)."""
+        n, ad = self.dim, self.ad
+        return [[sum((ad[i][k][l] * ad[j][l][k]
+                      for k in range(n) for l in range(n)), Fraction(0))
+                 for j in range(n)] for i in range(n)]
+
+
+def jacobian(m: BracketAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
+    """[[a,b],c] + [[b,c],a] + [[c,a],b]."""
     br = m.bracket_vec
     terms = (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b))
     return tuple(sum(t[k] for t in terms) for k in range(m.dim))
 
 
-def malcev_witness(m: MalcevAlgebra) -> Optional[tuple]:
+def jacobi_witness(m: BracketAlgebra) -> Optional[tuple]:
+    """First basis triple at which the Jacobian is nonzero, or None."""
+    e = [m.basis(i) for i in range(m.dim)]
+    for i, j, k in itertools.product(range(m.dim), repeat=3):
+        if any(jacobian(m, e[i], e[j], e[k])):
+            return (i, j, k)
+    return None
+
+
+def malcev_witness(m: BracketAlgebra) -> Optional[tuple]:
     """Polarized Malcev law sweep; returns a witness quadruple or None.
 
     The law Jac(a,b,[a,c]) = [Jac(a,b,c),a] is quadratic in a; the check
@@ -242,23 +271,21 @@ def malcev_witness(m: MalcevAlgebra) -> Optional[tuple]:
     )
 
 
-def traceless_malcev(a: CayleyAlgebra, check: bool = True) -> MalcevAlgebra:
+def traceless_malcev(a: CayleyAlgebra, check: bool = True) -> BracketAlgebra:
     """Commutator algebra on the trace-zero part of an octonion algebra."""
     if a.dim != 8:
         raise AlgebraError("traceless Malcev algebra needs an 8-dim algebra")
-    bracket: dict[tuple[int, int], tuple[Fraction, ...]] = {}
-    for i in range(1, 8):
-        for j in range(1, 8):
-            x, y = a.basis(i), a.basis(j)
-            comm = tuple(
-                p - q for p, q in zip(a.product(x, y), a.product(y, x))
+    rows: BilinearRows = {}
+    for i, j in itertools.product(range(1, 8), repeat=2):
+        x, y = a.basis(i), a.basis(j)
+        comm = [p - q for p, q in zip(a.product(x, y), a.product(y, x))]
+        if comm[0] != 0:
+            raise AlgebraError(
+                "commutator of traceless elements has a trace component"
             )
-            if comm[0] != 0:
-                raise AlgebraError(
-                    "commutator of traceless elements has a trace component"
-                )
-            bracket[(i - 1, j - 1)] = comm[1:]
-    m = MalcevAlgebra(7, bracket, a.labels[1:])
+        rows[(i - 1, j - 1)] = tuple((k, c) for k, c in enumerate(comm[1:])
+                                     if c)
+    m = BracketAlgebra(7, rows, a.labels[1:])
     if check:
         witness = malcev_witness(m)
         if witness is not None:

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from moufang.cli import main
@@ -7,6 +9,10 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def sha1(text):
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 def test_prove_counit_law(capsys):
@@ -45,6 +51,10 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("deform --fixture null:fn-o16:x", "--fixture"),
     ("deform --fixture null:fn-o16:-1", "--fixture"),
     ("deform --fixture delta1:6:0", "--fixture"),
+    ("eval mul --model binomial:0", "--model"),
+    ("eval mul --model loop-cyclic:0", "--model"),
+    ("check-model --model binomial:0", "--model"),
+    ("deform --fixture shift-conj:0:3", "--fixture"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -119,15 +129,24 @@ def test_records_format_is_line_oriented(capsys):
 
 
 def test_octonion_subcommand(capsys):
-    code, out, _ = run(capsys, "octonion", "--params=-1,-1,-1")
+    code, out, _ = run(capsys, "--format", "records", "octonion",
+                       "--params=-1,-1,-1")
     assert code == 0
     assert out.count("pass") >= 6
+    assert sha1(out) == "f1fbff4f5de1baa7042d41735ae269a3cb07908b"
 
 
 def test_deform_subcommand(capsys):
     code, out, _ = run(capsys, "deform", "--fixture", "shift-conj:10:1")
     assert code == 0
     assert "kernel-map" in out
+
+
+def test_deform_records_are_pinned(capsys):
+    code, out, _ = run(capsys, "--format", "records", "deform", "--fixture",
+                       "shift-conj:12:3")
+    assert code == 0
+    assert sha1(out) == "2eda9e47d6a77a9b491a4ff925cc36819a81e331"
 
 
 def test_deform_negative_fixture(capsys):
@@ -181,11 +200,13 @@ def test_jobs_validation(capsys):
         main(["--jobs", "0", "render", "id(1)"])
 
 
-def test_suite_deterministic_across_worker_counts(capsys):
+def test_suite_deterministic_across_worker_counts(capsys, monkeypatch):
+    monkeypatch.delenv("MOUFANG_SUITE_SEED", raising=False)
     code1, out1, _ = run(capsys, "--format", "records", "--jobs", "1", "suite")
     code2, out2, _ = run(capsys, "--format", "records", "--jobs", "4", "suite")
     assert code1 == code2 == 0
     assert out1 == out2
+    assert sha1(out1) == "f27bec0019ee43ce686fe234221f4eba3fb91395"
 
 
 def test_check_model_from_file(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import re
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from moufang import linalg
 from moufang.deformation import (
     DeformationError,
     GradedSpace,
-    LieAlgebraModel,
     TruncatedSeriesMap,
     adjoint_action,
     antisymmetrize,
@@ -16,6 +16,7 @@ from moufang.deformation import (
     check_comoufang_mod,
     check_diagonalizable,
     check_moufang_mod,
+    check_representation,
     coassociator,
     derivation_defect,
     eigen_kernel_T,
@@ -27,6 +28,7 @@ from moufang.deformation import (
     identity_series,
     is_primitive,
     kernel_map_RS,
+    lie_algebra,
     nalt_mod_h,
     null_deformation,
     primitive_project,
@@ -39,6 +41,7 @@ from moufang.deformation import (
 )
 from moufang.dsl import parse
 from moufang.models import basis_state, truncated_binomial_bialgebra
+from moufang.octonion import octonion_algebra, traceless_malcev
 
 F = Fraction
 
@@ -320,7 +323,7 @@ def test_orders_and_label_counts_are_checked():
                        match="^delta1 needs order at least 1, got 0$"):
         simple_comul_perturbation(4, 0)
     with pytest.raises(DeformationError, match="label count"):
-        LieAlgebraModel.from_brackets(2, {}, labels=("a",))
+        lie_algebra(2, {}, labels=("a",))
 
 
 def test_kernel_map_RS_on_function_model(fn_o16):
@@ -369,6 +372,19 @@ def test_nalt_mod_h_null_group_algebra():
         nalt_mod_h(deformation, (F(0), F(1)))
 
 
+def test_shift_conjugation_refused_sizes():
+    # binomial[D]'s truncation waiver (sweeps capped at total degree D // 2)
+    # does not survive the degree-raising conjugation at these sizes.
+    refused = {}
+    for d, order in itertools.product(range(1, 9), range(5)):
+        try:
+            shift_conjugation_deformation(d, order)
+        except DeformationError as exc:
+            refused[(d, order)] = str(exc)
+    assert sorted(refused) == [(4, 3), (4, 4), (5, 4), (6, 4)]
+    assert all("compatibility fails" in m for m in refused.values())
+
+
 def test_moufang_mod_on_conjugation_fixture():
     deformation = shift_conjugation_deformation(12, 2)
     for side in ("left", "right", "middle"):
@@ -385,16 +401,28 @@ def test_sl2_killing_form():
                          [F(0), F(4), F(0)]]
 
 
+def test_malcev_killing_form_and_adjoint():
+    # For (-1,-1,-1), [x, y] = 2 x×y on the imaginary octonions, so
+    # tr(ad_x ad_x) = 4 tr(x×(x×·)) = 4 (1 - 7) |x|^2 = -24 |x|^2.
+    m = traceless_malcev(octonion_algebra(-1, -1, -1))
+    assert m.killing == linalg.mat_scale(linalg.eye(7), F(-24))
+    # M is not Lie, so its adjoint map is not a representation.
+    with pytest.raises(DeformationError,
+                       match=r"^action is not a representation at basis "
+                             r"pair \(0, 1\)$"):
+        check_representation(m, adjoint_action(m))
+
+
 def test_jacobi_enforced():
     with pytest.raises(DeformationError,
                        match=r"^Jacobi identity fails at basis triple "
                              r"\(0, 1, 2\)$"):
-        LieAlgebraModel.from_brackets(
+        lie_algebra(
             3, {(0, 1): {2: F(1)}, (1, 2): {0: F(1)}, (2, 0): {0: F(1)}}
         )
     with pytest.raises(DeformationError,
                        match=r"^bracket is not antisymmetric at \(0, 1\)$"):
-        LieAlgebraModel.from_brackets(
+        lie_algebra(
             3, {(0, 1): {1: F(1)}, (1, 0): {1: F(1)}}
         )
 
@@ -407,7 +435,7 @@ def test_jacobi_enforced():
 def test_lie_brackets_outside_dimension_refused(brackets):
     pair = next(iter(brackets))
     with pytest.raises(DeformationError, match=re.escape(str(pair))):
-        LieAlgebraModel.from_brackets(2, brackets)
+        lie_algebra(2, brackets)
 
 
 def test_lie_file_refuses_bracket_outside_dimension():
@@ -437,7 +465,7 @@ def test_casimir_commutes_with_action():
 
 
 def test_casimir_needs_nondegenerate_killing():
-    abelian = LieAlgebraModel.from_brackets(1, {})
+    abelian = lie_algebra(1, {})
     with pytest.raises(DeformationError):
         casimir(abelian, trivial_action(abelian, 1))
 
@@ -460,7 +488,7 @@ def test_h1_sl2_exterior_cube_vanishes():
 
 
 def test_h1_abelian_trivial_is_one():
-    abelian = LieAlgebraModel.from_brackets(1, {})
+    abelian = lie_algebra(1, {})
     report = h1_dimension(abelian, trivial_action(abelian, 1))
     assert report.dimension == 1
 
@@ -547,6 +575,21 @@ def test_deformation_fixture_file_refuses_bad_components(line):
         load_deformation_text(
             text, lambda ref: truncated_binomial_bialgebra(4), strict=False
         )
+
+
+@pytest.mark.parametrize("build,name,digest", [
+    (lambda: traceless_malcev(octonion_algebra(-1, -1, -1)), "malcev",
+     "8a75655bec1ee1948ad8820beac47b11dffe0c9e90d232e36bd4bfd60b23864a"),
+    (lambda: traceless_malcev(octonion_algebra(2, 3, 5)), "malcev",
+     "a04e243c8458b1f4d51915f8bddd2a326f5252c1dfdee9911163881773fec7c3"),
+    (sl2, "sl2",
+     "dd742708edc17b5d83d831f4aaf6d3f00c186cadd61666ebbd69b08cf53ba017"),
+])
+def test_bracket_structure_constants_are_pinned(build, name, digest):
+    from moufang.deformation import save_lie_algebra_text
+
+    text = save_lie_algebra_text(build(), name)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_lie_algebra_file_roundtrip():

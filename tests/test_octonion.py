@@ -5,8 +5,8 @@ import pytest
 
 from moufang.octonion import (
     AlgebraError,
+    BracketAlgebra,
     CayleyAlgebra,
-    MalcevAlgebra,
     algebra_text,
     associator,
     cayley_dickson,
@@ -167,7 +167,8 @@ def test_jacobian_zero_on_lie_algebra():
     for i in range(3):
         for j in range(3):
             bracket[(i, j)] = table.get((i, j), (zero, zero, zero))
-    lie = MalcevAlgebra(3, bracket, ("h", "e", "f"))
+    lie = BracketAlgebra(3, {ij: tuple((k, c) for k, c in enumerate(row) if c)
+                             for ij, row in bracket.items()}, ("h", "e", "f"))
     assert malcev_witness(lie) is None
     for i, j, k in itertools.product(range(3), repeat=3):
         assert not any(jacobian(lie, lie.basis(i), lie.basis(j), lie.basis(k)))
