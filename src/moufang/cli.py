@@ -29,11 +29,12 @@ class CliError(Exception):
 @contextmanager
 def _flag(name: str, value: str):
     """Turn a malformed number in a flag value, or a model or fixture size
-    the builder refuses, into a CliError naming the flag."""
+    or an octonion parameter that the builder refuses, into a CliError
+    naming the flag."""
     try:
         yield
     except (ValueError, ZeroDivisionError, models.ModelError,
-            dlab.DeformationError) as exc:
+            dlab.DeformationError, octonion.AlgebraError) as exc:
         raise CliError(f"{name}: bad value {value!r} ({exc})") from None
 
 
@@ -186,9 +187,9 @@ def cmd_check_model(args, reporter: Reporter) -> int:
 def cmd_octonion(args, reporter: Reporter) -> int:
     with _flag("--params", args.params):
         params = [Fraction(p) for p in (args.params or "-1,-1,-1").split(",")]
-    if len(params) != 3:
-        raise CliError("--params expects three rationals")
-    algebra = octonion.octonion_algebra(*params)
+        if len(params) != 3:
+            raise CliError("--params expects three rationals")
+        algebra = octonion.octonion_algebra(*params)
     checks = []
     checks.append(("alternative", octonion.check_alternative(algebra) is None))
     checks.append(("nalt-all-basis", all(

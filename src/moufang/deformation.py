@@ -44,6 +44,7 @@ from .models import (
 )
 from .octonion import BracketAlgebra, jacobi_witness
 from .reader import Many, at_least, read, settings
+from .theories import base_rules, flag_rules
 
 
 class DeformationError(Exception):
@@ -190,29 +191,25 @@ def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
     )
 
 
-_COASSOC_L = parse("comul ; comul * id(1)")
-_COASSOC_R = parse("comul ; id(1) * comul")
-_BIALG_L = parse("mul ; comul")
-_BIALG_R = parse("comul * comul ; id(1) * swap * id(1) ; mul * mul")
-_ID = parse("id(1)")
 _MUL = parse("mul")
 _COMUL = parse("comul")
+
+# The base rules that registration checks, by rule name, with the name its
+# messages give them; only compatibility is swept on capped inputs.
+_REGISTRATION_LAWS = {"counit-l": "counit law", "counit-r": "counit law",
+                      "unit-l": "left unit law", "unit-r": "right unit law",
+                      "bialg": "compatibility"}
 
 
 def verify_deformation(deformation: TruncatedDeformation) -> None:
     """Registration: counit/unit laws exactly, compatibility per degree."""
     model = deformation.base
-    laws = (
-        ("counit law", parse("comul ; counit * id(1)"), _ID, False),
-        ("counit law", parse("comul ; id(1) * counit"), _ID, False),
-        ("left unit law", parse("unit * id(1) ; mul"), _ID, False),
-        ("right unit law", parse("id(1) * unit ; mul"), _ID, False),
-        ("compatibility", _BIALG_L, _BIALG_R, True),
-    )
-    for law, lhs, rhs, capped in laws:
-        found = first_difference(
-            _series_sweep(deformation, lhs, rhs, capped=capped)
-        )
+    for rule in base_rules():
+        law = _REGISTRATION_LAWS.get(rule.name)
+        if law is None:
+            continue
+        found = first_difference(_series_sweep(
+            deformation, rule.lhs, rule.rhs, capped=rule.name == "bialg"))
         if found is not None:
             n, key, _diff = found
             where = (f"basis {model.label(key[0])}" if len(key) == 1 else
@@ -222,8 +219,8 @@ def verify_deformation(deformation: TruncatedDeformation) -> None:
             )
 
 
-def null_deformation(model: FiniteBialgebraModel, order: int,
-                     check: bool = True) -> TruncatedDeformation:
+def null_deformation(model: FiniteBialgebraModel, order: int
+                     ) -> TruncatedDeformation:
     """The base structure maps extended by zero higher components."""
     deformation = TruncatedDeformation(
         base=model,
@@ -232,8 +229,7 @@ def null_deformation(model: FiniteBialgebraModel, order: int,
         order=order,
         name=f"null[{model.name}]",
     )
-    if check:
-        verify_deformation(deformation)
+    verify_deformation(deformation)
     return deformation
 
 
@@ -268,8 +264,13 @@ def coassociator(deformation: TruncatedDeformation, n: int
         raise DeformationError(
             f"component {n} exceeds the deformation order {deformation.order}"
         )
-    sweep = _series_sweep(deformation, _COASSOC_L, _COASSOC_R, capped=False)
-    return {i: diffs[n] for (i,), diffs in sweep}
+    return {i: diffs[n] for (i,), diffs in _coassociator_sweep(deformation)}
+
+
+def _coassociator_sweep(deformation: TruncatedDeformation):
+    """``(input, coassociator per h-degree)`` for every basis element."""
+    rule, = flag_rules("coassoc")
+    return _series_sweep(deformation, rule.lhs, rule.rhs, capped=False)
 
 
 # --- co-Moufang and Moufang checks modulo h^(N+1) ---------------------------
@@ -301,8 +302,6 @@ def _series_report(sweep) -> SeriesReport:
 def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
                         max_degree: Optional[int] = None) -> SeriesReport:
     """Does the deformation satisfy a co-Moufang law modulo h^(N+1)?"""
-    from .theories import flag_rules
-
     if side not in ("left", "right"):
         raise DeformationError(f"unknown co-Moufang side {side!r}")
     rule = flag_rules(f"comoufang_{side[0]}")[0]
@@ -314,8 +313,6 @@ def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
 def check_moufang_mod(deformation: TruncatedDeformation, side: str,
                       max_degree: Optional[int] = None) -> SeriesReport:
     """Bialgebra-level Moufang law for the deformed product, modulo h^(N+1)."""
-    from .theories import flag_rules
-
     if side not in ("left", "middle", "right"):
         raise DeformationError(f"unknown Moufang side {side!r}")
     rule = flag_rules(f"moufang_{side[0]}")[0]
@@ -446,19 +443,15 @@ def wedge_membership(t: State, slots: str, primitive: Sequence[int]) -> bool:
     `slots` is "first_two" or "all_three"; `primitive` lists the basis
     indices spanning the primitive subspace m (basis-aligned).
     """
+    selectors = {"first_two": ((0, 1), "a rank-2 or rank-3"),
+                 "all_three": ((0, 1, 2), "a rank-3")}
+    if slots not in selectors:
+        raise DeformationError(f"unknown slot selector {slots!r}")
+    subset, needs = selectors[slots]
     if not t:
         return True
-    rank = len(next(iter(t)))
-    if slots == "first_two":
-        if rank not in (2, 3):
-            raise DeformationError("first_two needs a rank-2 or rank-3 tensor")
-        subset = (0, 1)
-    elif slots == "all_three":
-        if rank != 3:
-            raise DeformationError("all_three needs a rank-3 tensor")
-        subset = (0, 1, 2)
-    else:
-        raise DeformationError(f"unknown slot selector {slots!r}")
+    if len(next(iter(t))) not in (len(subset), 3):
+        raise DeformationError(f"{slots} needs {needs} tensor")
     if primitive_project(t, subset, primitive) != t:
         return False
     return antisymmetrize(t, subset) == t
@@ -566,15 +559,11 @@ def kernel_map_RS(deformation: TruncatedDeformation) -> SeriesReport:
                 f"{deformation.name} is not {side} co-Moufang: "
                 + report.describe(deformation.base)
             )
-    sweep = _series_sweep(deformation, _COASSOC_L, _COASSOC_R, capped=False)
     return _series_report((x, apply_kernel_map(deformation, coassoc))
-                          for x, coassoc in sweep)
+                          for x, coassoc in _coassociator_sweep(deformation))
 
 
 # --- deformed associator congruences (the Nalt consequence) -----------------
-
-_ASSOC_L = parse("mul * id(1) ; mul")
-_ASSOC_R = parse("id(1) * mul ; mul")
 
 
 def is_primitive(model: FiniteBialgebraModel, v: Vector) -> bool:
@@ -587,8 +576,9 @@ def is_primitive(model: FiniteBialgebraModel, v: Vector) -> bool:
 
 def _associator_series(deformation: TruncatedDeformation,
                        states: list[State]) -> list[State]:
-    lhs = evaluate_series(_ASSOC_L, deformation, states)
-    rhs = evaluate_series(_ASSOC_R, deformation, states)
+    rule, = flag_rules("assoc")
+    lhs = evaluate_series(rule.lhs, deformation, states)
+    rhs = evaluate_series(rule.rhs, deformation, states)
     return [subtract_state(a, b) for a, b in zip(lhs, rhs)]
 
 
@@ -646,6 +636,8 @@ def lie_algebra(dim: int, brackets: dict[tuple[int, int], dict[int, Fraction]],
     """A Lie algebra from the brackets [e_i, e_j] = sum of c·e_k given as
     brackets[(i, j)] = {k: c}; a pair given one way only is completed by
     antisymmetry.  Antisymmetry and Jacobi are checked here."""
+    if dim < 1:
+        raise DeformationError(f"Lie algebra dimension {dim} is below 1")
     for (i, j), entries in brackets.items():
         if not all(0 <= t < dim for t in (i, j, *entries)):
             raise DeformationError(
@@ -816,8 +808,8 @@ def h1_dimension(g: BracketAlgebra, action: Sequence[Matrix]) -> H1Report:
 # --- fixture deformations ----------------------------------------------------
 
 
-def shift_conjugation_deformation(max_degree: int, order: int,
-                                  check: bool = True) -> TruncatedDeformation:
+def shift_conjugation_deformation(max_degree: int, order: int
+                                  ) -> TruncatedDeformation:
     """Conjugate the binomial model by exp(h·shift), shift: a^n -> a^(n+1).
 
     The shift fixes 1 and raises every positive degree, so it is invertible
@@ -866,7 +858,6 @@ def shift_conjugation_deformation(max_degree: int, order: int,
     return deformation_from_maps(
         model, order, comul_maps, mul_maps,
         name=f"shift-conj[binomial[{max_degree}],order={order}]",
-        strict=check,
     )
 
 

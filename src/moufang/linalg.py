@@ -135,10 +135,6 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def rank(m: Matrix) -> int:
-    return len(rref(m)[1])
-
-
 def solve(a: Matrix, b: Vector) -> Optional[Vector]:
     """One solution of a x = b, or None if inconsistent."""
     rows = len(a)

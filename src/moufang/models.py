@@ -33,7 +33,7 @@ from typing import Iterable, Optional, Sequence
 from .diagram import ArityMismatch, Diagram
 from .linalg import BilinearRows
 from .reader import Many, at_least, read, settings
-from .theories import known_flag
+from .theories import base_rules, flag_rules, known_flag
 
 Scalar = Fraction
 State = dict[tuple[int, ...], Fraction]
@@ -44,6 +44,18 @@ class ModelError(Exception):
 
 
 # --- Moufang loops ------------------------------------------------------
+
+# The three Moufang laws, each as its two sides in a product p, with the
+# repeated variable's two occurrences a and b.  A loop satisfies them with
+# a = b; `octonion.check_moufang` sweeps their polarization.
+MOUFANG_LAWS = {
+    "left": (lambda p, a, b, x, y: p(a, p(x, p(b, y))),     # a(x(ay))
+             lambda p, a, b, x, y: p(p(p(a, x), b), y)),    # = ((ax)a)y
+    "middle": (lambda p, a, b, x, y: p(p(a, x), p(y, b)),   # (ax)(ya)
+               lambda p, a, b, x, y: p(p(a, p(x, y)), b)),  # = (a(xy))a
+    "right": (lambda p, a, b, x, y: p(p(p(x, a), y), b),    # ((xa)y)a
+              lambda p, a, b, x, y: p(x, p(a, p(y, b)))),   # = x(a(ya))
+}
 
 
 @dataclass(frozen=True)
@@ -80,12 +92,9 @@ class MoufangLoop:
         e = units[0]
         mul = lambda a, b: tbl[a][b]
         for a, x, y in itertools.product(rng, repeat=3):
-            if mul(a, mul(x, mul(a, y))) != mul(mul(mul(a, x), a), y):
-                raise ModelError(f"left Moufang law fails at {(a, x, y)}")
-            if mul(mul(a, x), mul(y, a)) != mul(mul(a, mul(x, y)), a):
-                raise ModelError(f"middle Moufang law fails at {(a, x, y)}")
-            if mul(mul(mul(x, a), y), a) != mul(x, mul(a, mul(y, a))):
-                raise ModelError(f"right Moufang law fails at {(a, x, y)}")
+            for law, (lhs, rhs) in MOUFANG_LAWS.items():
+                if lhs(mul, a, a, x, y) != rhs(mul, a, a, x, y):
+                    raise ModelError(f"{law} Moufang law fails at {(a, x, y)}")
         lbls = tuple(labels) if labels else tuple(str(i) for i in rng)
         if len(lbls) != n:
             raise ModelError("label count does not match loop order")
@@ -317,7 +326,6 @@ class IdentityReport:
     holds: bool
     witness: Optional[tuple[int, ...]] = None
     diff: Optional[State] = None
-    model: str = ""
 
     def describe(self, model: Optional[FiniteBialgebraModel] = None) -> str:
         if self.holds:
@@ -334,9 +342,9 @@ def holds_identity(lhs: Diagram, rhs: Diagram,
     """Exhaustive exact check of lhs = rhs on all (capped) basis inputs."""
     found = first_difference(basis_sweep(lhs, rhs, model))
     if found is None:
-        return IdentityReport(True, model=model.name)
+        return IdentityReport(True)
     _degree, witness, diff = found
-    return IdentityReport(False, witness, diff, model.name)
+    return IdentityReport(False, witness, diff)
 
 
 def verify_registration(model: FiniteBialgebraModel) -> None:
@@ -346,8 +354,6 @@ def verify_registration(model: FiniteBialgebraModel) -> None:
     and counit with the product and unit) are always checked; each entry of
     ``satisfied_flags`` adds its own rule.
     """
-    from .theories import base_rules, flag_rules
-
     for rule in base_rules():
         report = holds_identity(rule.lhs, rule.rhs, model)
         if not report.holds:
@@ -365,7 +371,7 @@ def verify_registration(model: FiniteBialgebraModel) -> None:
                 )
 
 
-def loop_bialgebra(loop: MoufangLoop, check: bool = True) -> FiniteBialgebraModel:
+def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
     """Loop algebra with group-like coproduct on every loop element."""
     one = Fraction(1)
     model = FiniteBialgebraModel(
@@ -381,12 +387,11 @@ def loop_bialgebra(loop: MoufangLoop, check: bool = True) -> FiniteBialgebraMode
         ),
         basis_labels=loop.labels,
     )
-    if check:
-        verify_registration(model)
+    verify_registration(model)
     return model
 
 
-def function_bialgebra(loop: MoufangLoop, check: bool = True) -> FiniteBialgebraModel:
+def function_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
     """Functions on the loop: pointwise product, coproduct dual to the loop."""
     one = Fraction(1)
     splits: dict[int, list[tuple[tuple[int, int], Fraction]]] = {
@@ -405,13 +410,11 @@ def function_bialgebra(loop: MoufangLoop, check: bool = True) -> FiniteBialgebra
         satisfied_flags=frozenset({"assoc", "comm", "comoufang_l", "comoufang_r"}),
         basis_labels=tuple("d" + l for l in loop.labels),
     )
-    if check:
-        verify_registration(model)
+    verify_registration(model)
     return model
 
 
-def truncated_binomial_bialgebra(max_degree: int,
-                                 check: bool = True) -> FiniteBialgebraModel:
+def truncated_binomial_bialgebra(max_degree: int) -> FiniteBialgebraModel:
     """Powers of one primitive element with the binomial coproduct.
 
     Products above `max_degree` truncate to zero, which is exactly the
@@ -446,8 +449,7 @@ def truncated_binomial_bialgebra(max_degree: int,
         degrees=tuple(range(dim)),
         check_cap=max_degree // 2,
     )
-    if check:
-        verify_registration(model)
+    verify_registration(model)
     return model
 
 
@@ -478,7 +480,7 @@ def save_model_text(model: FiniteBialgebraModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_model_text(text: str, check: bool = True) -> FiniteBialgebraModel:
+def load_model_text(text: str) -> FiniteBialgebraModel:
     entry = (int, int, int, Fraction)
     records = read(text, {
         "model": (str,), "dim": (at_least(1),), "flags": (Many(known_flag),),
@@ -515,6 +517,5 @@ def load_model_text(text: str, check: bool = True) -> FiniteBialgebraModel:
         {k: tuple(v) for k, v in comul_rows.items()}, tuple(unit_entries),
         counit_entries, frozenset(given.get("flags", ())),
         given.get("basis", ()), given.get("degree"), given.get("cap"))
-    if check:
-        verify_registration(model)
+    verify_registration(model)
     return model

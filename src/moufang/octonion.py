@@ -19,11 +19,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .linalg import BilinearRows, Matrix, basis_vector, bilinear, zeros
-from .models import MoufangLoop
+from .models import MOUFANG_LAWS, MoufangLoop
 
 Vector = tuple[Fraction, ...]
 
@@ -131,72 +131,58 @@ def associator(a: CayleyAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
     return tuple(p - q for p, q in zip(xy_z, x_yz))
 
 
+def _witness(dim: int, arity: int, fails) -> Optional[tuple]:
+    """The first basis index tuple, in lexicographic order, at which
+    ``fails`` holds on the basis vectors, or None.  Every law check of this
+    module is a failure predicate swept by this one loop."""
+    e = [basis_vector(dim, i) for i in range(dim)]
+    keys = itertools.product(range(dim), repeat=arity)
+    for key, vectors in zip(keys, itertools.product(e, repeat=arity)):
+        if fails(*vectors):
+            return key
+    return None
+
+
+def _polarized(lhs, rhs):
+    """Failure predicate of a law lhs = rhs that is quadratic in one
+    variable, given through that variable's two occurrences s and t.
+
+    It compares lhs(s, t, x, y) + lhs(t, s, x, y) with the same sum for
+    rhs: for each side f that is f(s + t) - f(s) - f(t), so in
+    characteristic zero the sweep over basis s, t decides the law.
+    """
+    def fails(s, t, x, y):
+        return ([p + q for p, q in zip(lhs(s, t, x, y), lhs(t, s, x, y))]
+                != [p + q for p, q in zip(rhs(s, t, x, y), rhs(t, s, x, y))])
+    return fails
+
+
 def check_alternative(a: CayleyAlgebra) -> Optional[tuple]:
     """Polarized alternativity sweep; returns a witness triple or None."""
-    zero = (Fraction(0),) * a.dim
-    for i, j, k in itertools.product(range(a.dim), repeat=3):
-        x, y, z = a.basis(i), a.basis(j), a.basis(k)
+    def fails(x, y, z):
         xyz = associator(a, x, y, z)
-        left = tuple(p + q for p, q in zip(xyz, associator(a, y, x, z)))
-        right = tuple(p + q for p, q in zip(xyz, associator(a, x, z, y)))
-        if left != zero or right != zero:
-            return (i, j, k)
-    return None
+        return (any(p + q for p, q in zip(xyz, associator(a, y, x, z)))
+                or any(p + q for p, q in zip(xyz, associator(a, x, z, y))))
+    return _witness(a.dim, 3, fails)
 
 
 def nalt_check(a: CayleyAlgebra, v: Vector) -> bool:
     """Does v satisfy (v,x,y) = -(x,v,y) = (x,y,v) for all basis x, y?"""
-    for i, j in itertools.product(range(a.dim), repeat=2):
-        x, y = a.basis(i), a.basis(j)
+    def fails(x, y):
         first = associator(a, v, x, y)
-        second = associator(a, x, v, y)
-        third = associator(a, x, y, v)
-        if any(p + q for p, q in zip(first, second)):
-            return False
-        if first != third:
-            return False
-    return True
+        return (any(p + q for p, q in zip(first, associator(a, x, v, y)))
+                or first != associator(a, x, y, v))
+    return _witness(a.dim, 2, fails) is None
 
 
 def check_moufang(a: CayleyAlgebra, which: str) -> Optional[tuple]:
-    """Polarized Moufang law sweep over all basis quadruples.
-
-    The laws are quadratic in the repeated variable; in characteristic zero
-    checking the full polarization P(a,b,x,y) + P(b,a,x,y) = 0 on the basis
-    is equivalent and complete.  Returns a witness quadruple or None.
-    """
-    p = a.product
-    laws = {   # each law as its two sides, functions of (a, x, y)
-        "left": (lambda s, x, y: p(s, p(x, p(s, y))),     # a(x(ay))
-                 lambda s, x, y: p(p(p(s, x), s), y)),    # = ((ax)a)y
-        "middle": (lambda s, x, y: p(p(s, x), p(y, s)),   # (ax)(ya)
-                   lambda s, x, y: p(p(s, p(x, y)), s)),  # = (a(xy))a
-        "right": (lambda s, x, y: p(p(p(x, s), y), s),    # ((xa)y)a
-                  lambda s, x, y: p(x, p(s, p(y, s)))),   # = x(a(ya))
-    }
-    if which not in laws:
+    """Polarized sweep of one law of `models.MOUFANG_LAWS` over all basis
+    quadruples (both occurrences of the repeated variable, x, y); returns a
+    witness quadruple or None."""
+    if which not in MOUFANG_LAWS:
         raise AlgebraError(f"unknown Moufang law {which!r}")
-    return _polarization_witness(a.dim, *laws[which])
-
-
-def _polarization_witness(dim: int, lhs, rhs) -> Optional[tuple]:
-    """First basis quadruple (i, j, k, l) at which a law lhs = rhs that is
-    quadratic in its first argument fails in polarized form, or None.
-
-    Each side f is compared through f(e_i + e_j, e_k, e_l) - f(e_i, e_k, e_l)
-    - f(e_j, e_k, e_l).
-    """
-    e = [basis_vector(dim, i) for i in range(dim)]
-    for i, j, k, l in itertools.product(range(dim), repeat=4):
-        both, x, y = tuple(p + q for p, q in zip(e[i], e[j])), e[k], e[l]
-        left, right = (
-            [m - p - q for m, p, q in zip(f(both, x, y), f(e[i], x, y),
-                                          f(e[j], x, y))]
-            for f in (lhs, rhs)
-        )
-        if left != right:
-            return (i, j, k, l)
-    return None
+    return _witness(a.dim, 4, _polarized(
+        *(partial(side, a.product) for side in MOUFANG_LAWS[which])))
 
 
 # --- traceless Malcev algebra --------------------------------------------
@@ -251,24 +237,20 @@ def jacobian(m: BracketAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
 
 def jacobi_witness(m: BracketAlgebra) -> Optional[tuple]:
     """First basis triple at which the Jacobian is nonzero, or None."""
-    e = [m.basis(i) for i in range(m.dim)]
-    for i, j, k in itertools.product(range(m.dim), repeat=3):
-        if any(jacobian(m, e[i], e[j], e[k])):
-            return (i, j, k)
-    return None
+    return _witness(m.dim, 3, lambda a, b, c: any(jacobian(m, a, b, c)))
 
 
 def malcev_witness(m: BracketAlgebra) -> Optional[tuple]:
     """Polarized Malcev law sweep; returns a witness quadruple or None.
 
     The law Jac(a,b,[a,c]) = [Jac(a,b,c),a] is quadratic in a; the check
-    runs its full polarization over all basis quadruples.
+    runs its polarization over all basis quadruples.
     """
     br = m.bracket_vec
-    return _polarization_witness(
-        m.dim, lambda a, b, c: jacobian(m, a, b, br(a, c)),
-        lambda a, b, c: br(jacobian(m, a, b, c), a),
-    )
+    return _witness(m.dim, 4, _polarized(
+        lambda s, t, b, c: jacobian(m, s, b, br(t, c)),
+        lambda s, t, b, c: br(jacobian(m, s, b, c), t),
+    ))
 
 
 def traceless_malcev(a: CayleyAlgebra, check: bool = True) -> BracketAlgebra:

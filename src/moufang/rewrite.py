@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .diagram import (
@@ -23,6 +24,7 @@ from .diagram import (
     ArityMismatch,
     Diagram,
     DiagramError,
+    DiagramSum,
     _Graph,
     _canonical_from_graph,
     canonicalize,
@@ -352,8 +354,6 @@ def apply_rule_in_sum(s, h_degree: int, term: Diagram, rule: RewriteRule,
     sum is untouched.  Series-labelled generators match only rules that
     carry the same labels, so degree bookkeeping survives rewriting.
     """
-    from .diagram import DiagramSum
-
     key = (h_degree, canonicalize(term))
     coeff = s.terms.get(key)
     if coeff is None:
@@ -466,8 +466,6 @@ def check_soundness(trace: ProofTrace, model_list, theory) -> SoundnessReport:
     endpoint evaluations over all (capped) basis inputs per model; in exact
     arithmetic a sound trace yields exactly zero everywhere.
     """
-    from fractions import Fraction
-
     from .models import basis_sweep
 
     for model in model_list:

@@ -326,6 +326,17 @@ def test_orders_and_label_counts_are_checked():
         lie_algebra(2, {}, labels=("a",))
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+def test_lie_algebra_refuses_dimension_below_one(dim):
+    with pytest.raises(DeformationError, match=rf"dimension {dim}\b"):
+        lie_algebra(dim, {})
+
+
+def test_wedge_membership_checks_selector_first():
+    with pytest.raises(DeformationError, match="unknown slot selector"):
+        wedge_membership({}, "bogus", [])
+
+
 def test_kernel_map_RS_on_function_model(fn_o16):
     deformation = null_deformation(fn_o16, 1)
     report = kernel_map_RS(deformation)

@@ -33,6 +33,15 @@ def test_loop_validation_rejects_bad_tables():
         MoufangLoop.from_table([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
 
 
+def test_loop_moufang_failure_is_named():
+    # a Latin square with identity 0 that is not a Moufang loop
+    table = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+             [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    with pytest.raises(ModelError,
+                       match=r"^left Moufang law fails at \(1, 0, 2\)$"):
+        MoufangLoop.from_table(table)
+
+
 def test_cyclic_loop_romps():
     c2 = cyclic_loop(2)
     assert c2.identity == 0

@@ -13,6 +13,7 @@ from moufang.octonion import (
     check_alternative,
     check_moufang,
     ground_field,
+    jacobi_witness,
     jacobian,
     malcev_witness,
     nalt_check,
@@ -95,17 +96,33 @@ def test_moufang_on_ground_field():
     assert check_moufang(ground_field(), "middle") is None
 
 
+# corrupted product entry -> (alternative, Moufang left, middle, right,
+# Malcev, basis indices on which nalt_check holds); None: not pinned
+NEGATIVE_CONTROLS = [
+    (((3, 5), (6, Fraction(7))),
+     ((1, 2, 5), (0, 1, 3, 4), (0, 1, 2, 5), (0, 1, 2, 5), (0, 0, 1, 3),
+      None)),
+    (((1, 2), (3, Fraction(2))),
+     ((1, 1, 2), (0, 1, 1, 2), (0, 1, 1, 3), (0, 1, 1, 2), (0, 0, 3, 1),
+      [0])),
+]
+
+
 def test_moufang_negative_control():
     o = octonion_algebra(-1, -1, -1)
-    bad_mul = dict(o.mul)
-    bad_mul[(3, 5)] = (6, Fraction(7))
-    bad = CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
-    # the exact witnesses pin the sweep order
-    assert check_moufang(bad, "right") == (0, 1, 2, 5)
-    assert check_moufang(bad, "left") == (0, 1, 3, 4)
-    assert check_moufang(bad, "middle") == (0, 1, 2, 5)
-    assert check_alternative(bad) == (1, 2, 5)
-    assert malcev_witness(traceless_malcev(bad, check=False)) == (0, 0, 1, 3)
+    for (ij, entry), expected in NEGATIVE_CONTROLS:
+        alternative, left, middle, right, malcev, nalt = expected
+        bad_mul = dict(o.mul)
+        bad_mul[ij] = entry
+        bad = CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
+        # the exact witnesses pin the sweep order
+        assert check_moufang(bad, "right") == right
+        assert check_moufang(bad, "left") == left
+        assert check_moufang(bad, "middle") == middle
+        assert check_alternative(bad) == alternative
+        assert malcev_witness(traceless_malcev(bad, check=False)) == malcev
+        if nalt is not None:
+            assert [i for i in range(8) if nalt_check(bad, bad.basis(i))] == nalt
 
 
 def test_norm_multiplicative():
@@ -152,6 +169,12 @@ def test_jacobian_nonzero_uvw():
         m = traceless_malcev(octonion_algebra(*params))
         # u, v, w sit at traceless indices 0, 1, 3
         assert any(jacobian(m, m.basis(0), m.basis(1), m.basis(3)))
+
+
+def test_jacobi_witness_on_malcev():
+    # M is Malcev but not Lie: the first failing triple is (u, v, w)
+    m = traceless_malcev(octonion_algebra(-1, -1, -1))
+    assert jacobi_witness(m) == (0, 1, 3)
 
 
 def test_jacobian_zero_on_lie_algebra():
