@@ -142,9 +142,6 @@ class TruncatedDeformation:
     def comul_rows_at(self, n: int) -> ComulRows:
         return self.comul_components[n] if n <= self.order else {}
 
-    def mul_rows_at(self, n: int) -> MulRows:
-        return self.mul_components[n] if n <= self.order else {}
-
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                     states: list[State] | State,
@@ -222,15 +219,8 @@ def verify_deformation(deformation: TruncatedDeformation) -> None:
 def null_deformation(model: FiniteBialgebraModel, order: int
                      ) -> TruncatedDeformation:
     """The base structure maps extended by zero higher components."""
-    deformation = TruncatedDeformation(
-        base=model,
-        comul_components=(model.comul_rows,) + ({},) * order,
-        mul_components=(model.mul_rows,) + ({},) * order,
-        order=order,
-        name=f"null[{model.name}]",
-    )
-    verify_deformation(deformation)
-    return deformation
+    return deformation_from_maps(model, order, ({},) * order, ({},) * order,
+                                 name=f"null[{model.name}]")
 
 
 def deformation_from_maps(model: FiniteBialgebraModel, order: int,

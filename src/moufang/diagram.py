@@ -154,7 +154,8 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
 
     Nodes are emitted greedily, leftmost first; swap slices are inserted
     only where wires must be brought together, so the output is a normal
-    form of the morphism, not of any particular drawing of it.
+    form of the morphism, not of any particular drawing of it.  A graph
+    with a cycle has no slicing and raises DiagramError.
     """
     cons = graph.consumers()
     n_nodes = len(graph.nodes)
@@ -199,6 +200,9 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
             if best_key is None or key < best_key:
                 best, best_key = v, key
         if best is None:
+            # No node is ready: any non-unit node left waits on a cycle.
+            if not all(is_unit(v) for v in remaining):
+                raise DiagramError("diagram has a cycle")
             # Only unit nodes remain; they feed boundary outputs directly.
             pending = sorted(remaining, key=lambda v: cons[(v, 0)][1])
             for v in pending:
@@ -259,9 +263,6 @@ class Diagram:
             cached = _graph_from_slices(self.n_in, self.slices)
             object.__setattr__(self, "_graph", cached)
         return cached
-
-    def nodes(self) -> list[tuple[str, Optional[str]]]:
-        return self.graph.nodes
 
     def widths(self) -> list[int]:
         """Wire count before each slice and after the last one."""
@@ -402,12 +403,6 @@ class DiagramSum:
             return DiagramSum(self.n_in, self.n_out)
         return DiagramSum(
             self.n_in, self.n_out, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def shift_degree(self, by: int) -> "DiagramSum":
-        return DiagramSum(
-            self.n_in, self.n_out,
-            {(h + by, d): c for (h, d), c in self.terms.items()},
         )
 
     def truncate(self, max_degree: int) -> "DiagramSum":

@@ -80,14 +80,6 @@ class Match:
     inputs: tuple[tuple, ...]          # host producer per pattern input
     position: str                      # printable locator
 
-    def sort_key(self) -> tuple:
-        # producers are ("b", i) or (node, port); normalize for ordering
-        inputs = tuple(
-            ("b", p[1]) if p[0] == "b" else ("n", p[0], p[1])
-            for p in self.inputs
-        )
-        return (self.node_map, inputs)
-
 
 def _producer_name(p: tuple) -> str:
     return f"b{p[1]}" if p[0] == "b" else f"n{p[0]}.{p[1]}"
@@ -111,18 +103,19 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
             Match((), (p,), f"wire={_producer_name(p)}") for p in producers
         ]
 
-    consumed = {
-        prod[1] for v in range(np_) for prod in pg.node_inputs[v]
-        if prod[0] == "b"
+    # pattern input -> the (pattern node, port) that consumes it
+    consumer = {
+        prod[1]: (v, p) for v in range(np_)
+        for p, prod in enumerate(pg.node_inputs[v]) if prod[0] == "b"
     }
-    if consumed != set(range(pg.n_in)):
+    if len(consumer) != pg.n_in:
         raise RewriteError(
             "pattern carries a passive wire (an input no generator consumes); "
             "such rules are ambiguous to locate - rewrite the rule without "
             "the spectator wire"
         )
+    interface = [consumer[i] for i in range(pg.n_in)]
 
-    matches: list[Match] = []
     host_by_label: dict[tuple, list[int]] = {}
     for i, nl in enumerate(hg.nodes):
         host_by_label.setdefault(nl, []).append(i)
@@ -130,60 +123,42 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
     assignment: list[int] = []
     used: set[int] = set()
 
-    def inputs_of(partial: Sequence[int]) -> Optional[tuple]:
-        interface: dict[int, tuple] = {}
-        for v, hv in enumerate(partial):
-            for p, prod in enumerate(pg.node_inputs[v]):
-                hp = hg.node_inputs[hv][p]
-                if prod[0] == "b":
-                    interface[prod[1]] = hp
-                else:
-                    u, q = prod
-                    if hp != (partial[u], q):
-                        return None
-        return tuple(interface[i] for i in range(pg.n_in))
-
     def extend(v: int) -> Iterator[tuple[int, ...]]:
+        # Pattern nodes are numbered after their producers, and host nodes
+        # are tried in ascending order, so node maps come out sorted.
         if v == np_:
             yield tuple(assignment)
             return
         for hv in host_by_label.get(pg.nodes[v], ()):
             if hv in used:
                 continue
-            ok = True
+            row = hg.node_inputs[hv]
             for p, prod in enumerate(pg.node_inputs[v]):
-                if prod[0] != "b":
-                    u, q = prod
-                    if u < v and hg.node_inputs[hv][p] != (assignment[u], q):
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assignment.append(hv)
-            used.add(hv)
-            yield from extend(v + 1)
-            assignment.pop()
-            used.discard(hv)
+                if prod[0] != "b" and row[p] != (assignment[prod[0]], prod[1]):
+                    break
+            else:
+                assignment.append(hv)
+                used.add(hv)
+                yield from extend(v + 1)
+                assignment.pop()
+                used.discard(hv)
 
-    for node_map in extend(0):
-        inputs = inputs_of(node_map)
-        if inputs is None:
-            continue
-        # internal pattern wires must also be internal in the host: the host
-        # consumer of an image port must be the image of the pattern consumer.
-        # This holds automatically because each host producer has a unique
-        # consumer, which the wiring constraints above pin down.
-        pos = "nodes=" + ",".join(str(h) for h in node_map)
-        matches.append(Match(node_map, inputs, pos))
-    matches.sort(key=Match.sort_key)
-    return matches
+    # Internal pattern wires are internal in the host too: each host
+    # producer has a unique consumer, which the wiring checks pin down.
+    return [
+        Match(node_map,
+              tuple(hg.node_inputs[node_map[v]][p] for v, p in interface),
+              "nodes=" + ",".join(str(h) for h in node_map))
+        for node_map in extend(0)
+    ]
 
 
 def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
              match: Match) -> Optional[Diagram]:
     """Glue `replacement` into `host` at the matched occurrence.
 
-    Returns None when the splice would create a cycle (non-convex match).
+    Returns None when the glued graph has no canonical form: it has a
+    cycle (a non-convex match) or is too wide.
     """
     hg = host.graph
     pg = pattern.graph
@@ -193,6 +168,7 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
     if not pg.nodes:
         # Wire splice: cut the matched wire and run it through the
         # replacement (which may itself be a bare wire, a no-op).
+        # Kept apart: folded into the general path it was ~10% slower.
         p0 = match.inputs[0]
         offset = len(hg.nodes)
         rp = rg.outputs[0]
@@ -278,41 +254,10 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
         return None
 
     new_graph = _Graph(hg.n_in, hg.n_out, nodes, node_inputs, outputs)
-    if _has_cycle(new_graph):
-        return None
     try:
         return _canonical_from_graph(new_graph)
     except DiagramError:
-        return None  # e.g. wire-count bound exceeded
-
-
-def _has_cycle(graph: _Graph) -> bool:
-    n = len(graph.nodes)
-    preds = [
-        [p[0] for p in graph.node_inputs[v] if p[0] != "b"] for v in range(n)
-    ]
-    state = [0] * n  # 0 unseen, 1 active, 2 done
-
-    for start in range(n):
-        if state[start]:
-            continue
-        stack = [(start, iter(preds[start]))]
-        state[start] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if state[u] == 1:
-                    return True
-                if state[u] == 0:
-                    state[u] = 1
-                    stack.append((u, iter(preds[u])))
-                    advanced = True
-                    break
-            if not advanced:
-                state[v] = 2
-                stack.pop()
-    return False
+        return None
 
 
 def rewrites(host: Diagram, rule: RewriteRule,
@@ -508,10 +453,6 @@ class SearchBudget:
             raise ValueError("budget components must be positive")
 
 
-class BudgetExceeded(Exception):
-    """Internal signal: stop the search and report no trace found."""
-
-
 def _expansions(state: Diagram, rules: Sequence[RewriteRule]):
     """Successors of a state in canonical order."""
     for rule in rules:
@@ -544,17 +485,14 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
     frontier: list[list[Diagram]] = [[lhs], [rhs]]
     depth = [0, 0]
 
-    meeting = lhs if lhs in parents[1] else None
-
     def build_trace(mid: Diagram) -> ProofTrace:
-        left_chain = []
+        steps = []
         cur = mid
         while parents[0][cur] is not None:
             prev, rule, direction, pos = parents[0][cur]
-            left_chain.append(TraceStep(rule, direction, pos, cur))
+            steps.append(TraceStep(rule, direction, pos, cur))
             cur = prev
-        left_chain.reverse()
-        steps = list(left_chain)
+        steps.reverse()
         # Invert the right-hand chain: steps from rhs towards mid replay
         # backwards, so each is re-oriented and its position recomputed.
         rule_by_name = {r.name: r for r in rules}
@@ -576,8 +514,8 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
         trace.replay(rules)
         return trace
 
-    if meeting is not None:
-        return build_trace(meeting)
+    if lhs == rhs:
+        return build_trace(lhs)
 
     total_states = 2
     while frontier[0] and frontier[1]:
@@ -586,25 +524,19 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
             return None
         other = 1 - side
         new_frontier: list[Diagram] = []
-        try:
-            for state in frontier[side]:
-                if time.monotonic() > deadline:
-                    raise BudgetExceeded()
-                for rule_name, direction, pos, result in _expansions(
-                    state, rules
-                ):
-                    if result in parents[side]:
-                        continue
-                    parents[side][result] = (state, rule_name, direction, pos)
-                    total_states += 1
-                    if result in parents[other]:
-                        depth[side] += 1
-                        return build_trace(result)
-                    new_frontier.append(result)
-                    if total_states > budget.max_states:
-                        raise BudgetExceeded()
-        except BudgetExceeded:
-            return None
+        for state in frontier[side]:
+            if time.monotonic() > deadline:
+                return None
+            for rule_name, direction, pos, result in _expansions(state, rules):
+                if result in parents[side]:
+                    continue
+                parents[side][result] = (state, rule_name, direction, pos)
+                total_states += 1
+                if result in parents[other]:
+                    return build_trace(result)
+                new_frontier.append(result)
+                if total_states > budget.max_states:
+                    return None
         frontier[side] = new_frontier
         depth[side] += 1
     return None

@@ -8,6 +8,8 @@ from moufang.diagram import (
     ArityMismatch,
     DiagramError,
     DiagramSum,
+    _Graph,
+    _slices_from_graph,
     canonicalize,
     compose,
     count_plus,
@@ -218,3 +220,11 @@ def test_scalar_bubble_canonicalizes():
     beside = tensor(identity(1), bubble)
     assert (beside.n_in, beside.n_out) == (1, 1)
     assert canonicalize(beside) == beside
+
+
+def test_cyclic_port_graph_has_no_slicing():
+    """A comul eats a mul's output and feeds the mul's second input back."""
+    cyclic = _Graph(1, 1, [("mul", None), ("comul", None)],
+                    [(("b", 0), (1, 1)), ((0, 0),)], ((1, 0),))
+    with pytest.raises(DiagramError, match="^diagram has a cycle$"):
+        _slices_from_graph(cyclic)

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from moufang.dsl import parse
@@ -15,7 +17,7 @@ from moufang.rewrite import (
     rewrites,
     serialize_trace,
 )
-from moufang.theories import base_rules, flag_rules, named_theory
+from moufang.theories import base_rules, flag_rules, goal_suite, named_theory
 
 
 def rule_by_name(name):
@@ -232,3 +234,30 @@ def test_rewrite_error_without_step(binomial6):
     assert info.value.step is None
     report = check_soundness(unfinished, [binomial6], theory)
     assert report.failed_step[0] == -1
+
+
+def test_splice_closing_a_cycle_is_refused():
+    """Matching both muls of the host at nodes 0,2 and crossing their inner
+    inputs would feed the comul's output back into its own input."""
+    rule = RewriteRule("cross", parse("mul * mul"),
+                       parse("id(1) * swap * id(1) ; mul * mul"))
+    host = parse("mul * id(1) ; comul * id(1) ; id(1) * mul")
+    assert [m.position for m in find_matches(host, rule.lhs)] == [
+        "nodes=0,2", "nodes=2,0"]
+    assert "nodes=0,2" not in [m.position for m, _ in
+                               rewrites(host, rule, "->")]
+
+
+def test_goal_suite_traces_are_pinned():
+    """Every provable goal, in both orientations, at the default budget."""
+    text = ""
+    for goal in goal_suite():
+        if goal.kind != "provable":
+            continue
+        rules = named_theory(goal.theory).rules
+        for a, b in ((goal.lhs, goal.rhs), (goal.rhs, goal.lhs)):
+            trace = prove_equal(a, b, rules)
+            assert trace is not None, goal.name
+            text += serialize_trace(trace)
+    assert hashlib.sha1(text.encode()).hexdigest() == (
+        "1b2d03d5f0ee308b72e08ca491b2920f9b4e007c")
