@@ -34,11 +34,14 @@ from .models import (
     _accumulate,
     _clean,
     add_state,
+    as_fractions,
     basis_state,
     basis_sweep,
     evaluate,
     evaluate_components,
     first_difference,
+    integral_rows,
+    integral_state,
     subtract_state,
     truncated_binomial_bialgebra,
 )
@@ -138,6 +141,11 @@ class TruncatedDeformation:
             )
         if self.mul_components[0] != self.base.mul_rows:
             raise DeformationError("degree-0 product differs from the base model")
+        # integral constants become ints, as in the base model
+        object.__setattr__(self, "comul_components", tuple(
+            integral_rows(rows) for rows in self.comul_components))
+        object.__setattr__(self, "mul_components", tuple(
+            integral_rows(rows) for rows in self.mul_components))
 
     def comul_rows_at(self, n: int) -> ComulRows:
         return self.comul_components[n] if n <= self.order else {}
@@ -167,7 +175,14 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                 )
             if any(i < 0 or i >= dim for i in key):
                 raise DeformationError("input index out of range for the base")
-    return evaluate_components(d, [dict(s) for s in states], deformation.base,
+    return [as_fractions(state) for state in
+            _evaluate_degrees(d, deformation,
+                              [integral_state(s) for s in states])]
+
+
+def _evaluate_degrees(d: Diagram, deformation: TruncatedDeformation,
+                      states: list[State]) -> list[State]:
+    return evaluate_components(d, states, deformation.base,
                                deformation.mul_components,
                                deformation.comul_components)
 
@@ -183,7 +198,8 @@ def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
         raise DeformationError("degree window exceeds the deformation order")
     return basis_sweep(
         lhs, rhs, deformation.base,
-        lambda d, state: evaluate_series(d, deformation, state, max_degree),
+        lambda d, state: _evaluate_degrees(
+            d, deformation, [state] + [{} for _ in range(max_degree)]),
         capped,
     )
 
@@ -862,7 +878,7 @@ def simple_comul_perturbation(max_degree: int, order: int = 1
     if order < 1:
         raise DeformationError(f"delta1 needs order at least 1, got {order}")
     model = truncated_binomial_bialgebra(max_degree)
-    comul1: ComulRows = {1: (((1, 1), Fraction(1)),)}
+    comul1: ComulRows = {1: (((1, 1), 1),)}
     comul_maps: list[ComulRows] = [comul1] + [{} for _ in range(order - 1)]
     mul_maps: list[MulRows] = [{} for _ in range(order)]
     return deformation_from_maps(

@@ -1,9 +1,14 @@
 """Exact finite-dimensional bialgebra models and the diagram evaluator.
 
-Scalars are `fractions.Fraction` throughout: arbitrary-precision rationals
-in canonical reduced form with positive denominator, so every identity
-check is an exact zero/nonzero decision.  Tensors are sparse mappings from
-index tuples to nonzero Fractions.
+Scalars are exact rationals, so every identity check is an exact
+zero/nonzero decision.  Inside the evaluator every integral constant and
+tensor coefficient is an ``int`` and any other a `fractions.Fraction`;
+int/Fraction arithmetic is exact, so one kernel serves both.  Models and
+deformations turn integral Fractions into ints when they are built, and
+`evaluate` and `deformation.evaluate_series` do so for their input; what
+the API hands back (their outputs and the differences of `basis_sweep`)
+has Fraction values.  Tensors are sparse mappings from index tuples to
+nonzero scalars.
 
 Models built here:
 
@@ -35,8 +40,33 @@ from .linalg import BilinearRows
 from .reader import Many, at_least, read, settings
 from .theories import base_rules, flag_rules, known_flag
 
-Scalar = Fraction
-State = dict[tuple[int, ...], Fraction]
+# Integral scalars are ints inside the evaluator; the API returns Fractions.
+Scalar = int | Fraction
+State = dict[tuple[int, ...], Scalar]
+
+
+def integral(c):
+    """An integral Fraction as an ``int``; anything else unchanged."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _integral_row(row):
+    return tuple((at, integral(c)) for at, c in row)
+
+
+def integral_rows(rows: dict) -> dict:
+    """Sparse rows ``{key: ((target, c), ...)}`` with integral c as ints."""
+    return {key: _integral_row(row) for key, row in rows.items()}
+
+
+def integral_state(state: dict) -> dict:
+    """The same tensor (or counit) with every integral value an int."""
+    return {k: integral(v) for k, v in state.items()}
+
+
+def as_fractions(state: State) -> State:
+    """The same tensor with every coefficient a Fraction (the API's type)."""
+    return {k: Fraction(v) for k, v in state.items()}
 
 
 class ModelError(Exception):
@@ -144,7 +174,7 @@ def cyclic_loop(n: int) -> MoufangLoop:
 # --- models -------------------------------------------------------------
 
 MulRows = BilinearRows
-ComulRows = dict[int, tuple[tuple[tuple[int, int], Fraction], ...]]
+ComulRows = dict[int, tuple[tuple[tuple[int, int], Scalar], ...]]
 
 
 @dataclass(frozen=True)
@@ -169,6 +199,15 @@ class FiniteBialgebraModel:
     degrees: Optional[tuple[int, ...]] = None
     check_cap: Optional[int] = None
 
+    def __post_init__(self) -> None:
+        # integral constants become ints, the evaluator's cheap scalars
+        object.__setattr__(self, "mul_rows", integral_rows(self.mul_rows))
+        object.__setattr__(self, "comul_rows", integral_rows(self.comul_rows))
+        object.__setattr__(self, "unit_entries",
+                           _integral_row(self.unit_entries))
+        object.__setattr__(self, "counit_entries",
+                           integral_state(self.counit_entries))
+
     def label(self, i: int) -> str:
         return self.basis_labels[i] if self.basis_labels else str(i)
 
@@ -182,7 +221,7 @@ class FiniteBialgebraModel:
 
 
 def basis_state(indices: Iterable[int]) -> State:
-    return {tuple(indices): Fraction(1)}
+    return {tuple(indices): 1}
 
 
 def _clean(state: State) -> State:
@@ -255,6 +294,21 @@ def evaluate_components(d: Diagram, states: list[State],
     return states
 
 
+def _refuse_labels(d: Diagram) -> None:
+    for kind, label, _off in d.slices:
+        if label is not None:
+            raise ModelError(
+                f"labelled generator {kind}%{label} has no meaning in a plain "
+                "model; evaluate it against a truncated deformation instead"
+            )
+
+
+def _evaluate_plain(d: Diagram, model: FiniteBialgebraModel,
+                    state: State) -> State:
+    return evaluate_components(d, [state], model, (model.mul_rows,),
+                               (model.comul_rows,))[0]
+
+
 def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
     """Interpret a diagram as a multilinear map and apply it to `state`."""
     for key in state:
@@ -264,14 +318,8 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
             )
         if any(i < 0 or i >= model.dim for i in key):
             raise ModelError("input index out of range for model dimension")
-    for kind, label, _off in d.slices:
-        if label is not None:
-            raise ModelError(
-                f"labelled generator {kind}%{label} has no meaning in a plain "
-                "model; evaluate it against a truncated deformation instead"
-            )
-    return evaluate_components(d, [state], model, (model.mul_rows,),
-                               (model.comul_rows,))[0]
+    _refuse_labels(d)
+    return as_fractions(_evaluate_plain(d, model, integral_state(state)))
 
 
 def add_state(a: State, b: State) -> State:
@@ -292,7 +340,7 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
 
     ``run(diagram, state)`` evaluates to a list of tensors indexed by
     h-degree (by default the plain evaluator, one degree); ``differences``
-    lists lhs - rhs at each degree.  Inputs come from
+    lists lhs - rhs at each degree, with Fraction values.  Inputs come from
     ``model.basis_iterator`` or, with ``capped=False``, from every basis
     tuple regardless of the model's degree cap.
     """
@@ -302,12 +350,14 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
             f"{lhs.n_in}->{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}"
         )
     if run is None:
-        run = lambda d, state: [evaluate(d, model, state)]
+        for d in (lhs, rhs):
+            _refuse_labels(d)
+        run = lambda d, state: [_evaluate_plain(d, model, state)]
     keys = (model.basis_iterator(lhs.n_in) if capped
             else itertools.product(range(model.dim), repeat=lhs.n_in))
     for key in keys:
         state = basis_state(key)
-        yield key, [subtract_state(a, b)
+        yield key, [as_fractions(subtract_state(a, b))
                     for a, b in zip(run(lhs, state), run(rhs, state))]
 
 
@@ -373,15 +423,14 @@ def verify_registration(model: FiniteBialgebraModel) -> None:
 
 def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
     """Loop algebra with group-like coproduct on every loop element."""
-    one = Fraction(1)
     model = FiniteBialgebraModel(
         name=f"loop[{loop.name}]",
         dim=loop.order,
-        mul_rows={(i, j): ((loop.mul(i, j), one),)
+        mul_rows={(i, j): ((loop.mul(i, j), 1),)
                   for i in range(loop.order) for j in range(loop.order)},
-        comul_rows={i: (((i, i), one),) for i in range(loop.order)},
-        unit_entries=((loop.identity, one),),
-        counit_entries={i: one for i in range(loop.order)},
+        comul_rows={i: (((i, i), 1),) for i in range(loop.order)},
+        unit_entries=((loop.identity, 1),),
+        counit_entries={i: 1 for i in range(loop.order)},
         satisfied_flags=frozenset(
             {"coassoc", "cocomm", "moufang_l", "moufang_m", "moufang_r"}
         ),
@@ -393,20 +442,19 @@ def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
 
 def function_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
     """Functions on the loop: pointwise product, coproduct dual to the loop."""
-    one = Fraction(1)
-    splits: dict[int, list[tuple[tuple[int, int], Fraction]]] = {
+    splits: dict[int, list[tuple[tuple[int, int], int]]] = {
         i: [] for i in range(loop.order)
     }
     for y in range(loop.order):
         for z in range(loop.order):
-            splits[loop.mul(y, z)].append(((y, z), one))
+            splits[loop.mul(y, z)].append(((y, z), 1))
     model = FiniteBialgebraModel(
         name=f"fn[{loop.name}]",
         dim=loop.order,
-        mul_rows={(i, i): ((i, one),) for i in range(loop.order)},
+        mul_rows={(i, i): ((i, 1),) for i in range(loop.order)},
         comul_rows={i: tuple(pairs) for i, pairs in splits.items()},
-        unit_entries=tuple((i, one) for i in range(loop.order)),
-        counit_entries={loop.identity: one},
+        unit_entries=tuple((i, 1) for i in range(loop.order)),
+        counit_entries={loop.identity: 1},
         satisfied_flags=frozenset({"assoc", "comm", "comoufang_l", "comoufang_r"}),
         basis_labels=tuple("d" + l for l in loop.labels),
     )
@@ -423,14 +471,13 @@ def truncated_binomial_bialgebra(max_degree: int) -> FiniteBialgebraModel:
     """
     if max_degree < 1:
         raise ModelError("max degree must be at least 1")
-    one = Fraction(1)
     dim = max_degree + 1
     mul_rows = {
-        (i, j): ((i + j, one),)
+        (i, j): ((i + j, 1),)
         for i in range(dim) for j in range(dim) if i + j <= max_degree
     }
     comul_rows = {
-        n: tuple(((i, n - i), Fraction(comb(n, i))) for i in range(n + 1))
+        n: tuple(((i, n - i), comb(n, i)) for i in range(n + 1))
         for n in range(dim)
     }
     model = FiniteBialgebraModel(
@@ -438,8 +485,8 @@ def truncated_binomial_bialgebra(max_degree: int) -> FiniteBialgebraModel:
         dim=dim,
         mul_rows=mul_rows,
         comul_rows=comul_rows,
-        unit_entries=((0, one),),
-        counit_entries={0: one},
+        unit_entries=((0, 1),),
+        counit_entries={0: 1},
         satisfied_flags=frozenset(
             {"assoc", "comm", "coassoc", "cocomm", "comoufang_l", "comoufang_r"}
         ),
@@ -484,7 +531,8 @@ def load_model_text(text: str) -> FiniteBialgebraModel:
     entry = (int, int, int, Fraction)
     records = read(text, {
         "model": (str,), "dim": (at_least(1),), "flags": (Many(known_flag),),
-        "basis": (Many(),), "degree": (Many(int),), "cap": (int,),
+        "basis": (Many(),), "degree": (Many(at_least(0)),),
+        "cap": (at_least(0),),
         "kind": (str,), "mul": entry, "comul": entry, "unit": (int, Fraction),
         "counit": (int, Fraction), "end": ()}, ModelError)
     given = settings(records)
@@ -498,6 +546,8 @@ def load_model_text(text: str) -> FiniteBialgebraModel:
         if r.head in ("basis", "degree") and len(r.values[0]) != dim:
             raise r.fail(f"{r.head} lists {len(r.values[0])} entries for "
                          f"dimension {dim}")
+        if r.head == "cap" and "degree" not in given:
+            raise r.fail("cap needs a degree line")
         if r.head not in ("mul", "comul", "unit", "counit"):
             continue
         *at, c = r.values

@@ -12,6 +12,7 @@ from moufang.deformation import (
     TruncatedSeriesMap,
     adjoint_action,
     antisymmetrize,
+    apply_kernel_map,
     casimir,
     check_comoufang_mod,
     check_diagonalizable,
@@ -40,7 +41,12 @@ from moufang.deformation import (
     wedge_membership,
 )
 from moufang.dsl import parse
-from moufang.models import basis_state, truncated_binomial_bialgebra
+from moufang.models import (
+    basis_state,
+    evaluate,
+    holds_identity,
+    truncated_binomial_bialgebra,
+)
 from moufang.octonion import octonion_algebra, traceless_malcev
 
 F = Fraction
@@ -344,6 +350,38 @@ def test_kernel_map_RS_on_function_model(fn_o16):
     # the coassociator itself is nonzero at degree 0: nontrivial kernel fact
     c0 = coassociator(deformation, 0)
     assert any(c0.values())
+
+
+@pytest.mark.parametrize("name", ["binomial6", "fn_o16", "shift-conj",
+                                  "delta1"])
+def test_api_values_are_fractions(name, request):
+    """Integral constants run as ints inside the evaluator, but every value
+    the API hands back is a Fraction: ``Fraction(1) == 1`` hides a leak
+    from equality tests, and ``describe()`` prints reprs into records."""
+    if name == "shift-conj":
+        deformation = shift_conjugation_deformation(12, 3)
+    elif name == "delta1":
+        deformation = simple_comul_perturbation(6, 3)
+    else:
+        deformation = null_deformation(request.getfixturevalue(name), 1)
+    model, order = deformation.base, deformation.order
+    q = parse("comul ; mul")
+    states = [evaluate(q, model, basis_state((1,)))]
+    states += evaluate_series(parse("comul ; id(1) * comul"), deformation,
+                              basis_state((1,)))
+    for n in range(order + 1):
+        states += coassociator(deformation, n).values()
+    states += apply_kernel_map(
+        deformation, [basis_state((1, 1, 1))] + [{} for _ in range(order)])
+    report = holds_identity(q, parse("id(1)"), model)
+    assert not report.holds
+    states.append(report.diff)
+    series_report = check_comoufang_mod(deformation, "left")
+    assert series_report.holds == (name != "delta1")
+    if not series_report.holds:
+        states.append(series_report.diff)
+    values = [v for state in states for v in state.values()]
+    assert values and all(isinstance(v, Fraction) for v in values)
 
 
 def test_kernel_map_RS_on_conjugation_fixture():

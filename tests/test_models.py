@@ -66,6 +66,38 @@ def test_function_bialgebra_of_group_is_coassociative():
     assert report.holds
 
 
+# The group algebra of C2 in the basis f = 2g: rational structure constants.
+_C2_HALF = """model c2-half
+dim 2
+flags assoc comm coassoc cocomm
+mul 0 0 0 2
+mul 0 1 1 2
+mul 1 0 1 2
+mul 1 1 0 2
+comul 0 0 0 1/2
+comul 1 1 1 1/2
+unit 0 1/2
+counit 0 2
+counit 1 2
+end
+"""
+
+
+def test_registered_model_with_rational_constants():
+    model = load_model_text(_C2_HALF)
+    assert evaluate(parse("comul"), model, basis_state((1,))) == {
+        (1, 1): Fraction(1, 2)}
+    assert evaluate(parse("mul"), model, basis_state((1, 1))) == {(0,): 2}
+    assert evaluate(parse("unit"), model, basis_state(())) == {
+        (0,): Fraction(1, 2)}
+    assert evaluate(parse("mul ; counit"), model, basis_state((0, 1))) == {
+        (): 4}
+    report = holds_identity(parse("comul ; mul"), parse("id(1)"), model)
+    assert report.describe(model) == (
+        "fails on basis input (1); "
+        "difference {(0,): Fraction(1, 1), (1,): Fraction(-1, 1)}")
+
+
 def test_counit_law_on_loop_model(loop_o16):
     report = holds_identity(
         parse("comul ; counit * id(1)"), parse("id(1)"), loop_o16

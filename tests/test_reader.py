@@ -75,6 +75,10 @@ _C3 = cyclic_loop(3).cayley_text()
     pytest.param("model", _DIM1 + "unit 2 1\n", 9, id="model-unit-index"),
     pytest.param("model", _DIM1 + "counit -1 1\n", 9, id="model-counit-index"),
     pytest.param("model", _DIM1 + "degree 0 1 2\n", 9, id="model-degree-length"),
+    pytest.param("model", _DIM1 + "degree -1\n", 9, id="model-degree-negative"),
+    pytest.param("model", _DIM1 + "degree 0\ncap -1\n", 10,
+                 id="model-cap-negative"),
+    pytest.param("model", _DIM1 + "cap 0\n", 9, id="model-cap-without-degree"),
     pytest.param("model", _DIM1 + "basis a b\n", 9, id="model-basis-length"),
     pytest.param("model", _DIM1 + "flags nope\n", 9, id="model-unknown-flag"),
     pytest.param("model", "dim -2\n", 1, id="model-dim-negative"),
