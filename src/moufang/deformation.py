@@ -25,11 +25,12 @@ from typing import Optional, Sequence
 from . import linalg
 from .diagram import Diagram
 from .dsl import parse
-from .linalg import BilinearRows, Matrix, Vector, basis_vector, bilinear
+from .linalg import BilinearRows, Matrix, Vector, basis_vector
 from .models import (
     ComulRows,
     FiniteBialgebraModel,
     MulRows,
+    Report,
     State,
     _accumulate,
     _clean,
@@ -39,7 +40,7 @@ from .models import (
     basis_sweep,
     evaluate,
     evaluate_components,
-    first_difference,
+    first_failure,
     integral_rows,
     integral_state,
     subtract_state,
@@ -221,15 +222,14 @@ def verify_deformation(deformation: TruncatedDeformation) -> None:
         law = _REGISTRATION_LAWS.get(rule.name)
         if law is None:
             continue
-        found = first_difference(_series_sweep(
+        report = first_failure(_series_sweep(
             deformation, rule.lhs, rule.rhs, capped=rule.name == "bialg"))
-        if found is not None:
-            n, key, _diff = found
+        if not report.holds:
+            key = report.witness
             where = (f"basis {model.label(key[0])}" if len(key) == 1 else
                      f"basis pair {tuple(model.label(i) for i in key)}")
-            raise DeformationError(
-                f"{deformation.name}: {law} fails at degree {n} on {where}"
-            )
+            raise DeformationError(f"{deformation.name}: {law} fails at "
+                                   f"degree {report.degree} on {where}")
 
 
 def null_deformation(model: FiniteBialgebraModel, order: int
@@ -282,49 +282,41 @@ def _coassociator_sweep(deformation: TruncatedDeformation):
 # --- co-Moufang and Moufang checks modulo h^(N+1) ---------------------------
 
 
-@dataclass
-class SeriesReport:
-    holds: bool
-    degree: Optional[int] = None
-    witness: Optional[tuple[int, ...]] = None
-    diff: Optional[State] = None
-
-    def describe(self, model: Optional[FiniteBialgebraModel] = None) -> str:
-        if self.holds:
-            return "holds"
-        where = (
-            tuple(model.label(i) for i in self.witness)
-            if model is not None else self.witness
-        )
-        return (f"fails at h-degree {self.degree} on basis input {where}; "
-                f"difference {self.diff}")
-
-
-def _series_report(sweep) -> SeriesReport:
-    found = first_difference(sweep)
-    return SeriesReport(True) if found is None else SeriesReport(False, *found)
+def _check_law_mod(deformation: TruncatedDeformation, law: str,
+                   sides: tuple[str, ...], side: str,
+                   max_degree: Optional[int]) -> Report:
+    """Sweep one side of a law family ("Moufang" or "co-Moufang") with the
+    series structure maps, modulo h^(max_degree+1)."""
+    if side not in sides:
+        raise DeformationError(f"unknown {law} side {side!r}")
+    rule = flag_rules(f"{law.replace('-', '').lower()}_{side[0]}")[0]
+    return first_failure(
+        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree))
 
 
 def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
-                        max_degree: Optional[int] = None) -> SeriesReport:
+                        max_degree: Optional[int] = None) -> Report:
     """Does the deformation satisfy a co-Moufang law modulo h^(N+1)?"""
-    if side not in ("left", "right"):
-        raise DeformationError(f"unknown co-Moufang side {side!r}")
-    rule = flag_rules(f"comoufang_{side[0]}")[0]
-    return _series_report(
-        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree)
-    )
+    return _check_law_mod(deformation, "co-Moufang", ("left", "right"), side,
+                          max_degree)
 
 
 def check_moufang_mod(deformation: TruncatedDeformation, side: str,
-                      max_degree: Optional[int] = None) -> SeriesReport:
+                      max_degree: Optional[int] = None) -> Report:
     """Bialgebra-level Moufang law for the deformed product, modulo h^(N+1)."""
-    if side not in ("left", "middle", "right"):
-        raise DeformationError(f"unknown Moufang side {side!r}")
-    rule = flag_rules(f"moufang_{side[0]}")[0]
-    return _series_report(
-        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree)
-    )
+    return _check_law_mod(deformation, "Moufang", ("left", "middle", "right"),
+                          side, max_degree)
+
+
+def _require_left_and_right(deformation: TruncatedDeformation, check,
+                            refusal: str) -> None:
+    """Raise unless ``check(deformation, side)`` holds on both sides;
+    ``refusal`` is formatted with the deformation's name and the side."""
+    for side in ("left", "right"):
+        report = check(deformation, side)
+        if not report.holds:
+            raise DeformationError(refusal.format(deformation.name, side)
+                                   + report.describe(deformation.base))
 
 
 # --- Q operator and the kernel of T ----------------------------------------
@@ -483,7 +475,7 @@ def _multiplicative_failures(deformation: TruncatedDeformation,
 
 def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
                       deformation: TruncatedDeformation, n: int
-                      ) -> SeriesReport:
+                      ) -> Report:
     """The defect identity for two multiplicative series agreeing below n.
 
     Preconditions (checked, violations raise): both series are
@@ -513,25 +505,23 @@ def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
                 f"below {n})"
             )
     model = deformation.base
-    d = model.dim
-    delta = [[phi.at(n)[r][c] - psi.at(n)[r][c] for c in range(d)]
-             for r in range(d)]
-    e = [basis_vector(d, i) for i in range(d)]
-    for key in model.basis_iterator(2):
-        i, j = key
-        lhs = linalg.mat_vec(delta, bilinear(model.mul_rows, e[i], e[j]))
-        dx = [delta[r][i] for r in range(d)]
-        y0 = [phi.at(0)[r][j] for r in range(d)]
-        x0 = [psi.at(0)[r][i] for r in range(d)]
-        dy = [delta[r][j] for r in range(d)]
-        rhs = [p + q for p, q in zip(bilinear(model.mul_rows, dx, y0),
-                                     bilinear(model.mul_rows, x0, dy))]
-        if lhs != rhs:
-            diff = {
-                (r,): lhs[r] - rhs[r] for r in range(d) if lhs[r] != rhs[r]
-            }
-            return SeriesReport(False, n, key, diff)
-    return SeriesReport(True)
+    delta = TruncatedSeriesMap((linalg.mat_sub(phi.at(n), psi.at(n)),))
+
+    def on(series: TruncatedSeriesMap, slot: int, state: State) -> State:
+        # a degree-0 input meets only the series' degree-0 component
+        return _apply_series_slot(series, [state], slot)[0]
+
+    def sweep():
+        for key in model.basis_iterator(2):
+            pair = basis_state(key)
+            lhs = on(delta, 0, evaluate(_MUL, model, pair))
+            rhs = add_state(
+                evaluate(_MUL, model, on(phi, 1, on(delta, 0, pair))),
+                evaluate(_MUL, model, on(delta, 1, on(psi, 0, pair))))
+            # the series agree below degree n, so only degree n can differ
+            yield key, [{}] * n + [subtract_state(lhs, rhs)]
+
+    return first_failure(sweep())
 
 
 # --- the kernel map R + S ---------------------------------------------------
@@ -552,21 +542,16 @@ def apply_kernel_map(deformation: TruncatedDeformation,
     return [add_state(r, s) for r, s in zip(r_out, s_out)]
 
 
-def kernel_map_RS(deformation: TruncatedDeformation) -> SeriesReport:
+def kernel_map_RS(deformation: TruncatedDeformation) -> Report:
     """Verify (R+S)(C_h(x)) = 0 at every h-degree, for every basis x.
 
     Precondition (checked): the deformation satisfies the left and right
     co-Moufang laws modulo h^(order+1).
     """
-    for side in ("left", "right"):
-        report = check_comoufang_mod(deformation, side)
-        if not report.holds:
-            raise DeformationError(
-                f"{deformation.name} is not {side} co-Moufang: "
-                + report.describe(deformation.base)
-            )
-    return _series_report((x, apply_kernel_map(deformation, coassoc))
-                          for x, coassoc in _coassociator_sweep(deformation))
+    _require_left_and_right(deformation, check_comoufang_mod,
+                            "{} is not {} co-Moufang: ")
+    return first_failure((x, apply_kernel_map(deformation, coassoc))
+                         for x, coassoc in _coassociator_sweep(deformation))
 
 
 # --- deformed associator congruences (the Nalt consequence) -----------------
@@ -588,7 +573,7 @@ def _associator_series(deformation: TruncatedDeformation,
     return [subtract_state(a, b) for a, b in zip(lhs, rhs)]
 
 
-def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
+def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> Report:
     """Alternating-associator congruences for a base-layer primitive.
 
     Preconditions (checked): the deformed product satisfies the left and
@@ -597,16 +582,14 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
     and all basis y, z, are
 
         (a, y, z)• = -(y, a, z)• = (y, z, a)•   (mod h^(order+1)).
+
+    A failure reports, at its degree, the antisymmetry failure if there is
+    one and the cyclicity failure otherwise.
     """
     model = deformation.base
     order = deformation.order
-    for side in ("left", "right"):
-        report = check_moufang_mod(deformation, side)
-        if not report.holds:
-            raise DeformationError(
-                f"{deformation.name} does not satisfy the {side} Moufang "
-                "law: " + report.describe(model)
-            )
+    _require_left_and_right(deformation, check_moufang_mod,
+                            "{} does not satisfy the {} Moufang law: ")
     if not is_primitive(model, a):
         raise DeformationError("input vector is not primitive in the base layer")
 
@@ -619,19 +602,14 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> SeriesReport:
                 state[tuple(key)] = c
         return [state] + [{} for _ in range(order)]
 
-    for y in range(model.dim):
-        for z in range(model.dim):
-            first = _associator_series(deformation, embed(0, y, z))
-            second = _associator_series(deformation, embed(1, y, z))
-            third = _associator_series(deformation, embed(2, y, z))
-            for n in range(order + 1):
-                anti = add_state(first[n], second[n])
-                if anti:
-                    return SeriesReport(False, n, (y, z), anti)
-                cyc = subtract_state(first[n], third[n])
-                if cyc:
-                    return SeriesReport(False, n, (y, z), cyc)
-    return SeriesReport(True)
+    def sweep():
+        for y, z in itertools.product(range(model.dim), repeat=2):
+            first, second, third = (_associator_series(
+                deformation, embed(p, y, z)) for p in range(3))
+            yield (y, z), [add_state(f, s) or subtract_state(f, t)
+                           for f, s, t in zip(first, second, third)]
+
+    return first_failure(sweep())
 
 
 # --- Lie algebras, Casimir, first cohomology ---------------------------------
@@ -713,31 +691,23 @@ def trivial_action(g: BracketAlgebra, dim: int = 1) -> list[Matrix]:
     return [linalg.zeros(dim, dim) for _ in range(g.dim)]
 
 
-def exterior_cube_action(action: Sequence[Matrix]) -> list[Matrix]:
-    """Induced action on the third exterior power of the module."""
+def exterior_power_action(action: Sequence[Matrix], k: int) -> list[Matrix]:
+    """Induced action on the k-th exterior power of the module."""
     dim = len(action[0])
-    triples = [
-        (i, j, k)
-        for i in range(dim) for j in range(i + 1, dim)
-        for k in range(j + 1, dim)
-    ]
-    index = {t: n for n, t in enumerate(triples)}
+    wedges = list(itertools.combinations(range(dim), k))
+    index = {t: n for n, t in enumerate(wedges)}
     out = []
     for rho in action:
-        m = linalg.zeros(len(triples), len(triples))
-        for col, (i, j, k) in enumerate(triples):
-            for slot, idx in enumerate((i, j, k)):
+        m = linalg.zeros(len(wedges), len(wedges))
+        for col, wedge in enumerate(wedges):
+            for slot, idx in enumerate(wedge):
                 for target in range(dim):
                     c = rho[target][idx]
-                    if not c:
-                        continue
-                    image = [i, j, k]
-                    image[slot] = target
-                    if len(set(image)) < 3:
-                        continue
-                    perm_sorted = tuple(sorted(image))
-                    sign = _perm_sign(sorted(range(3), key=image.__getitem__))
-                    m[index[perm_sorted]][col] += c * sign
+                    image = wedge[:slot] + (target,) + wedge[slot + 1:]
+                    if c and len(set(image)) == k:
+                        sign = _perm_sign(sorted(range(k),
+                                                 key=image.__getitem__))
+                        m[index[tuple(sorted(image))]][col] += c * sign
         out.append(m)
     return out
 

@@ -82,10 +82,6 @@ def mat_combination(terms: Iterable[tuple[Fraction, Matrix]], rows: int,
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Vector:
-    return [sum((c * x for c, x in zip(row, v) if c), Fraction(0)) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)] if a else []
 

@@ -342,7 +342,8 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
     h-degree (by default the plain evaluator, one degree); ``differences``
     lists lhs - rhs at each degree, with Fraction values.  Inputs come from
     ``model.basis_iterator`` or, with ``capped=False``, from every basis
-    tuple regardless of the model's degree cap.
+    tuple regardless of the model's degree cap.  A cap that leaves no input
+    is refused, since the sweep would check nothing.
     """
     if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
         raise ArityMismatch(
@@ -355,46 +356,57 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
         run = lambda d, state: [_evaluate_plain(d, model, state)]
     keys = (model.basis_iterator(lhs.n_in) if capped
             else itertools.product(range(model.dim), repeat=lhs.n_in))
+    checked = False
     for key in keys:
+        checked = True
         state = basis_state(key)
         yield key, [as_fractions(subtract_state(a, b))
                     for a, b in zip(run(lhs, state), run(rhs, state))]
-
-
-def first_difference(sweep) -> Optional[tuple[int, tuple[int, ...], State]]:
-    """``(degree, input, difference)`` of a sweep's first nonzero
-    difference, or None when every difference vanishes."""
-    for key, diffs in sweep:
-        for n, diff in enumerate(diffs):
-            if diff:
-                return n, key, diff
-    return None
+    if not checked:
+        raise ModelError(f"model {model.name}: cap {model.check_cap} leaves "
+                         f"no rank-{lhs.n_in} basis input to check")
 
 
 @dataclass
-class IdentityReport:
+class Report:
+    """The verdict of an exhaustive law check.
+
+    A failure names the first basis input (``witness``) whose difference
+    ``diff`` is nonzero; ``degree`` is its h-degree for a check on a
+    truncated deformation and None for one on a plain model.
+    """
+
     holds: bool
+    degree: Optional[int] = None
     witness: Optional[tuple[int, ...]] = None
     diff: Optional[State] = None
 
-    def describe(self, model: Optional[FiniteBialgebraModel] = None) -> str:
+    def describe(self, model: FiniteBialgebraModel) -> str:
         if self.holds:
             return "holds"
-        labels = (
-            ", ".join(model.label(i) for i in self.witness)
-            if model is not None else str(self.witness)
-        )
-        return f"fails on basis input ({labels}); difference {self.diff}"
+        labels = tuple(model.label(i) for i in self.witness)
+        if self.degree is None:
+            return (f"fails on basis input ({', '.join(labels)}); "
+                    f"difference {self.diff}")
+        return (f"fails at h-degree {self.degree} on basis input {labels}; "
+                f"difference {self.diff}")
+
+
+def first_failure(sweep, series: bool = True) -> Report:
+    """The `Report` of a sweep of ``(input, differences per h-degree)``:
+    its first nonzero difference, lowest degree first within an input;
+    ``series=False`` reports a plain check, with no degree."""
+    for key, diffs in sweep:
+        for n, diff in enumerate(diffs):
+            if diff:
+                return Report(False, n if series else None, key, diff)
+    return Report(True)
 
 
 def holds_identity(lhs: Diagram, rhs: Diagram,
-                   model: FiniteBialgebraModel) -> IdentityReport:
+                   model: FiniteBialgebraModel) -> Report:
     """Exhaustive exact check of lhs = rhs on all (capped) basis inputs."""
-    found = first_difference(basis_sweep(lhs, rhs, model))
-    if found is None:
-        return IdentityReport(True)
-    _degree, witness, diff = found
-    return IdentityReport(False, witness, diff)
+    return first_failure(basis_sweep(lhs, rhs, model), series=False)
 
 
 def verify_registration(model: FiniteBialgebraModel) -> None:
@@ -404,21 +416,15 @@ def verify_registration(model: FiniteBialgebraModel) -> None:
     and counit with the product and unit) are always checked; each entry of
     ``satisfied_flags`` adds its own rule.
     """
-    for rule in base_rules():
+    laws = itertools.chain(
+        (("base", rule) for rule in base_rules()),
+        (("declared", rule) for flag in sorted(model.satisfied_flags)
+         for rule in flag_rules(flag)))
+    for kind, rule in laws:
         report = holds_identity(rule.lhs, rule.rhs, model)
         if not report.holds:
-            raise ModelError(
-                f"model {model.name}: base law {rule.name} "
-                + report.describe(model)
-            )
-    for flag in sorted(model.satisfied_flags):
-        for rule in flag_rules(flag):
-            report = holds_identity(rule.lhs, rule.rhs, model)
-            if not report.holds:
-                raise ModelError(
-                    f"model {model.name}: declared law {rule.name} "
-                    + report.describe(model)
-                )
+            raise ModelError(f"model {model.name}: {kind} law {rule.name} "
+                             + report.describe(model))
 
 
 def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:

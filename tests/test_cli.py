@@ -56,6 +56,8 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("eval mul --model loop-cyclic:0", "--model"),
     ("check-model --model binomial:0", "--model"),
     ("deform --fixture shift-conj:0:3", "--fixture"),
+    ("eval mul --model binomial:4 --basis 0,9", "--basis"),
+    ("eval mul --model binomial:4 --basis=-1,0", "--basis"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -144,10 +146,16 @@ def test_deform_subcommand(capsys):
 
 
 def test_deform_records_are_pinned(capsys):
-    code, out, _ = run(capsys, "--format", "records", "deform", "--fixture",
-                       "shift-conj:12:3")
-    assert code == 0
-    assert sha1(out) == "2eda9e47d6a77a9b491a4ff925cc36819a81e331"
+    for argv, digest in (
+            ("deform --fixture shift-conj:12:3",
+             "2eda9e47d6a77a9b491a4ff925cc36819a81e331"),
+            ("deform --fixture null:fn-o16:1",
+             "a4187dda667fee9fa47656eeb767b9cfd1f3c5ec"),
+            ("check-model --model fn-o16",
+             "22975f8f264395b9be7ee4b47f2bc701c9a69b94")):
+        code, out, _ = run(capsys, "--format", "records", *argv.split())
+        assert code == 0, argv
+        assert sha1(out) == digest, argv
 
 
 def test_deform_negative_fixture(capsys):

@@ -24,7 +24,7 @@ from moufang.deformation import (
     euler_derivation,
     evaluate_series,
     exp_derivation_series,
-    exterior_cube_action,
+    exterior_power_action,
     h1_dimension,
     identity_series,
     is_primitive,
@@ -528,12 +528,21 @@ def test_h1_sl2_adjoint_vanishes():
 
 def test_h1_sl2_exterior_cube_vanishes():
     g = sl2()
-    cube = exterior_cube_action(adjoint_action(g))
+    cube = exterior_power_action(adjoint_action(g), 3)
     assert len(cube[0]) == 1
     assert all(rho == [[F(0)]] for rho in cube)
     report = h1_dimension(g, cube)
     assert report.dimension == 0
     assert report.cocycle_basis == [] or not report.cocycle_basis
+
+
+def test_exterior_powers_of_sl2_adjoint():
+    g = sl2()
+    adjoint = adjoint_action(g)
+    assert exterior_power_action(adjoint, 1) == adjoint
+    # the wedge square of sl2's adjoint module is the adjoint module again
+    square = exterior_power_action(adjoint, 2)
+    assert casimir(g, square) == linalg.eye(3)
 
 
 def test_h1_abelian_trivial_is_one():

@@ -249,6 +249,33 @@ def test_registration_rejects_false_claims():
         verify_registration(bogus)
 
 
+def _vacuous_cap_text(fn_o16):
+    """fn[o16] claiming coassociativity, with a cap below every degree."""
+    text = save_model_text(fn_o16).replace("flags ", "flags coassoc ")
+    return text.replace("end\n", "degree " + " ".join(["1"] * 16)
+                        + "\ncap 0\nend\n")
+
+
+def test_sweep_that_checks_no_input_is_refused(fn_o16):
+    with pytest.raises(ModelError, match=(
+            r"^model fn\[o16\]: cap 0 leaves no rank-1 basis input to "
+            r"check$")):
+        load_model_text(_vacuous_cap_text(fn_o16))
+
+
+def test_check_model_vacuous_cap_is_a_fail_record(fn_o16, tmp_path, capsys):
+    from moufang.cli import main
+
+    path = tmp_path / "model.txt"
+    path.write_text(_vacuous_cap_text(fn_o16))
+    code = main(["--format", "records", "check-model", "--model", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out == (f"REC kind=model name={path} status=fail detail="
+                   "'model fn[o16]: cap 0 leaves no rank-1 basis input to "
+                   "check'\n")
+
+
 def test_algebra_file_rejected_as_model():
     from moufang.octonion import algebra_text, octonion_algebra
 
