@@ -9,7 +9,6 @@ Malcev algebra construction, and truncated-deformation linear algebra.
 
 from .diagram import (
     Diagram,
-    DiagramSum,
     canonicalize,
     compose,
     flip,
@@ -33,8 +32,8 @@ from .theories import Theory, builtin_theory, goal_suite, named_theory
 __version__ = "0.1.0"
 
 __all__ = [
-    "Diagram", "DiagramSum", "canonicalize", "compose", "flip", "generator",
-    "identity", "tensor", "parse", "print_diagram", "render",
+    "Diagram", "canonicalize", "compose", "flip", "generator", "identity",
+    "tensor", "parse", "print_diagram", "render",
     "FiniteBialgebraModel", "MoufangLoop", "evaluate", "function_bialgebra",
     "holds_identity", "loop_bialgebra", "truncated_binomial_bialgebra",
     "ProofTrace", "RewriteRule", "SearchBudget", "prove_equal",

@@ -110,7 +110,10 @@ class Reporter:
 
 def cmd_prove(args, reporter: Reporter) -> int:
     if args.goal:
-        goal = theories.goal_suite()[args.goal]
+        try:
+            goal = theories.goal_suite()[args.goal]
+        except theories.TheoryError as exc:
+            raise CliError(f"--goal: {exc}") from None
         lhs, rhs = goal.lhs, goal.rhs
         theory = _load_theory(args.theory or goal.theory)
     else:
@@ -162,7 +165,23 @@ def cmd_eval(args, reporter: Reporter) -> int:
     return 0
 
 
+def _identity(text: str):
+    """Parse an ``LHS = RHS`` flag value into two diagrams of one arity."""
+    lhs_text, eq, rhs_text = text.partition("=")
+    try:
+        if not eq:
+            raise DiagramError(f"expected LHS = RHS, got {text!r}")
+        lhs, rhs = parse(lhs_text), parse(rhs_text)
+        if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
+            raise DiagramError(f"sides have different arities: {lhs.n_in}->"
+                               f"{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}")
+    except DiagramError as exc:
+        raise CliError(f"--identity: {exc}") from None
+    return lhs, rhs
+
+
 def cmd_check_model(args, reporter: Reporter) -> int:
+    identity = _identity(args.identity) if args.identity else None
     status = 0
     for spec in args.model or ["binomial:6"]:
         try:
@@ -173,11 +192,8 @@ def cmd_check_model(args, reporter: Reporter) -> int:
             continue
         reporter.emit("model", model.name, "pass",
                       "registered flags: " + " ".join(sorted(model.satisfied_flags)))
-        if args.identity:
-            lhs_text, _, rhs_text = args.identity.partition("=")
-            report = models.holds_identity(
-                parse(lhs_text), parse(rhs_text), model
-            )
+        if identity:
+            report = models.holds_identity(*identity, model)
             if report.holds:
                 reporter.emit("identity", args.identity.strip(), "pass")
             else:
@@ -407,10 +423,6 @@ def main(argv: list[str] | None = None) -> int:
                             **(kw or {"default": "text"}))
         target.add_argument("--out", help="write the report to a file",
                             **(kw or {"default": None}))
-        target.add_argument("--jobs", type=int,
-                            help="worker cap (execution is deterministic "
-                                 "and currently serial)",
-                            **(kw or {"default": 1}))
 
     add_common(parser, suppress=False)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -474,8 +486,6 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error("--jobs must be at least 1")
     reporter = Reporter(args.format, args.out)
     try:
         return args.func(args, reporter)

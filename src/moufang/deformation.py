@@ -148,9 +148,6 @@ class TruncatedDeformation:
         object.__setattr__(self, "mul_components", tuple(
             integral_rows(rows) for rows in self.mul_components))
 
-    def comul_rows_at(self, n: int) -> ComulRows:
-        return self.comul_components[n] if n <= self.order else {}
-
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                     states: list[State] | State,

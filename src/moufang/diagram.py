@@ -16,7 +16,7 @@ generators are distinct from plain ones for matching and evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 # (arity_in, arity_out) per generator kind
 ARITY = {
@@ -57,11 +57,6 @@ def _check_generator(kind: str, label: Optional[str]) -> None:
 # identity wires elsewhere.  A diagram is a sequence of slices plus boundary
 # arities; identity slices are never stored.
 Slice = tuple[str, Optional[str], int]
-
-
-def slice_sort_key(slices: tuple[Slice, ...]) -> tuple:
-    """Total order on slice tuples (labels may be None)."""
-    return tuple((kind, label or "", off) for kind, label, off in slices)
 
 # Producers inside the port graph: either a boundary input ("b", i) or an
 # output port of a node (node_index, port).
@@ -326,18 +321,6 @@ def tensor(f: Diagram, g: Diagram) -> Diagram:
     return canonicalize(raw_diagram(f.n_in + g.n_in, f.slices + shifted))
 
 
-def tensor_all(*factors: Diagram) -> Diagram:
-    out = factors[0]
-    for f in factors[1:]:
-        out = tensor(out, f)
-    return out
-
-
-def count_plus(d: Diagram) -> int:
-    """Number of '+'-labelled generators (each carries series degree >= 1)."""
-    return sum(1 for kind, label, _off in d.slices if label == "+")
-
-
 _DUAL = {"mul": "comul", "comul": "mul", "unit": "counit", "counit": "unit",
          "swap": "swap", "id": "id"}
 
@@ -353,117 +336,3 @@ def flip(d: Diagram) -> Diagram:
         (_DUAL[kind], label, off) for kind, label, off in reversed(d.slices)
     )
     return canonicalize(raw_diagram(d.n_out, flipped))
-
-
-class DiagramSum:
-    """Formal integer-coefficient combination of diagrams with h-degrees.
-
-    Terms are keyed by (h_degree, canonical diagram); like terms collect
-    automatically and zero coefficients vanish.  All boundary arities must
-    agree.
-    """
-
-    __slots__ = ("n_in", "n_out", "terms")
-
-    def __init__(self, n_in: int, n_out: int, terms: Optional[dict] = None):
-        self.n_in = n_in
-        self.n_out = n_out
-        self.terms: dict[tuple[int, Diagram], int] = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._add(key, coeff)
-
-    @classmethod
-    def of(cls, d: Diagram, coeff: int = 1, h_degree: int = 0) -> "DiagramSum":
-        return cls(d.n_in, d.n_out, {(h_degree, d): coeff})
-
-    def _add(self, key: tuple[int, Diagram], coeff: int) -> None:
-        hdeg, d = key
-        if d.n_in != self.n_in or d.n_out != self.n_out:
-            raise ArityMismatch("mixed boundary arities in a diagram sum")
-        if hdeg < 0:
-            raise DiagramError("negative h-degree")
-        new = self.terms.get(key, 0) + coeff
-        if new:
-            self.terms[key] = new
-        else:
-            self.terms.pop(key, None)
-
-    def __add__(self, other: "DiagramSum") -> "DiagramSum":
-        out = DiagramSum(self.n_in, self.n_out, dict(self.terms))
-        for key, coeff in other.terms.items():
-            out._add(key, coeff)
-        return out
-
-    def __sub__(self, other: "DiagramSum") -> "DiagramSum":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "DiagramSum":
-        if c == 0:
-            return DiagramSum(self.n_in, self.n_out)
-        return DiagramSum(
-            self.n_in, self.n_out, {k: c * v for k, v in self.terms.items()}
-        )
-
-    def truncate(self, max_degree: int) -> "DiagramSum":
-        """Drop terms whose minimum h-degree exceeds max_degree.
-
-        A '+'-labelled generator contributes at least one to the degree of
-        its term, so the cut uses h_degree + count_plus(diagram).
-        """
-        kept = {
-            (h, d): c
-            for (h, d), c in self.terms.items()
-            if h + count_plus(d) <= max_degree
-        }
-        return DiagramSum(self.n_in, self.n_out, kept)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, DiagramSum):
-            return NotImplemented
-        return (self.n_in, self.n_out, self.terms) == (
-            other.n_in, other.n_out, other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_in, self.n_out, frozenset(self.terms.items())))
-
-    def __iter__(self) -> Iterator[tuple[int, Diagram, int]]:
-        for (h, d), c in sorted(
-            self.terms.items(),
-            key=lambda kv: (kv[0][0], slice_sort_key(kv[0][1].slices)),
-        ):
-            yield h, d, c
-
-    def __repr__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for h, d, c in self:
-            factor = "" if h == 0 else f"h^{h}·"
-            parts.append(f"{c:+d}·{factor}[{d}]")
-        return " ".join(parts)
-
-
-def split_series_node(d: Diagram, node_index: int) -> DiagramSum:
-    """Replace one plain mul/comul node by its "0" plus "+" parts.
-
-    Mirrors the power-series decomposition of the structure maps: the plain
-    generator equals the sum of its constant part and its higher part.
-    """
-    g = d.graph
-    if node_index < 0 or node_index >= len(g.nodes):
-        raise DiagramError(f"no node {node_index}")
-    kind, label = g.nodes[node_index]
-    if kind not in LABELLABLE or label is not None:
-        raise DiagramError(f"node {node_index} ({kind}, {label!r}) is not splittable")
-    out = DiagramSum(d.n_in, d.n_out)
-    for new_label in ("0", "+"):
-        nodes = list(g.nodes)
-        nodes[node_index] = (kind, new_label)
-        g2 = _Graph(g.n_in, g.n_out, nodes, g.node_inputs, g.outputs)
-        out._add((0, _canonical_from_graph(g2)), 1)
-    return out

@@ -9,7 +9,7 @@ point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
@@ -82,10 +82,6 @@ def mat_combination(terms: Iterable[tuple[Fraction, Matrix]], rows: int,
     return out
 
 
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row-echelon form; returns (reduced matrix, pivot columns)."""
     m = [row[:] for row in m]
@@ -131,20 +127,6 @@ def nullspace(m: Matrix) -> list[Vector]:
     return basis
 
 
-def solve(a: Matrix, b: Vector) -> Optional[Vector]:
-    """One solution of a x = b, or None if inconsistent."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    aug = [a[i][:] + [b[i]] for i in range(rows)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
-
 def invert(a: Matrix) -> Matrix:
     n = len(a)
     aug = [a[i][:] + eye(n)[i] for i in range(n)]
@@ -152,17 +134,3 @@ def invert(a: Matrix) -> Matrix:
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def column_space_contains(basis: list[Vector], v: Vector) -> bool:
-    """Is v a linear combination of the given vectors?"""
-    if not basis:
-        return all(x == 0 for x in v)
-    m = transpose([list(b) for b in basis])
-    return solve(m, list(v)) is not None
-
-
-def same_span(a: list[Vector], b: list[Vector]) -> bool:
-    return all(column_space_contains(a, v) for v in b) and all(
-        column_space_contains(b, v) for v in a
-    )

@@ -24,7 +24,6 @@ from .diagram import (
     ArityMismatch,
     Diagram,
     DiagramError,
-    DiagramSum,
     _Graph,
     _canonical_from_graph,
     canonicalize,
@@ -289,23 +288,6 @@ def apply_rule(d: Diagram, rule: RewriteRule, position: int | str,
     raise RewriteError(
         f"rule {rule.name} {direction} does not match at {position!r}"
     )
-
-
-def apply_rule_in_sum(s, h_degree: int, term: Diagram, rule: RewriteRule,
-                      position: int | str, direction: str = "->"):
-    """Rewrite one summand of a formal combination; like terms collect.
-
-    The rewritten term keeps its coefficient and h-degree; the rest of the
-    sum is untouched.  Series-labelled generators match only rules that
-    carry the same labels, so degree bookkeeping survives rewriting.
-    """
-    key = (h_degree, canonicalize(term))
-    coeff = s.terms.get(key)
-    if coeff is None:
-        raise RewriteError("the sum has no such term")
-    replaced = apply_rule(term, rule, position, direction)
-    return (s - DiagramSum.of(key[1], coeff, h_degree)
-            + DiagramSum.of(replaced, coeff, h_degree))
 
 
 # --- proof traces -------------------------------------------------------

@@ -1,6 +1,15 @@
 import pytest
 
-from moufang import models, octonion
+from moufang import linalg, models, octonion
+
+
+def same_span(a, b) -> bool:
+    """Do the two lists of vectors span one subspace?  They do exactly when
+    rank A = rank B = rank of A and B stacked."""
+    def rank(vectors):
+        return len(linalg.rref([list(v) for v in vectors])[1])
+
+    return rank(a) == rank(b) == rank([*a, *b])
 
 
 @pytest.fixture(scope="session")

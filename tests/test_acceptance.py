@@ -9,6 +9,7 @@ import itertools
 import time
 from fractions import Fraction
 
+from conftest import same_span
 from moufang import linalg
 from moufang.deformation import (
     GradedSpace,
@@ -142,7 +143,7 @@ def test_criterion_6_q_spectrum():
             for i in range(11)]
     eigenspace = linalg.nullspace(lam2)
     a_line = [[Fraction(int(i == 1)) for i in range(11)]]
-    assert linalg.same_span(eigenspace, a_line)
+    assert same_span(eigenspace, a_line)
     print("\nACCEPTANCE 6 PASS: loop operator is diagonal with entries 2^n "
           "for n = 0..10 and its eigenvalue-2 eigenspace is exactly the "
           "primitive line")
@@ -162,7 +163,7 @@ def test_criterion_7_kernel_argument():
                 v[(i * d + j) * d + k] = Fraction(1)
                 expected.append(v)
     assert len(expected) == 5
-    assert linalg.same_span(kernel, expected)
+    assert same_span(kernel, expected)
     print("\nACCEPTANCE 7 PASS: exact nullspace of Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I "
           "equals the five-dimensional span of a⊗a⊗a^k")
 

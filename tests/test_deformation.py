@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import same_span
 from moufang import linalg
 from moufang.deformation import (
     DeformationError,
@@ -69,7 +70,7 @@ def _poly_delta(deformation, t, order):
     """Delta_h(e_t) with polynomial coefficients, by direct table lookup."""
     out = {}
     for n in range(order + 1):
-        for (j, k), c in deformation.comul_rows_at(n).get(t, ()):
+        for (j, k), c in deformation.comul_components[n].get(t, ()):
             poly = out.setdefault((j, k), [F(0)] * (order + 1))
             poly[n] += c
     return out
@@ -153,21 +154,23 @@ def test_series_registration_rejects_broken_counit():
 
 
 def test_eq5_split_labels_in_series_evaluator():
-    """plain = %0 + %+ when both sides evaluate against the same family."""
+    """plain = %0 + %+ when both sides evaluate against the same family,
+    for a bare coproduct and for one inside a larger diagram."""
     deformation = shift_conjugation_deformation(10, 2)
-    full = parse("comul")
-    zero = parse("comul%0")
-    plus = parse("comul%+")
-    for t in range(deformation.base.dim):
-        a = evaluate_series(full, deformation, basis_state((t,)))
-        b = evaluate_series(zero, deformation, basis_state((t,)))
-        c = evaluate_series(plus, deformation, basis_state((t,)))
-        for n in range(deformation.order + 1):
-            merged = dict(b[n])
-            for key, value in c[n].items():
-                merged[key] = merged.get(key, F(0)) + value
-            merged = {k: v for k, v in merged.items() if v}
-            assert merged == a[n]
+    for rest in ("", " ; counit * id(1)"):
+        full = parse("comul" + rest)
+        zero = parse("comul%0" + rest)
+        plus = parse("comul%+" + rest)
+        for t in range(deformation.base.dim):
+            a = evaluate_series(full, deformation, basis_state((t,)))
+            b = evaluate_series(zero, deformation, basis_state((t,)))
+            c = evaluate_series(plus, deformation, basis_state((t,)))
+            for n in range(deformation.order + 1):
+                merged = dict(b[n])
+                for key, value in c[n].items():
+                    merged[key] = merged.get(key, F(0)) + value
+                merged = {k: v for k, v in merged.items() if v}
+                assert merged == a[n]
 
 
 def test_check_comoufang_mod_null_over_function_model(fn_o16):
@@ -229,7 +232,7 @@ def test_eigen_kernel_T_binomial_d4():
                     v = [F(0)] * d ** 3
                     v[(i * d + j) * d + k] = F(1)
                     expected.append(v)
-    assert linalg.same_span(kernel, expected)
+    assert same_span(kernel, expected)
 
 
 def test_eigenvalue_formula_examples():
@@ -668,26 +671,6 @@ def test_nalt_mod_h_trivial_on_associative_base():
     a = tuple(F(int(i == 1)) for i in range(model.dim))
     report = nalt_mod_h(deformation, a)
     assert report.holds  # associative base: every associator vanishes
-
-
-def test_symbolic_split_agrees_with_series_semantics():
-    """Splitting a coproduct node symbolically and evaluating each branch
-    against a truncated family reproduces the unsplit evaluation."""
-    from moufang.diagram import split_series_node
-
-    deformation = shift_conjugation_deformation(10, 2)
-    whole = parse("comul ; counit * id(1)")
-    branches = split_series_node(whole, 0)
-    for t in range(deformation.base.dim):
-        total = [dict() for _ in range(3)]
-        for _h, diagram, coeff in branches:
-            out = evaluate_series(diagram, deformation, basis_state((t,)))
-            for n in range(3):
-                for key, value in out[n].items():
-                    total[n][key] = total[n].get(key, F(0)) + coeff * value
-        expected = evaluate_series(whole, deformation, basis_state((t,)))
-        for n in range(3):
-            assert {k: v for k, v in total[n].items() if v} == expected[n]
 
 
 @pytest.mark.parametrize("check", [check_moufang_mod, check_comoufang_mod])

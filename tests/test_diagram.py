@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,19 +8,15 @@ from moufang.diagram import (
     ARITY,
     ArityMismatch,
     DiagramError,
-    DiagramSum,
     _Graph,
     _slices_from_graph,
     canonicalize,
     compose,
-    count_plus,
     flip,
     generator,
     identity,
     raw_diagram,
-    split_series_node,
     tensor,
-    tensor_all,
 )
 from moufang.dsl import parse
 
@@ -136,7 +133,7 @@ def _rebuild_as_term(slices, n_in):
         factors.append(generator(kind, label))
         if w - off - k:
             factors.append(identity(w - off - k))
-        d = compose(d, tensor_all(*factors))
+        d = compose(d, reduce(tensor, factors))
     return d
 
 
@@ -181,36 +178,6 @@ def test_flip_exchanges_boundaries():
     left = parse("comul ; comul * id(1)")
     assert flip(left) == parse("mul * id(1) ; mul")
     assert flip(flip(left)) == left
-
-
-def test_diagram_sum_collects_like_terms():
-    q = parse("comul ; mul")
-    s = DiagramSum.of(q) + DiagramSum.of(q)
-    assert s.terms == {(0, q): 2}
-    assert (s - s.scale(1)).is_zero()
-
-
-def test_diagram_sum_rejects_mixed_arities():
-    with pytest.raises(ArityMismatch):
-        DiagramSum.of(identity(1)) + DiagramSum.of(identity(2))
-
-
-def test_split_series_node():
-    q = parse("comul ; mul")
-    split = split_series_node(q, 0)
-    zero = parse("comul%0 ; mul")
-    plus = parse("comul%+ ; mul")
-    assert split.terms == {(0, zero): 1, (0, plus): 1}
-    with pytest.raises(DiagramError):
-        split_series_node(zero, 0)  # already labelled
-
-
-def test_truncation_counts_plus_labels():
-    plus = parse("comul%+ ; mul%+")
-    assert count_plus(plus) == 2
-    s = DiagramSum.of(plus, h_degree=1)
-    assert s.truncate(2).is_zero()
-    assert not s.truncate(3).is_zero()
 
 
 def test_scalar_bubble_canonicalizes():

@@ -174,30 +174,16 @@ def test_budget_validation():
         SearchBudget(max_states=0)
 
 
-def test_apply_rule_in_sum_collects_like_terms():
-    from moufang.diagram import DiagramSum, split_series_node
-    from moufang.rewrite import apply_rule_in_sum
-
-    q = parse("comul ; mul")
-    split = split_series_node(q, 0)  # comul%0 branch + comul%+ branch
-    zero_branch = parse("comul%0 ; mul")
+def test_plain_rule_does_not_match_series_labels():
     rule = rule_by_name("cocomm")
-    # plain-comul rules do not touch labelled splits
-    with pytest.raises(Exception):
-        apply_rule_in_sum(split, 0, zero_branch, rule, 0)
-    # on an unlabelled sum the rewrite goes through, per summand
-    s = DiagramSum.of(q, 2) + DiagramSum.of(parse("id(1)"), 1).scale(0)
-    rewritten = apply_rule_in_sum(s, 0, q, rule, 0)
-    assert rewritten.terms == {(0, parse("comul ; swap ; mul")): 2}
-
-
-def test_apply_rule_in_sum_missing_term():
-    from moufang.diagram import DiagramSum
-    from moufang.rewrite import apply_rule_in_sum, RewriteError as RE
-
-    s = DiagramSum.of(parse("comul ; mul"))
-    with pytest.raises(RE):
-        apply_rule_in_sum(s, 1, parse("comul ; mul"), rule_by_name("cocomm"), 0)
+    zero_branch = parse("comul%0 ; mul")
+    # plain-comul rules do not touch a labelled constant part
+    assert rewrites(zero_branch, rule, "->") == []
+    with pytest.raises(RewriteError):
+        apply_rule(zero_branch, rule, 0)
+    # on the unlabelled drawing the same rule goes through
+    assert apply_rule(parse("comul ; mul"), rule, 0) == parse(
+        "comul ; swap ; mul")
 
 
 def test_passive_wire_pattern_rejected():
