@@ -28,9 +28,9 @@ class CliError(Exception):
 
 @contextmanager
 def _flag(name: str, value: str):
-    """Turn a malformed number in a flag value, or a model or fixture size
-    or an octonion parameter that the builder refuses, into a CliError
-    naming the flag."""
+    """Turn a malformed number in a flag value, a size or parameter that
+    the builder refuses, or a label that a plain model refuses, into a
+    CliError naming the flag."""
     try:
         yield
     except (ValueError, ZeroDivisionError, models.ModelError,
@@ -141,6 +141,10 @@ def cmd_prove(args, reporter: Reporter) -> int:
 
 def cmd_eval(args, reporter: Reporter) -> int:
     diagram = parse(args.diagram)
+    with _flag("diagram", args.diagram):
+        models.refuse_labels(diagram)
+    if len(args.model or ()) > 1:
+        raise CliError(f"--model: eval takes one model, not {len(args.model)}")
     model = _load_model(args.model[0] if args.model else "binomial:6")
     with _flag("--basis", args.basis):
         indices = (tuple(int(x) for x in args.basis.split(","))
@@ -175,7 +179,9 @@ def _identity(text: str):
         if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
             raise DiagramError(f"sides have different arities: {lhs.n_in}->"
                                f"{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}")
-    except DiagramError as exc:
+        for d in (lhs, rhs):
+            models.refuse_labels(d)
+    except (DiagramError, models.ModelError) as exc:
         raise CliError(f"--identity: {exc}") from None
     return lhs, rhs
 

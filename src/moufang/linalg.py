@@ -2,37 +2,35 @@
 
 Matrices are lists of rows of Fractions.  Everything here is a plain
 Gaussian-elimination routine, plus the one bilinear product that applies
-a sparse structure-constant table to two coefficient vectors; no floating
+a sparse structure-constant table to two sparse vectors; no floating
 point is used anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Matrix = list[list[Fraction]]
 Vector = list[Fraction]
 # rows[(i, j)] = ((k, c), ...) means b(e_i, e_j) = sum of c * e_k; a missing
 # pair means zero.  Model products (`models.MulRows`) use this format.
 BilinearRows = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
+Sparse = dict[int, int | Fraction]  # {index: coefficient}, no zero values
 
 
 def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
-def bilinear(rows: BilinearRows, x: Sequence[Fraction],
-             y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+def bilinear(rows: BilinearRows, x: Sparse, y: Sparse) -> Sparse:
     """b(x, y) for the bilinear map b : V x V -> V with the table `rows`."""
-    out = [Fraction(0)] * len(x)
-    for i, xi in enumerate(x):
-        if xi:
-            for j, yj in enumerate(y):
-                if yj:
-                    for k, c in rows.get((i, j), ()):
-                        out[k] += xi * yj * c
-    return tuple(out)
+    out: Sparse = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
+            for k, c in rows.get((i, j), ()):
+                out[k] = out.get(k, 0) + xi * yj * c
+    return {k: v for k, v in out.items() if v}
 
 
 def zeros(rows: int, cols: int) -> Matrix:

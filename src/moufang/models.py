@@ -294,7 +294,7 @@ def evaluate_components(d: Diagram, states: list[State],
     return states
 
 
-def _refuse_labels(d: Diagram) -> None:
+def refuse_labels(d: Diagram) -> None:
     for kind, label, _off in d.slices:
         if label is not None:
             raise ModelError(
@@ -318,7 +318,7 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
             )
         if any(i < 0 or i >= model.dim for i in key):
             raise ModelError("input index out of range for model dimension")
-    _refuse_labels(d)
+    refuse_labels(d)
     return as_fractions(_evaluate_plain(d, model, integral_state(state)))
 
 
@@ -352,7 +352,7 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
         )
     if run is None:
         for d in (lhs, rhs):
-            _refuse_labels(d)
+            refuse_labels(d)
         run = lambda d, state: [_evaluate_plain(d, model, state)]
     keys = (model.basis_iterator(lhs.n_in) if capped
             else itertools.product(range(model.dim), repeat=lhs.n_in))

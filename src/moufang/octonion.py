@@ -22,10 +22,21 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
 
-from .linalg import BilinearRows, Matrix, basis_vector, bilinear, zeros
-from .models import MOUFANG_LAWS, MoufangLoop
+from .linalg import BilinearRows, Matrix, Sparse, basis_vector, bilinear, zeros
+from .models import (MOUFANG_LAWS, MoufangLoop, add_state, integral,
+                     integral_rows, subtract_state)
 
 Vector = tuple[Fraction, ...]
+
+
+def _sparse(x: Vector) -> Sparse:
+    return {i: integral(c) for i, c in enumerate(x) if c}
+
+
+def _dense_call(dim: int, f, *vectors: Vector) -> Vector:
+    """f on the sparse forms of dense vectors, as a dense Fraction tuple."""
+    out = f(*map(_sparse, vectors))
+    return tuple(Fraction(out.get(i, 0)) for i in range(dim))
 
 
 class AlgebraError(Exception):
@@ -50,11 +61,13 @@ class CayleyAlgebra:
     labels: tuple[str, ...]
 
     @cached_property
-    def mul_rows(self) -> BilinearRows:
-        return {ij: (kc,) for ij, kc in self.mul.items()}
+    def mul_sparse(self):
+        """The product on sparse vectors, integral constants as ints."""
+        return partial(bilinear, integral_rows(
+            {ij: (kc,) for ij, kc in self.mul.items()}))
 
     def product(self, x: Vector, y: Vector) -> Vector:
-        return bilinear(self.mul_rows, x, y)
+        return _dense_call(self.dim, self.mul_sparse, x, y)
 
     def conj(self, x: Vector) -> Vector:
         return tuple(s * xi for s, xi in zip(self.conj_signs, x))
@@ -109,13 +122,8 @@ def cayley_dickson(base: CayleyAlgebra, mu: Fraction | int) -> CayleyAlgebra:
                 k, c = base.mul[(bj, bi)]
                 mul[(i, j)] = (k, mu * c * base.conj_signs[bj])
     conj_signs = base.conj_signs + tuple(-1 for _ in range(n))
-    if base.dim == 1:
-        labels = ("1", "u")
-    elif base.dim == 2:
-        labels = ("1", "u", "v", "uv")
-    else:
-        labels = _BASIS_LABELS_8
-    return CayleyAlgebra(2 * n, base.params + (mu,), mul, conj_signs, labels)
+    return CayleyAlgebra(2 * n, base.params + (mu,), mul, conj_signs,
+                         _BASIS_LABELS_8[:2 * n])
 
 
 def octonion_algebra(alpha, beta, gamma) -> CayleyAlgebra:
@@ -125,64 +133,65 @@ def octonion_algebra(alpha, beta, gamma) -> CayleyAlgebra:
     )
 
 
+def _associator(p, x: Sparse, y: Sparse, z: Sparse) -> Sparse:
+    return subtract_state(p(p(x, y), z), p(x, p(y, z)))
+
+
 def associator(a: CayleyAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    xy_z = a.product(a.product(x, y), z)
-    x_yz = a.product(x, a.product(y, z))
-    return tuple(p - q for p, q in zip(xy_z, x_yz))
+    return _dense_call(a.dim, partial(_associator, a.mul_sparse), x, y, z)
 
 
-def _witness(dim: int, arity: int, fails) -> Optional[tuple]:
-    """The first basis index tuple, in lexicographic order, at which
-    ``fails`` holds on the basis vectors, or None.  Every law check of this
+def _witness(fails, keys) -> Optional[tuple]:
+    """The first index tuple of ``keys`` at which ``fails`` holds on the
+    sparse basis vectors ``{i: 1}``, or None.  Every law check of this
     module is a failure predicate swept by this one loop."""
-    e = [basis_vector(dim, i) for i in range(dim)]
-    keys = itertools.product(range(dim), repeat=arity)
-    for key, vectors in zip(keys, itertools.product(e, repeat=arity)):
-        if fails(*vectors):
-            return key
-    return None
+    return next((k for k in keys if fails(*({i: 1} for i in k))), None)
 
 
-def _polarized(lhs, rhs):
-    """Failure predicate of a law lhs = rhs that is quadratic in one
-    variable, given through that variable's two occurrences s and t.
+def _polarized(dim: int, lhs, rhs) -> Optional[tuple]:
+    """The first witness (s, t, x, y) of a law lhs = rhs that is quadratic
+    in one variable, given through its two occurrences s and t, or None.
 
     It compares lhs(s, t, x, y) + lhs(t, s, x, y) with the same sum for
     rhs: for each side f that is f(s + t) - f(s) - f(t), so in
-    characteristic zero the sweep over basis s, t decides the law.
+    characteristic zero the sweep over basis s, t decides the law.  The
+    sums are symmetric in s and t, so only s <= t is visited: that keeps
+    the first witness, as (i, j, ...) comes before (j, i, ...) if i < j.
     """
     def fails(s, t, x, y):
-        return ([p + q for p, q in zip(lhs(s, t, x, y), lhs(t, s, x, y))]
-                != [p + q for p, q in zip(rhs(s, t, x, y), rhs(t, s, x, y))])
-    return fails
+        return (add_state(lhs(s, t, x, y), lhs(t, s, x, y))
+                != add_state(rhs(s, t, x, y), rhs(t, s, x, y)))
+    return _witness(fails, (k for k in itertools.product(range(dim), repeat=4)
+                            if k[0] <= k[1]))
 
 
 def check_alternative(a: CayleyAlgebra) -> Optional[tuple]:
     """Polarized alternativity sweep; returns a witness triple or None."""
     def fails(x, y, z):
-        xyz = associator(a, x, y, z)
-        return (any(p + q for p, q in zip(xyz, associator(a, y, x, z)))
-                or any(p + q for p, q in zip(xyz, associator(a, x, z, y))))
-    return _witness(a.dim, 3, fails)
+        xyz = _associator(a.mul_sparse, x, y, z)
+        return (add_state(xyz, _associator(a.mul_sparse, y, x, z))
+                or add_state(xyz, _associator(a.mul_sparse, x, z, y)))
+    return _witness(fails, itertools.product(range(a.dim), repeat=3))
 
 
 def nalt_check(a: CayleyAlgebra, v: Vector) -> bool:
     """Does v satisfy (v,x,y) = -(x,v,y) = (x,y,v) for all basis x, y?"""
+    p, v = a.mul_sparse, _sparse(v)
     def fails(x, y):
-        first = associator(a, v, x, y)
-        return (any(p + q for p, q in zip(first, associator(a, x, v, y)))
-                or first != associator(a, x, y, v))
-    return _witness(a.dim, 2, fails) is None
+        first = _associator(p, v, x, y)
+        return (add_state(first, _associator(p, x, v, y))
+                or first != _associator(p, x, y, v))
+    return _witness(fails, itertools.product(range(a.dim), repeat=2)) is None
 
 
 def check_moufang(a: CayleyAlgebra, which: str) -> Optional[tuple]:
-    """Polarized sweep of one law of `models.MOUFANG_LAWS` over all basis
+    """Polarized sweep of one law of `models.MOUFANG_LAWS` over the basis
     quadruples (both occurrences of the repeated variable, x, y); returns a
     witness quadruple or None."""
     if which not in MOUFANG_LAWS:
         raise AlgebraError(f"unknown Moufang law {which!r}")
-    return _witness(a.dim, 4, _polarized(
-        *(partial(side, a.product) for side in MOUFANG_LAWS[which])))
+    return _polarized(a.dim, *(partial(side, a.mul_sparse)
+                               for side in MOUFANG_LAWS[which]))
 
 
 # --- traceless Malcev algebra --------------------------------------------
@@ -201,8 +210,13 @@ class BracketAlgebra:
     bracket_rows: BilinearRows
     labels: tuple[str, ...]
 
+    @cached_property
+    def bracket_sparse(self):
+        """The bracket on sparse vectors, integral constants as ints."""
+        return partial(bilinear, integral_rows(self.bracket_rows))
+
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        return bilinear(self.bracket_rows, x, y)
+        return _dense_call(self.dim, self.bracket_sparse, x, y)
 
     def basis(self, i: int) -> Vector:
         return basis_vector(self.dim, i)
@@ -228,29 +242,31 @@ class BracketAlgebra:
                  for j in range(n)] for i in range(n)]
 
 
+def _jacobian(br, a: Sparse, b: Sparse, c: Sparse) -> Sparse:
+    return add_state(add_state(br(br(a, b), c), br(br(b, c), a)),
+                     br(br(c, a), b))
+
+
 def jacobian(m: BracketAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
     """[[a,b],c] + [[b,c],a] + [[c,a],b]."""
-    br = m.bracket_vec
-    terms = (br(br(a, b), c), br(br(b, c), a), br(br(c, a), b))
-    return tuple(sum(t[k] for t in terms) for k in range(m.dim))
+    return _dense_call(m.dim, partial(_jacobian, m.bracket_sparse), a, b, c)
 
 
 def jacobi_witness(m: BracketAlgebra) -> Optional[tuple]:
     """First basis triple at which the Jacobian is nonzero, or None."""
-    return _witness(m.dim, 3, lambda a, b, c: any(jacobian(m, a, b, c)))
+    return _witness(partial(_jacobian, m.bracket_sparse),
+                    itertools.product(range(m.dim), repeat=3))
 
 
 def malcev_witness(m: BracketAlgebra) -> Optional[tuple]:
     """Polarized Malcev law sweep; returns a witness quadruple or None.
 
     The law Jac(a,b,[a,c]) = [Jac(a,b,c),a] is quadratic in a; the check
-    runs its polarization over all basis quadruples.
+    sweeps its polarization over the basis quadruples.
     """
-    br = m.bracket_vec
-    return _witness(m.dim, 4, _polarized(
-        lambda s, t, b, c: jacobian(m, s, b, br(t, c)),
-        lambda s, t, b, c: br(jacobian(m, s, b, c), t),
-    ))
+    br = m.bracket_sparse
+    return _polarized(m.dim, lambda s, t, b, c: _jacobian(br, s, b, br(t, c)),
+                      lambda s, t, b, c: br(_jacobian(br, s, b, c), t))
 
 
 def traceless_malcev(a: CayleyAlgebra, check: bool = True) -> BracketAlgebra:

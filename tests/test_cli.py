@@ -70,6 +70,10 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("check-model --identity comul", "--identity:"),
     ("check-model --identity comul=mul", "--identity:"),
     ("check-model --identity mul=(", "--identity:"),
+    ("check-model --identity comul%0=comul%0", "--identity:"),
+    ("eval comul%0 --basis 0", "diagram:"),
+    ("eval comul --model binomial:2 --model loop-cyclic:2 --basis 1",
+     "--model"),
     ("prove --goal nosuch", "--goal:"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):

@@ -366,6 +366,5 @@ def test_bilinear_agrees_with_evaluator(request, model_name, data):
     state = {(i, j): xi * yj for i, xi in enumerate(x)
              for j, yj in enumerate(y) if xi * yj}
     out = evaluate(parse("mul"), m, state)
-    assert bilinear(m.mul_rows, x, y) == tuple(
-        out.get((k,), Fraction(0)) for k in range(m.dim)
-    )
+    got = bilinear(m.mul_rows, dict(enumerate(x)), dict(enumerate(y)))
+    assert got == {k: v for (k,), v in out.items()}

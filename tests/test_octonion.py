@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
+from moufang.linalg import invert
+from moufang.models import MOUFANG_LAWS
 from moufang.octonion import (
     AlgebraError,
     BracketAlgebra,
@@ -216,3 +219,174 @@ def test_algebra_export_contains_table():
     text = algebra_text(o)
     assert text.startswith("kind algebra")
     assert "mul 1 2 3 1" in text  # u v = uv
+
+
+# --- brute-force dense oracle for the sweeps ----------------------------------
+#
+# Fraction tuples, a product read straight off the table, every index tuple
+# in lexicographic order (both orders of the polarized pair).
+
+
+def _dense_product(rows, dim):
+    """The bilinear map of ``rows`` ({(i, j): ((k, c), ...)}) on tuples."""
+    def p(x, y):
+        out = [Fraction(0)] * dim
+        for i, j in itertools.product(range(dim), repeat=2):
+            if x[i] and y[j]:
+                for k, c in rows.get((i, j), ()):
+                    out[k] += x[i] * y[j] * c
+        return tuple(out)
+    return p
+
+
+def _add(x, y):
+    return tuple(p + q for p, q in zip(x, y))
+
+
+def _sub(x, y):
+    return tuple(p - q for p, q in zip(x, y))
+
+
+def _oracle_witness(dim, arity, fails):
+    e = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    for key in itertools.product(range(dim), repeat=arity):
+        if fails(*(e[i] for i in key)):
+            return key
+    return None
+
+
+def _oracle_polarized(dim, lhs, rhs):
+    return _oracle_witness(dim, 4, lambda s, t, x, y: (
+        _add(lhs(s, t, x, y), lhs(t, s, x, y))
+        != _add(rhs(s, t, x, y), rhs(t, s, x, y))))
+
+
+def _oracle_associator(p, x, y, z):
+    return _sub(p(p(x, y), z), p(x, p(y, z)))
+
+
+def _oracle_alternative(p, dim):
+    def fails(x, y, z):
+        xyz = _oracle_associator(p, x, y, z)
+        return (any(_add(xyz, _oracle_associator(p, y, x, z)))
+                or any(_add(xyz, _oracle_associator(p, x, z, y))))
+    return _oracle_witness(dim, 3, fails)
+
+
+def _oracle_moufang(p, dim, which):
+    lhs, rhs = MOUFANG_LAWS[which]
+    return _oracle_polarized(dim, lambda s, t, x, y: lhs(p, s, t, x, y),
+                             lambda s, t, x, y: rhs(p, s, t, x, y))
+
+
+def _oracle_jacobian(br, a, b, c):
+    return _add(_add(br(br(a, b), c), br(br(b, c), a)), br(br(c, a), b))
+
+
+def _oracle_jacobi(br, dim):
+    return _oracle_witness(dim, 3,
+                           lambda a, b, c: any(_oracle_jacobian(br, a, b, c)))
+
+
+def _oracle_malcev(br, dim):
+    return _oracle_polarized(
+        dim,
+        lambda s, t, b, c: _oracle_jacobian(br, s, b, br(t, c)),
+        lambda s, t, b, c: br(_oracle_jacobian(br, s, b, c), t))
+
+
+def _oracle_commutator(p):
+    """The commutator bracket on the trace-zero part (indices 1..7), or
+    None when some basis commutator has a trace component."""
+    def comm(x, y):
+        x, y = (Fraction(0),) + x, (Fraction(0),) + y
+        return _sub(p(x, y), p(y, x))
+    e = [tuple(Fraction(int(i == j)) for j in range(7)) for i in range(7)]
+    if any(comm(x, y)[0] for x in e for y in e):
+        return None
+    return lambda x, y: comm(x, y)[1:]
+
+
+_NONZERO = st.fractions(min_value=-3, max_value=3,
+                        max_denominator=3).filter(bool)
+
+
+@st.composite
+def _algebras(draw):
+    """A random nonzero rational parameter triple, or the split table with
+    one random entry replaced (as in NEGATIVE_CONTROLS)."""
+    if draw(st.booleans()):
+        return octonion_algebra(*draw(st.tuples(_NONZERO, _NONZERO, _NONZERO)))
+    o = octonion_algebra(-1, -1, -1)
+    index = st.integers(0, 7)
+    bad_mul = dict(o.mul)
+    bad_mul[(draw(index), draw(index))] = (draw(index), draw(_NONZERO))
+    return CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
+
+
+@given(_algebras())
+@settings(max_examples=10, deadline=None)
+def test_sweeps_agree_with_dense_oracle(a):
+    p = _dense_product({ij: (kc,) for ij, kc in a.mul.items()}, a.dim)
+    e = [a.basis(i) for i in range(a.dim)]
+    assert all(a.product(x, y) == p(x, y) for x in e for y in e)
+    for which in ("left", "middle", "right"):
+        assert check_moufang(a, which) == _oracle_moufang(p, a.dim, which)
+    assert check_alternative(a) == _oracle_alternative(p, a.dim)
+    br = _oracle_commutator(p)
+    if br is None:
+        with pytest.raises(AlgebraError):
+            traceless_malcev(a, check=False)
+        return
+    m = traceless_malcev(a, check=False)
+    assert malcev_witness(m) == _oracle_malcev(br, 7)
+    assert jacobi_witness(m) == _oracle_jacobi(br, 7)
+
+
+_SL2 = {(0, 1): ((1, Fraction(2)),), (1, 0): ((1, Fraction(-2)),),
+        (0, 2): ((2, Fraction(-2)),), (2, 0): ((2, Fraction(2)),),
+        (1, 2): ((0, Fraction(1)),), (2, 1): ((0, Fraction(-1)),)}
+
+
+def _change_basis(rows, dim, new):
+    """Structure constants of the same algebra in the basis whose a-th
+    element has old coordinates new[a]."""
+    to_new = invert([list(col) for col in zip(*new)])
+    br = _dense_product(rows, dim)
+    out = {}
+    for a, b in itertools.product(range(dim), repeat=2):
+        old = br(tuple(new[a]), tuple(new[b]))
+        coords = [sum(r[i] * old[i] for i in range(dim)) for r in to_new]
+        out[(a, b)] = tuple((k, c) for k, c in enumerate(coords) if c)
+    return out
+
+
+@given(new=st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                    min_size=3, max_size=3),
+       broken=st.tuples(st.integers(0, 2), st.integers(0, 2),
+                        st.integers(0, 2), _NONZERO))
+@example(new=[[1, 1, 0], [0, 1, 1], [1, 0, 1]], broken=(0, 1, 0, Fraction(1)))
+@settings(max_examples=40, deadline=None)
+def test_sweeps_on_several_term_brackets(new, broken):
+    """sl2 in a random basis, where a bracket of two basis elements has
+    several terms, and a copy with one antisymmetric pair of brackets
+    changed: the sweeps agree with the dense oracle on both."""
+    new = [[Fraction(c) for c in row] for row in new]
+    try:
+        rows = _change_basis(_SL2, 3, new)
+    except ValueError:  # singular basis change
+        assume(False)
+    i, j, k, c = broken
+    # [[e_i, e_j], e_l] gains c [e_k, e_l] for the third index l, which is
+    # nonzero in sl2 unless k = l: so the changed copy is not Lie
+    assume(i != j and k != 3 - i - j)
+    bad = dict(rows)
+    bad[(i, j)] = rows[(i, j)] + ((k, c),)
+    bad[(j, i)] = rows[(j, i)] + ((k, -c),)
+    for table in (rows, bad):
+        m = BracketAlgebra(3, table, ("x", "y", "z"))
+        br = _dense_product(table, 3)
+        assert jacobi_witness(m) == _oracle_jacobi(br, 3)
+        assert malcev_witness(m) == _oracle_malcev(br, 3)
+    assert jacobi_witness(BracketAlgebra(3, rows, ("x", "y", "z"))) is None
+    assert jacobi_witness(BracketAlgebra(3, bad, ("x", "y", "z"))) is not None
