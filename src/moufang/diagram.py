@@ -81,16 +81,6 @@ class _Graph:
         self.node_inputs = node_inputs  # list of tuple[_Producer, ...]
         self.outputs = outputs        # tuple[_Producer, ...]
 
-    def consumers(self) -> dict:
-        """Map each producer to its unique consumer ((node, port) or ("out", j))."""
-        cons = {}
-        for v, inputs in enumerate(self.node_inputs):
-            for p, prod in enumerate(inputs):
-                cons[prod] = (v, p)
-        for j, prod in enumerate(self.outputs):
-            cons[prod] = ("out", j)
-        return cons
-
 
 def _graph_from_slices(n_in: int, slices: Iterable[Slice]) -> _Graph:
     live: list[_Producer] = [("b", i) for i in range(n_in)]
@@ -126,8 +116,7 @@ def _consumer_signature(graph: _Graph, start: int, cons: dict) -> tuple:
     order: dict[int, int] = {start: 0}
     sig = []
     queue = [start]
-    while queue:
-        v = queue.pop(0)
+    for v in queue:  # grows as new nodes are reached
         kind, label = graph.nodes[v]
         row = [kind, label or ""]
         for p in range(ARITY[kind][1]):
@@ -150,11 +139,21 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
     Nodes are emitted greedily, leftmost first; swap slices are inserted
     only where wires must be brought together, so the output is a normal
     form of the morphism, not of any particular drawing of it.  A graph
-    with a cycle has no slicing and raises DiagramError.
+    with a cycle has no slicing and raises DiagramError.  Units are
+    emitted just in time, so a node is ready once no input waits on a
+    non-unit node; readiness is counted down, one pass per emitted node.
     """
-    cons = graph.consumers()
-    n_nodes = len(graph.nodes)
-    emitted = [False] * n_nodes
+    nodes = graph.nodes
+    is_unit = [kind == "unit" for kind, _label in nodes]
+    cons = {}
+    waiting = [0] * len(nodes)
+    for v, inputs in enumerate(graph.node_inputs):
+        for p, prod in enumerate(inputs):
+            cons[prod] = (v, p)
+            if prod[0] != "b" and not is_unit[prod[0]]:
+                waiting[v] += 1
+    for j, prod in enumerate(graph.outputs):
+        cons[prod] = ("out", j)
     live: list[_Producer] = [("b", i) for i in range(graph.n_in)]
     slices: list[Slice] = []
 
@@ -164,73 +163,59 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
             live[q - 1], live[q] = live[q], live[q - 1]
             q -= 1
 
-    def is_unit(v: int) -> bool:
-        return graph.nodes[v][0] == "unit"
-
-    remaining = set(range(n_nodes))
+    remaining = set(range(len(nodes)))
     while remaining:
-        pos = {prod: i for i, prod in enumerate(live)}
+        # Each wire has one consumer, so the first wire whose consumer is
+        # ready gives the ready node with the leftmost live input.
         best = None
-        best_key = None
-        for v in remaining:
-            if is_unit(v):
-                continue
-            ready = True
-            live_positions = []
-            for prod in graph.node_inputs[v]:
-                if prod in pos:
-                    live_positions.append(pos[prod])
-                elif prod[0] != "b" and not emitted[prod[0]] and is_unit(prod[0]):
-                    continue  # pending unit: will be emitted just in time
-                else:
-                    ready = False
-                    break
-            if not ready:
-                continue
-            if live_positions:
-                key = (0, min(live_positions))
-            else:
-                kind, label = graph.nodes[v]
-                key = (1, kind, label or "", _consumer_signature(graph, v, cons))
-            if best_key is None or key < best_key:
-                best, best_key = v, key
+        for t, prod in enumerate(live):
+            v = cons[prod][0]
+            if v != "out" and not waiting[v]:
+                best = v
+                break
+        else:
+            # Only closed scalar bubbles can be ready: break ties by kind,
+            # label and what lies below.
+            best_key = None
+            for v in remaining:
+                if is_unit[v] or waiting[v]:
+                    continue
+                kind, label = nodes[v]
+                key = (kind, label or "", _consumer_signature(graph, v, cons))
+                if best_key is None or key < best_key:
+                    best, best_key = v, key
+            t = len(live)
         if best is None:
             # No node is ready: any non-unit node left waits on a cycle.
-            if not all(is_unit(v) for v in remaining):
+            if not all(is_unit[v] for v in remaining):
                 raise DiagramError("diagram has a cycle")
             # Only unit nodes remain; they feed boundary outputs directly.
             pending = sorted(remaining, key=lambda v: cons[(v, 0)][1])
             for v in pending:
-                slices.append(("unit", graph.nodes[v][1], len(live)))
+                slices.append(("unit", nodes[v][1], len(live)))
                 live.append((v, 0))
-                emitted[v] = True
-                remaining.discard(v)
             break
 
         v = best
-        kind, label = graph.nodes[v]
+        kind, label = nodes[v]
         k, m = ARITY[kind]
-        if m > k and len(live) + m - k > MAX_WIRES:
-            raise DiagramError(f"diagram exceeds {MAX_WIRES} parallel wires")
-        inputs = graph.node_inputs[v]
-        live_pos = [pos[prod] for prod in inputs if prod in pos]
-        t = min(live_pos) if live_pos else len(live)
-        for p, prod in enumerate(inputs):
-            target = t + p
-            if prod in pos:
-                q = live.index(prod)
-                emit_swaps_to(q, target)
+        for p, prod in enumerate(graph.node_inputs[v]):
+            if prod[0] != "b" and is_unit[prod[0]]:
+                slices.append(("unit", nodes[prod[0]][1], t + p))
+                live.insert(t + p, prod)
+                remaining.discard(prod[0])
             else:
-                u = prod[0]
-                slices.append(("unit", graph.nodes[u][1], target))
-                live.insert(target, prod)
-                emitted[u] = True
-                remaining.discard(u)
-            pos = {pr: i for i, pr in enumerate(live)}
+                emit_swaps_to(live.index(prod, t + p), t + p)
+        # The just-in-time units above count towards the width too.
+        if len(live) + max(m - k, 0) > MAX_WIRES:
+            raise DiagramError(f"diagram exceeds {MAX_WIRES} parallel wires")
         slices.append((kind, label, t))
         live[t:t + k] = [(v, p) for p in range(m)]
-        emitted[v] = True
         remaining.discard(v)
+        for p in range(m):
+            u = cons[(v, p)][0]
+            if u != "out":
+                waiting[u] -= 1
 
     # Sort the live wires into boundary-output order.
     for j in range(graph.n_out):

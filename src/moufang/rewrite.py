@@ -152,6 +152,10 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
     ]
 
 
+class _CycleError(Exception):
+    """A splice whose replacement outputs feed back into its own inputs."""
+
+
 def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
              match: Match) -> Optional[Diagram]:
     """Glue `replacement` into `host` at the matched occurrence.
@@ -229,9 +233,6 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
             return resolve_host(match.inputs[prod[1]])
         finally:
             resolving.discard(j)
-
-    class _CycleError(Exception):
-        pass
 
     try:
         nodes = [hg.nodes[v] for v in keep] + list(rg.nodes)
