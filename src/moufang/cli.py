@@ -39,7 +39,7 @@ def _flag(name: str, value: str):
 
 
 def _load_theory(spec: str) -> theories.Theory:
-    if spec and Path(spec).exists():
+    if Path(spec).is_file():
         return theories.load_theory_text(Path(spec).read_text())
     try:
         return theories.named_theory(spec)
@@ -52,7 +52,7 @@ def _load_theory(spec: str) -> theories.Theory:
 
 def _load_model(spec: str, flag: str = "--model"
                 ) -> models.FiniteBialgebraModel:
-    if Path(spec).exists():
+    if Path(spec).is_file():
         return models.load_model_text(Path(spec).read_text())
     head, _, arg = spec.partition(":")
     build = (models.loop_bialgebra if head.startswith("loop-")
@@ -65,8 +65,8 @@ def _load_model(spec: str, flag: str = "--model"
                 return models.truncated_binomial_bialgebra(int(arg or 6))
             return build(models.cyclic_loop(int(arg or 2)))
     raise CliError(
-        f"unknown model {spec!r}: expected a file or one of binomial:D, "
-        "loop-o16, fn-o16, loop-cyclic:N, fn-cyclic:N"
+        f"{flag}: unknown model {spec!r}: expected a file or one of "
+        "binomial:D, loop-o16, fn-o16, loop-cyclic:N, fn-cyclic:N"
     )
 
 
@@ -243,7 +243,7 @@ def cmd_octonion(args, reporter: Reporter) -> int:
 
 
 def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
-    if Path(spec).exists():
+    if Path(spec).is_file():
         return dlab.load_deformation_text(
             Path(spec).read_text(), lambda ref: _load_model(ref, "--fixture"))
     head, _, rest = spec.partition(":")
@@ -264,7 +264,7 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
             order = int(parts[1]) if len(parts) > 1 else order
             return build(degree, order)
     raise CliError(
-        f"unknown fixture {spec!r}: expected null:MODEL:ORDER, "
+        f"--fixture: unknown fixture {spec!r}: expected null:MODEL:ORDER, "
         "shift-conj:D:ORDER or delta1:D:ORDER"
     )
 
@@ -309,6 +309,12 @@ def cmd_render(args, reporter: Reporter) -> int:
 def cmd_replay(args, reporter: Reporter) -> int:
     theory = _load_theory(args.theory or "base")
     lhs, rhs = parse(args.lhs), parse(args.rhs)
+    sound_on = [_load_model(spec) for spec in args.model or []]
+    for model in sound_on:
+        if missing := _missing_flags(model, theory):
+            raise CliError(f"--model: {model.name} is not registered for "
+                           f"theory {theory.name} "
+                           f"(missing {' '.join(missing)})")
     trace = rewrite.parse_trace(
         Path(args.trace).read_text(), lhs, rhs, theory.name
     )
@@ -319,8 +325,7 @@ def cmd_replay(args, reporter: Reporter) -> int:
         reporter.flush()
         return 1
     reporter.emit("replay", args.trace, "pass", f"{len(trace)} step(s)")
-    for spec in args.model or []:
-        model = _load_model(spec)
+    for model in sound_on:
         report = models.holds_identity(trace.lhs, trace.rhs, model)
         reporter.emit("soundness", model.name,
                       "pass" if report.holds else "fail",
@@ -384,7 +389,7 @@ def cmd_suite(args, reporter: Reporter) -> int:
                 continue
             sound = True
             for model in registry.values():
-                if not _model_covers_theory(model, theory):
+                if _missing_flags(model, theory):
                     continue
                 rep = models.holds_identity(goal.lhs, goal.rhs, model)
                 sound &= rep.holds
@@ -411,9 +416,11 @@ def cmd_suite(args, reporter: Reporter) -> int:
     return status
 
 
-def _model_covers_theory(model: models.FiniteBialgebraModel,
-                         theory: theories.Theory) -> bool:
-    return set(theory.flags) <= set(model.satisfied_flags)
+def _missing_flags(model: models.FiniteBialgebraModel,
+                   theory: theories.Theory) -> list[str]:
+    """The flags of `theory` that `model` is not registered for, sorted; a
+    derivation in the theory is checked only on models missing none."""
+    return sorted(set(theory.flags) - set(model.satisfied_flags))
 
 
 def main(argv: list[str] | None = None) -> int:

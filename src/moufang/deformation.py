@@ -186,18 +186,13 @@ def _evaluate_degrees(d: Diagram, deformation: TruncatedDeformation,
 
 
 def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
-                  rhs: Diagram, max_degree: Optional[int] = None,
-                  capped: bool = True):
+                  rhs: Diagram, capped: bool = True):
     """`models.basis_sweep` with the series structure maps, per h-degree up
-    to `max_degree` (the deformation's order by default)."""
-    if max_degree is None:
-        max_degree = deformation.order
-    if max_degree > deformation.order:
-        raise DeformationError("degree window exceeds the deformation order")
+    to the deformation's order."""
     return basis_sweep(
         lhs, rhs, deformation.base,
         lambda d, state: _evaluate_degrees(
-            d, deformation, [state] + [{} for _ in range(max_degree)]),
+            d, deformation, [state] + [{} for _ in range(deformation.order)]),
         capped,
     )
 
@@ -280,29 +275,25 @@ def _coassociator_sweep(deformation: TruncatedDeformation):
 
 
 def _check_law_mod(deformation: TruncatedDeformation, law: str,
-                   sides: tuple[str, ...], side: str,
-                   max_degree: Optional[int]) -> Report:
+                   sides: tuple[str, ...], side: str) -> Report:
     """Sweep one side of a law family ("Moufang" or "co-Moufang") with the
-    series structure maps, modulo h^(max_degree+1)."""
+    series structure maps, modulo h^(N+1)."""
     if side not in sides:
         raise DeformationError(f"unknown {law} side {side!r}")
     rule = flag_rules(f"{law.replace('-', '').lower()}_{side[0]}")[0]
-    return first_failure(
-        _series_sweep(deformation, rule.lhs, rule.rhs, max_degree))
+    return first_failure(_series_sweep(deformation, rule.lhs, rule.rhs))
 
 
-def check_comoufang_mod(deformation: TruncatedDeformation, side: str,
-                        max_degree: Optional[int] = None) -> Report:
+def check_comoufang_mod(deformation: TruncatedDeformation, side: str
+                        ) -> Report:
     """Does the deformation satisfy a co-Moufang law modulo h^(N+1)?"""
-    return _check_law_mod(deformation, "co-Moufang", ("left", "right"), side,
-                          max_degree)
+    return _check_law_mod(deformation, "co-Moufang", ("left", "right"), side)
 
 
-def check_moufang_mod(deformation: TruncatedDeformation, side: str,
-                      max_degree: Optional[int] = None) -> Report:
+def check_moufang_mod(deformation: TruncatedDeformation, side: str) -> Report:
     """Bialgebra-level Moufang law for the deformed product, modulo h^(N+1)."""
     return _check_law_mod(deformation, "Moufang", ("left", "middle", "right"),
-                          side, max_degree)
+                          side)
 
 
 def _require_left_and_right(deformation: TruncatedDeformation, check,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .diagram import (
@@ -33,15 +32,7 @@ from .reader import ANY, Rest, read
 
 
 class RewriteError(DiagramError):
-    """Invalid rule, position, or replay step.
-
-    ``step`` is the index of the failing trace step, or None when the
-    error is not about one step.
-    """
-
-    def __init__(self, message: str, step: Optional[int] = None) -> None:
-        super().__init__(message)
-        self.step = step
+    """Invalid rule, position, or replay step."""
 
 
 @dataclass(frozen=True)
@@ -321,17 +312,15 @@ class ProofTrace:
         for i, step in enumerate(self.steps):
             rule = by_name.get(step.rule)
             if rule is None:
-                raise RewriteError(f"step {i}: unknown rule {step.rule!r}",
-                                   step=i)
+                raise RewriteError(f"step {i}: unknown rule {step.rule!r}")
             try:
                 current = apply_rule(current, rule, step.position,
                                      step.direction)
             except RewriteError as exc:
-                raise RewriteError(f"step {i}: {exc}", step=i) from None
+                raise RewriteError(f"step {i}: {exc}") from None
             if current != step.result:
                 raise RewriteError(
-                    f"step {i}: replay produced a different diagram", step=i
-                )
+                    f"step {i}: replay produced a different diagram")
         if current != canonicalize(self.rhs):
             raise RewriteError("replay did not reach the second endpoint")
 
@@ -362,66 +351,6 @@ def parse_trace(text: str, lhs: Diagram, rhs: Diagram,
                       [r.values[0] for r in records])
 
 
-# --- soundness of traces against models -----------------------------------
-
-
-@dataclass
-class ModelSoundness:
-    model: str
-    max_discrepancy: "object"          # a Fraction; exactly 0 when sound
-    inputs_checked: int
-
-
-@dataclass
-class SoundnessReport:
-    replay_ok: bool
-    failed_step: Optional[tuple[int, str]]
-    per_model: list[ModelSoundness]
-
-    @property
-    def sound(self) -> bool:
-        return self.replay_ok and all(
-            m.max_discrepancy == 0 for m in self.per_model
-        )
-
-
-def check_soundness(trace: ProofTrace, model_list, theory) -> SoundnessReport:
-    """Replay a trace and evaluate its endpoints on every model, exactly.
-
-    Every model must be registered for the trace's theory (its declared
-    flags cover the theory's flags); a mismatch is an error, not a report
-    entry.  The report lists the largest absolute difference between the
-    endpoint evaluations over all (capped) basis inputs per model; in exact
-    arithmetic a sound trace yields exactly zero everywhere.
-    """
-    from .models import basis_sweep
-
-    for model in model_list:
-        missing = set(theory.flags) - set(model.satisfied_flags)
-        if missing:
-            raise RewriteError(
-                f"model {model.name} is not registered for theory "
-                f"{theory.name}: missing flags {sorted(missing)}"
-            )
-    try:
-        trace.replay(theory.rules)
-    except RewriteError as exc:
-        index = -1 if exc.step is None else exc.step
-        return SoundnessReport(False, (index, str(exc)), [])
-
-    per_model = []
-    for model in model_list:
-        worst = Fraction(0)
-        count = 0
-        for _key, (diff,) in basis_sweep(trace.lhs, trace.rhs, model):
-            for v in diff.values():
-                if abs(v) > worst:
-                    worst = abs(v)
-            count += 1
-        per_model.append(ModelSoundness(model.name, worst, count))
-    return SoundnessReport(True, None, per_model)
-
-
 # --- bidirectional search -----------------------------------------------
 
 
@@ -432,7 +361,9 @@ class SearchBudget:
     time_limit: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.max_states <= 0 or self.max_depth <= 0 or self.time_limit <= 0:
+        # `not > 0` rather than `<= 0`, so that a NaN time limit is refused
+        if not (self.max_states > 0 and self.max_depth > 0
+                and self.time_limit > 0):
             raise ValueError("budget components must be positive")
 
 

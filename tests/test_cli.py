@@ -75,6 +75,11 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("eval comul --model binomial:2 --model loop-cyclic:2 --basis 1",
      "--model"),
     ("prove --goal nosuch", "--goal:"),
+    ("eval mul --model=", "--model:"),
+    ("eval mul --model .", "--model:"),
+    ("eval mul --model nosuch", "--model:"),
+    ("deform --fixture null::1", "--fixture:"),
+    ("prove mul mul --budget 1,2,nan", "--budget"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -218,6 +223,23 @@ def test_replay_rejects_corrupted_trace(tmp_path, capsys):
     code, out, _ = run(capsys, "replay", "comul ; (counit*id(1))", "id(1)",
                        "--trace", str(trace_path), "--theory", "base")
     assert code == 1
+
+
+def test_replay_refuses_a_model_outside_its_theory(tmp_path, capsys):
+    trace_path = tmp_path / "proof.trace"
+    code, _, _ = run(capsys, "prove", "comul", "comul ; swap",
+                     "--theory", "cocommutative", "--out", str(trace_path))
+    assert code == 0
+    argv = ("replay", "comul", "comul ; swap", "--trace", str(trace_path),
+            "--theory", "cocommutative", "--model", "binomial:6")
+    code, out, err = run(capsys, *argv, "--model", "fn-o16")
+    assert code == 1 and not out
+    assert err == ("error: --model: fn[o16] is not registered for theory "
+                   "cocommutative (missing cocomm)\n")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert f"[pass] replay {trace_path}" in out
+    assert "[pass] soundness binomial[6]" in out
 
 
 def test_suite_deterministic_across_worker_counts(capsys, monkeypatch):

@@ -223,18 +223,21 @@ def test_algebra_export_contains_table():
 
 # --- brute-force dense oracle for the sweeps ----------------------------------
 #
-# Fraction tuples, a product read straight off the table, every index tuple
-# in lexicographic order (both orders of the polarized pair).
+# Dense rational tuples, a product read straight off the table, every index
+# tuple in lexicographic order (both orders of the polarized pair).  Zeros
+# are ints: int and Fraction arithmetic mix exactly, and ints are cheaper.
 
 
 def _dense_product(rows, dim):
     """The bilinear map of ``rows`` ({(i, j): ((k, c), ...)}) on tuples."""
     def p(x, y):
-        out = [Fraction(0)] * dim
-        for i, j in itertools.product(range(dim), repeat=2):
-            if x[i] and y[j]:
-                for k, c in rows.get((i, j), ()):
-                    out[k] += x[i] * y[j] * c
+        out = [0] * dim
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    for k, c in rows.get((i, j), ()):
+                        out[k] += a * b * c
         return tuple(out)
     return p
 
@@ -248,7 +251,7 @@ def _sub(x, y):
 
 
 def _oracle_witness(dim, arity, fails):
-    e = [tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim)]
+    e = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     for key in itertools.product(range(dim), repeat=arity):
         if fails(*(e[i] for i in key)):
             return key

@@ -10,7 +10,6 @@ from moufang.rewrite import (
     SearchBudget,
     TraceStep,
     apply_rule,
-    check_soundness,
     find_matches,
     parse_trace,
     prove_equal,
@@ -139,36 +138,6 @@ def test_corrupted_trace_reports_step_index():
     assert "step 0" in str(err.value)
 
 
-def test_check_soundness_zero_discrepancy(binomial6):
-    theory = named_theory("base")
-    lhs = parse("comul ; (counit * id(1))")
-    trace = prove_equal(lhs, parse("id(1)"), theory.rules,
-                        theory_name="base")
-    report = check_soundness(trace, [binomial6], theory)
-    assert report.sound
-    assert all(m.max_discrepancy == 0 for m in report.per_model)
-
-
-def test_check_soundness_rejects_unregistered_model(binomial6):
-    theory = named_theory("moufang")
-    trace = ProofTrace(parse("id(1)"), parse("id(1)"), "moufang", [])
-    with pytest.raises(RewriteError):
-        check_soundness(trace, [binomial6], theory)
-
-
-def test_check_soundness_reports_corrupt_step(binomial6):
-    theory = named_theory("base")
-    lhs = parse("comul ; (counit * id(1))")
-    trace = prove_equal(lhs, parse("id(1)"), theory.rules, theory_name="base")
-    bad = ProofTrace(trace.lhs, trace.rhs, "base", [
-        TraceStep("unit-l", "->", trace.steps[0].position,
-                  trace.steps[0].result)
-    ])
-    report = check_soundness(bad, [binomial6], theory)
-    assert not report.replay_ok
-    assert report.failed_step[0] == 0
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(max_states=0)
@@ -196,7 +165,7 @@ def test_passive_wire_pattern_rejected():
         find_matches(host, parse("swap"))
 
 
-def test_rewrite_error_carries_failing_step(binomial6):
+def test_rewrite_error_carries_failing_step():
     theory = named_theory("base")
     lhs = parse("comul ; (counit * id(1))")
     trace = prove_equal(lhs, parse("id(1)"), theory.rules, theory_name="base")
@@ -205,21 +174,16 @@ def test_rewrite_error_carries_failing_step(binomial6):
                                                     trace.rhs)])
     with pytest.raises(RewriteError) as info:
         bad.replay(theory.rules)
-    assert info.value.step == len(trace.steps)
     assert str(info.value).startswith(f"step {len(trace.steps)}:")
-    report = check_soundness(bad, [binomial6], theory)
-    assert report.failed_step == (len(trace.steps), str(info.value))
 
 
-def test_rewrite_error_without_step(binomial6):
+def test_rewrite_error_without_step():
     theory = named_theory("base")
     unfinished = ProofTrace(parse("comul ; (counit * id(1))"), parse("id(1)"),
                             "base", [])
     with pytest.raises(RewriteError) as info:
         unfinished.replay(theory.rules)
-    assert info.value.step is None
-    report = check_soundness(unfinished, [binomial6], theory)
-    assert report.failed_step[0] == -1
+    assert not str(info.value).startswith("step")
 
 
 def test_splice_closing_a_cycle_is_refused():
