@@ -38,6 +38,14 @@ def _flag(name: str, value: str):
         raise CliError(f"{name}: bad value {value!r} ({exc})") from None
 
 
+def _read_file(path: str, flag: str) -> str:
+    """The text of the file a flag names; anything but a file (a directory,
+    an empty path, nothing at all) is a CliError naming the flag."""
+    if not Path(path).is_file():
+        raise CliError(f"{flag}: {path!r} is not a file")
+    return Path(path).read_text()
+
+
 def _load_theory(spec: str) -> theories.Theory:
     if Path(spec).is_file():
         return theories.load_theory_text(Path(spec).read_text())
@@ -316,7 +324,7 @@ def cmd_replay(args, reporter: Reporter) -> int:
                            f"theory {theory.name} "
                            f"(missing {' '.join(missing)})")
     trace = rewrite.parse_trace(
-        Path(args.trace).read_text(), lhs, rhs, theory.name
+        _read_file(args.trace, "--trace"), lhs, rhs, theory.name
     )
     try:
         trace.replay(theory.rules)
@@ -356,6 +364,8 @@ def cmd_suite(args, reporter: Reporter) -> int:
     seed = int(os.environ.get("MOUFANG_SUITE_SEED", "20240915"))
     rng = random.Random(seed)
     budget = _budget(args.budget)
+    suite = (theories.load_goals_text(_read_file(args.goals, "--goals"))
+             if args.goals else theories.goal_suite())
     status = 0
 
     reporter.text("== model registration ==")
@@ -374,8 +384,6 @@ def cmd_suite(args, reporter: Reporter) -> int:
         status |= 0 if ok else 1
 
     reporter.text("== goal suite ==")
-    suite = (theories.load_goals_text(Path(args.goals).read_text())
-             if args.goals else theories.goal_suite())
     for goal in suite:
         theory = _load_theory(goal.theory)
         if goal.kind == "provable":

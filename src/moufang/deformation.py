@@ -17,7 +17,7 @@ and first-cohomology computations for the Lie-algebra case.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
@@ -120,6 +120,8 @@ class TruncatedDeformation:
     counit are those of the base.  Construction verifies the counit/unit
     laws of the full truncated series and bialgebra compatibility modulo
     h^(order+1) unless `strict` was disabled (negative-control fixtures).
+    ``verdicts`` keeps the `Report` of each Moufang or co-Moufang law
+    checked on this object, keyed by the law's ``(lhs, rhs)``.
     """
 
     base: FiniteBialgebraModel
@@ -127,6 +129,8 @@ class TruncatedDeformation:
     mul_components: tuple[MulRows, ...]
     order: int
     name: str = "deformation"
+    verdicts: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -277,11 +281,15 @@ def _coassociator_sweep(deformation: TruncatedDeformation):
 def _check_law_mod(deformation: TruncatedDeformation, law: str,
                    sides: tuple[str, ...], side: str) -> Report:
     """Sweep one side of a law family ("Moufang" or "co-Moufang") with the
-    series structure maps, modulo h^(N+1)."""
+    series structure maps, modulo h^(N+1), once per deformation object."""
     if side not in sides:
         raise DeformationError(f"unknown {law} side {side!r}")
     rule = flag_rules(f"{law.replace('-', '').lower()}_{side[0]}")[0]
-    return first_failure(_series_sweep(deformation, rule.lhs, rule.rhs))
+    key = (rule.lhs, rule.rhs)
+    if key not in deformation.verdicts:
+        deformation.verdicts[key] = first_failure(
+            _series_sweep(deformation, *key))
+    return deformation.verdicts[key]
 
 
 def check_comoufang_mod(deformation: TruncatedDeformation, side: str

@@ -16,6 +16,7 @@ generators are distinct from plain ones for matching and evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional
 
 # (arity_in, arity_out) per generator kind
@@ -244,6 +245,19 @@ class Diagram:
             object.__setattr__(self, "_graph", cached)
         return cached
 
+    @property
+    def program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
+        """The slices with every run of swaps folded into one wire
+        permutation: ``(steps, tail)``.  A step ``(kind, label, off,
+        perm)`` applies a non-swap generator to keys read through
+        ``perm`` (None for no permutation); ``tail`` permutes the keys
+        after the last step."""
+        cached = getattr(self, "_program", None)
+        if cached is None:
+            cached = _program_from_slices(self.slices, self.widths())
+            object.__setattr__(self, "_program", cached)
+        return cached
+
     def widths(self) -> list[int]:
         """Wire count before each slice and after the last one."""
         w = self.n_in
@@ -258,6 +272,33 @@ class Diagram:
         from .dsl import print_diagram
 
         return print_diagram(self)
+
+
+# A slice program step: a slice whose input keys are first read through a
+# wire permutation (an `operator.itemgetter`, or None).
+Step = tuple[str, Optional[str], int, Optional[itemgetter]]
+
+
+def _permutation(perm: Optional[list[int]]) -> Optional[itemgetter]:
+    """``key -> tuple(key[i] for i in perm)``, or None for the identity."""
+    if perm is None or perm == sorted(perm):
+        return None
+    return itemgetter(*perm)  # a swap needs two wires, so a tuple comes out
+
+
+def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
+                         ) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
+    steps: list[Step] = []
+    perm: Optional[list[int]] = None  # key position read at each wire
+    for (kind, label, off), width in zip(slices, widths):
+        if kind == "swap":
+            if perm is None:
+                perm = list(range(width))
+            perm[off], perm[off + 1] = perm[off + 1], perm[off]
+            continue
+        steps.append((kind, label, off, _permutation(perm)))
+        perm = None
+    return tuple(steps), _permutation(perm)
 
 
 def _canonical_from_graph(graph: _Graph) -> Diagram:

@@ -30,7 +30,7 @@ Models built here:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Optional, Sequence
@@ -186,6 +186,9 @@ class FiniteBialgebraModel:
     ``check_cap`` restricts identity sweeps to basis inputs of bounded
     total degree; only the truncated binomial model uses it, recording the
     truncation-boundary waiver for the coproduct/product compatibility.
+    ``verdicts`` holds the `Report` of each identity `holds_identity` has
+    decided on this model object, keyed by its ``(lhs, rhs)``; a new
+    model object (a new registration) starts with none.
     """
 
     name: str
@@ -198,6 +201,8 @@ class FiniteBialgebraModel:
     basis_labels: tuple[str, ...] = ()
     degrees: Optional[tuple[int, ...]] = None
     check_cap: Optional[int] = None
+    verdicts: dict = field(default_factory=dict, init=False, compare=False,
+                           repr=False)
 
     def __post_init__(self) -> None:
         # integral constants become ints, the evaluator's cheap scalars
@@ -234,30 +239,37 @@ def _accumulate(target: State, terms) -> None:
         target[key] = value if acc is None else acc + value
 
 
-def _slice_terms(state: State, kind: str, off: int, rows,
+def _slice_terms(state: State, kind: str, off: int, perm, rows,
                  model: FiniteBialgebraModel):
-    """The (key, value) terms one slice makes from one sparse tensor."""
+    """The (key, value) terms one slice makes from one sparse tensor whose
+    keys are first read through the wire permutation ``perm`` (or not, if
+    None)."""
     if kind == "mul":
         for key, coeff in state.items():
+            if perm is not None:
+                key = perm(key)
             for k, c in rows.get((key[off], key[off + 1]), ()):
                 yield key[:off] + (k,) + key[off + 2:], coeff * c
     elif kind == "comul":
         for key, coeff in state.items():
+            if perm is not None:
+                key = perm(key)
             for (j, k), c in rows.get(key[off], ()):
                 yield key[:off] + (j, k) + key[off + 1:], coeff * c
     elif kind == "unit":
         for key, coeff in state.items():
+            if perm is not None:
+                key = perm(key)
             for i, c in model.unit_entries:
                 yield key[:off] + (i,) + key[off:], coeff * c
     elif kind == "counit":
         ce = model.counit_entries
         for key, coeff in state.items():
+            if perm is not None:
+                key = perm(key)
             c = ce.get(key[off])
             if c:
                 yield key[:off] + key[off + 1:], coeff * c
-    elif kind == "swap":
-        for key, coeff in state.items():
-            yield key[:off] + (key[off + 1], key[off]) + key[off + 2:], coeff
     else:
         raise ModelError(f"cannot evaluate generator kind {kind!r}")
 
@@ -272,11 +284,17 @@ def evaluate_components(d: Diagram, states: list[State],
     coproduct; a plain model is the order-0 case ``(mul_rows,)``,
     ``(comul_rows,)``.  mul/comul convolve degrees modulo
     h^len(states) (label "0" keeps the constant component, "+" the
-    positive ones); unit, counit and swap, from ``model``, act degree by
-    degree.
+    positive ones); unit and counit, from ``model``, act degree by degree.
+    Swaps never copy a tensor: `Diagram.program` folds each run of them
+    into a permutation that the next slice reads its keys through.  A
+    permutation is a bijection on keys, so the terms, and the key order of
+    every output, are those of a swap-by-swap evaluation.
     """
+    steps, tail = d.program
+    if d.slices and d.slices[0][0] == "swap":
+        states = [_clean(state) for state in states]  # as a swap slice did
     order = len(states) - 1
-    for kind, label, off in d.slices:
+    for kind, label, off, perm in steps:
         out: list[State] = [{} for _ in states]
         if kind in ("mul", "comul"):
             comps = muls if kind == "mul" else comuls
@@ -285,12 +303,16 @@ def evaluate_components(d: Diagram, states: list[State],
             for a in range(first, last + 1):
                 for b in range(order + 1 - a):
                     _accumulate(out[a + b],
-                                _slice_terms(states[b], kind, off, comps[a],
-                                             model))
+                                _slice_terms(states[b], kind, off, perm,
+                                             comps[a], model))
         else:
             for target, state in zip(out, states):
-                _accumulate(target, _slice_terms(state, kind, off, None, model))
+                _accumulate(target, _slice_terms(state, kind, off, perm, None,
+                                                 model))
         states = [_clean(state) for state in out]
+    if tail is not None:
+        states = [{tail(key): v for key, v in state.items()}
+                  for state in states]
     return states
 
 
@@ -363,11 +385,15 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
         yield key, [as_fractions(subtract_state(a, b))
                     for a, b in zip(run(lhs, state), run(rhs, state))]
     if not checked:
-        raise ModelError(f"model {model.name}: cap {model.check_cap} leaves "
-                         f"no rank-{lhs.n_in} basis input to check")
+        raise _vacuous_cap(model, lhs.n_in)
 
 
-@dataclass
+def _vacuous_cap(model: FiniteBialgebraModel, rank: int) -> ModelError:
+    return ModelError(f"model {model.name}: cap {model.check_cap} leaves "
+                      f"no rank-{rank} basis input to check")
+
+
+@dataclass(frozen=True)
 class Report:
     """The verdict of an exhaustive law check.
 
@@ -405,8 +431,30 @@ def first_failure(sweep, series: bool = True) -> Report:
 
 def holds_identity(lhs: Diagram, rhs: Diagram,
                    model: FiniteBialgebraModel) -> Report:
-    """Exhaustive exact check of lhs = rhs on all (capped) basis inputs."""
-    return first_failure(basis_sweep(lhs, rhs, model), series=False)
+    """Exhaustive exact check of lhs = rhs on all (capped) basis inputs.
+
+    Each identity is decided once per model object: the verdict is kept in
+    ``model.verdicts``.  The pair with its sides swapped reuses a holding
+    verdict only; a failure is swept again, so that its witness and the
+    sign of its difference are those of this orientation.  Identical sides
+    hold without a sweep, once the labels, the arities and the cap have
+    been checked as a sweep checks them.  A repeated check hands back the
+    same `Report`, so its ``diff`` is read-only.
+    """
+    known = model.verdicts.get((lhs, rhs))
+    if known is None:
+        swapped = model.verdicts.get((rhs, lhs))
+        if swapped is not None and swapped.holds:
+            known = swapped
+        elif lhs == rhs:
+            refuse_labels(lhs)
+            if next(model.basis_iterator(lhs.n_in), None) is None:
+                raise _vacuous_cap(model, lhs.n_in)
+            known = Report(True)
+        else:
+            known = first_failure(basis_sweep(lhs, rhs, model), series=False)
+        model.verdicts[(lhs, rhs)] = known
+    return known
 
 
 def verify_registration(model: FiniteBialgebraModel) -> None:

@@ -30,3 +30,58 @@ def fn_o16(o16):
 @pytest.fixture(scope="session")
 def binomial6():
     return models.truncated_binomial_bialgebra(6)
+
+
+# --- reference evaluator ------------------------------------------------------
+
+
+def _reference_terms(state, kind, off, rows, model):
+    """The terms of one slice, swaps included, as a swap-by-swap staircase
+    evaluator makes them."""
+    if kind == "mul":
+        for key, coeff in state.items():
+            for k, c in rows.get((key[off], key[off + 1]), ()):
+                yield key[:off] + (k,) + key[off + 2:], coeff * c
+    elif kind == "comul":
+        for key, coeff in state.items():
+            for (j, k), c in rows.get(key[off], ()):
+                yield key[:off] + (j, k) + key[off + 1:], coeff * c
+    elif kind == "unit":
+        for key, coeff in state.items():
+            for i, c in model.unit_entries:
+                yield key[:off] + (i,) + key[off:], coeff * c
+    elif kind == "counit":
+        for key, coeff in state.items():
+            c = model.counit_entries.get(key[off])
+            if c:
+                yield key[:off] + key[off + 1:], coeff * c
+    elif kind == "swap":
+        for key, coeff in state.items():
+            yield key[:off] + (key[off + 1], key[off]) + key[off + 2:], coeff
+    else:
+        raise models.ModelError(f"cannot evaluate generator kind {kind!r}")
+
+
+def reference_components(d, states, model, muls, comuls):
+    """`models.evaluate_components` one slice at a time, each swap a full
+    pass over the tensor: the order of terms, and so the key order of each
+    output, that the evaluator must reproduce."""
+    order = len(states) - 1
+    for kind, label, off in d.slices:
+        out = [{} for _ in states]
+        if kind in ("mul", "comul"):
+            comps = muls if kind == "mul" else comuls
+            first = 1 if label == "+" else 0
+            last = min(0 if label == "0" else order, len(comps) - 1)
+            pairs = [(a, b) for a in range(first, last + 1)
+                     for b in range(order + 1 - a)]
+        else:
+            pairs = [(None, b) for b in range(order + 1)]
+        for a, b in pairs:
+            rows = None if a is None else comps[a]
+            target = out[b if a is None else a + b]
+            for key, value in _reference_terms(states[b], kind, off, rows,
+                                               model):
+                target[key] = target.get(key, 0) + value
+        states = [{k: v for k, v in state.items() if v} for state in out]
+    return states

@@ -80,6 +80,9 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("eval mul --model nosuch", "--model:"),
     ("deform --fixture null::1", "--fixture:"),
     ("prove mul mul --budget 1,2,nan", "--budget"),
+    ("replay mul mul --trace .", "--trace:"),
+    ("replay mul mul --trace=", "--trace:"),
+    ("suite --goals .", "--goals:"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -315,3 +318,22 @@ def test_records_golden_failure_texts(capsys, case):
     code, out, _ = run(capsys, "--format", "records", *argv)
     assert code == expected_code
     assert out.splitlines() == expected
+
+
+def test_python_dash_m_runs_the_cli():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import moufang
+
+    src = str(Path(moufang.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-m", "moufang", "--format", "records", "eval",
+         "comul ; mul", "--model", "binomial:5", "--basis", "3"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "REC kind=eval name=(a^3) status=value detail='8'\n"

@@ -368,3 +368,187 @@ def test_bilinear_agrees_with_evaluator(request, model_name, data):
     out = evaluate(parse("mul"), m, state)
     got = bilinear(m.mul_rows, dict(enumerate(x)), dict(enumerate(y)))
     assert got == {k: v for (k,), v in out.items()}
+
+
+# --- the evaluator against the swap-by-swap reference -------------------------
+
+
+def _signed_deformation():
+    """binomial[4] with signed degree-1 product and coproduct components,
+    built without registration, so that terms cancel inside a diagram."""
+    from moufang.deformation import deformation_from_maps
+
+    base = truncated_binomial_bialgebra(4)
+    comul1 = {1: (((1, 1), 1),), 2: (((1, 1), -2), ((0, 2), 1))}
+    mul1 = {(1, 1): ((2, -1),), (1, 2): ((3, 3),), (2, 1): ((3, -3),)}
+    return deformation_from_maps(base, 2, (comul1, {}), (mul1, {}),
+                                 name="signed", strict=False)
+
+
+def _evaluator_fixtures():
+    """(name, model, product components, coproduct components, order)."""
+    from moufang.deformation import simple_comul_perturbation
+
+    for name in ("binomial:4", "fn-cyclic:3"):
+        model = (truncated_binomial_bialgebra(4) if name == "binomial:4"
+                 else function_bialgebra(cyclic_loop(3)))
+        yield name, model, (model.mul_rows,), (model.comul_rows,), 0
+    for name, f in (("delta1:4:2", simple_comul_perturbation(4, 2)),
+                    ("signed", _signed_deformation())):
+        yield name, f.base, f.mul_components, f.comul_components, f.order
+
+
+_EVALUATOR_FIXTURES = list(_evaluator_fixtures())
+_WIDTH = 4  # keeps every tensor of these dimension-3 and -5 models small
+
+
+@st.composite
+def _raw_slices(draw):
+    """A raw slicing with swap runs anywhere, leading and trailing ones
+    included, units, counits and labelled products and coproducts."""
+    from moufang.diagram import ARITY
+
+    n_in = draw(st.integers(0, 3))
+    w, slices = n_in, []
+    for _ in range(draw(st.integers(0, 8))):
+        options = [kind for kind in ("mul", "comul", "unit", "counit", "swap")
+                   if ARITY[kind][0] <= w
+                   and w - ARITY[kind][0] + ARITY[kind][1] <= _WIDTH]
+        if not options:
+            break
+        kind = draw(st.sampled_from(options))
+        run = draw(st.integers(1, 3)) if kind == "swap" else 1
+        label = (draw(st.sampled_from((None, "0", "+")))
+                 if kind in ("mul", "comul") else None)
+        for _ in range(run):
+            off = draw(st.integers(0, w - ARITY[kind][0]))
+            slices.append((kind, label, off))
+        w += ARITY[kind][1] - ARITY[kind][0]
+    if w >= 2 and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            slices.append(("swap", None, draw(st.integers(0, w - 2))))
+    return n_in, slices
+
+
+@given(data=st.data(), slicing=_raw_slices(),
+       fixture=st.sampled_from(_EVALUATOR_FIXTURES))
+@settings(max_examples=300, deadline=None)
+def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
+    """Terms, values and the key order of every output agree with the
+    staircase that copies the tensor at each swap, on raw drawings and
+    their canonical forms, with signed (and some zero) input values."""
+    from conftest import reference_components
+    from moufang.diagram import canonicalize, raw_diagram
+    from moufang.models import evaluate_components
+
+    _name, model, muls, comuls, order = fixture
+    n_in, slices = slicing
+    raw = raw_diagram(n_in, slices)
+    key = st.tuples(*[st.integers(0, model.dim - 1)] * n_in)
+    value = st.one_of(st.integers(-3, 3), _RATIONALS)
+    states = [data.draw(st.dictionaries(key, value, max_size=4))
+              for _ in range(order + 1)]
+    for d in (raw, canonicalize(raw)):
+        got = evaluate_components(d, [dict(s) for s in states], model, muls,
+                                  comuls)
+        want = reference_components(d, [dict(s) for s in states], model,
+                                    muls, comuls)
+        assert [list(s.items()) for s in got] == \
+            [list(s.items()) for s in want], str(d)
+
+
+# --- one verdict per identity per model object --------------------------------
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """The basis inputs identity sweeps draw, counted per model name."""
+    counts = {}
+    sweep = FiniteBialgebraModel.basis_iterator
+
+    def counting(model, rank):
+        for key in sweep(model, rank):
+            counts[model.name] = counts.get(model.name, 0) + 1
+            yield key
+
+    monkeypatch.setattr(FiniteBialgebraModel, "basis_iterator", counting)
+    return counts
+
+
+_COASSOC = (parse("comul ; comul * id(1)"), parse("comul ; id(1) * comul"))
+
+
+def test_second_check_on_one_model_sweeps_nothing(swept):
+    import dataclasses
+
+    model = function_bialgebra(cyclic_loop(3))
+    swept.clear()
+    first = holds_identity(*_COASSOC, model)
+    assert first.holds and swept == {"fn[cyclic3]": 3}
+    assert holds_identity(*_COASSOC, model) is first
+    assert swept == {"fn[cyclic3]": 3}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.holds = False
+    # a new model object, registered or copied, decides the law afresh
+    for fresh in (function_bialgebra(cyclic_loop(3)),
+                  dataclasses.replace(model)):
+        swept.clear()
+        assert holds_identity(*_COASSOC, fresh).holds
+        assert swept == {"fn[cyclic3]": 3}
+
+
+def test_swapped_holding_pair_is_reused(swept):
+    model = function_bialgebra(cyclic_loop(3))
+    lhs, rhs = _COASSOC
+    first = holds_identity(lhs, rhs, model)
+    swept.clear()
+    assert holds_identity(rhs, lhs, model) is first
+    assert swept == {}
+
+
+def test_failing_verdict_repeats_and_its_swap_is_swept_again(swept):
+    model = truncated_binomial_bialgebra(4)
+    lhs, rhs = parse("comul ; mul"), parse("id(1)")  # a^n -> 2^n a^n
+    swept.clear()
+    first = holds_identity(lhs, rhs, model)
+    assert (first.holds, first.witness, first.diff) == (False, (1,), {(1,): 1})
+    again = holds_identity(lhs, rhs, model)
+    assert (again.witness, again.diff) == (first.witness, first.diff)
+    assert again.describe(model) == first.describe(model)
+    assert swept == {"binomial[4]": 2}  # inputs 1 and a, swept once
+    swapped = holds_identity(rhs, lhs, model)
+    assert (swapped.holds, swapped.witness, swapped.diff) == (
+        False, (1,), {(1,): -1})
+    assert swept == {"binomial[4]": 4}
+
+
+def test_identical_sides_hold_after_the_sweep_refusals(swept):
+    import dataclasses
+
+    model = function_bialgebra(cyclic_loop(3))
+    swept.clear()
+    assert holds_identity(_COASSOC[0], _COASSOC[0], model).holds
+    assert sum(swept.values()) <= 1  # only looks for one input to check
+    with pytest.raises(ModelError, match="labelled generator"):
+        holds_identity(parse("comul%0"), parse("comul%0"), model)
+    vacuous = dataclasses.replace(model, degrees=(1, 1, 1), check_cap=0)
+    with pytest.raises(ModelError, match=(
+            r"^model fn\[cyclic3\]: cap 0 leaves no rank-1 basis input to "
+            r"check$")):
+        holds_identity(parse("comul"), parse("comul"), vacuous)
+    assert not vacuous.verdicts
+
+
+def test_kernel_map_reuses_the_comoufang_verdicts(swept):
+    from moufang.deformation import (check_comoufang_mod, kernel_map_RS,
+                                     null_deformation)
+
+    base = function_bialgebra(cyclic_loop(3))
+    unchecked, checked = (null_deformation(base, 1) for _ in range(2))
+    for side in ("left", "right"):
+        assert check_comoufang_mod(checked, side).holds
+    swept.clear()
+    assert kernel_map_RS(checked).holds
+    assert swept == {}
+    assert kernel_map_RS(unchecked).holds  # sweeps both laws first
+    assert swept == {"fn[cyclic3]": 2 * 3}  # rank 1, both sides
