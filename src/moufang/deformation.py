@@ -29,6 +29,7 @@ from .linalg import BilinearRows, Matrix, Vector, basis_vector
 from .models import (
     ComulRows,
     FiniteBialgebraModel,
+    FusedTables,
     MulRows,
     Report,
     State,
@@ -121,7 +122,8 @@ class TruncatedDeformation:
     laws of the full truncated series and bialgebra compatibility modulo
     h^(order+1) unless `strict` was disabled (negative-control fixtures).
     ``verdicts`` keeps the `Report` of each Moufang or co-Moufang law
-    checked on this object, keyed by the law's ``(lhs, rhs)``.
+    checked on this object, keyed by the law's ``(lhs, rhs)``, and
+    ``tables`` the evaluator's `FusedTables` for its series maps.
     """
 
     base: FiniteBialgebraModel
@@ -131,6 +133,7 @@ class TruncatedDeformation:
     name: str = "deformation"
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
+    tables: FusedTables = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -151,6 +154,8 @@ class TruncatedDeformation:
             integral_rows(rows) for rows in self.comul_components))
         object.__setattr__(self, "mul_components", tuple(
             integral_rows(rows) for rows in self.mul_components))
+        object.__setattr__(self, "tables", FusedTables(
+            self.mul_components, self.comul_components))
 
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
@@ -186,7 +191,8 @@ def _evaluate_degrees(d: Diagram, deformation: TruncatedDeformation,
                       states: list[State]) -> list[State]:
     return evaluate_components(d, states, deformation.base,
                                deformation.mul_components,
-                               deformation.comul_components)
+                               deformation.comul_components,
+                               deformation.tables)
 
 
 def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
@@ -811,7 +817,8 @@ def shift_conjugation_deformation(max_degree: int, order: int
         for slot in range(diagram.n_in):
             states = _apply_series_slot(inv, states, slot)
         states = evaluate_components(diagram, states, model,
-                                     (model.mul_rows,), (model.comul_rows,))
+                                     (model.mul_rows,), (model.comul_rows,),
+                                     model.tables)
         for slot in range(diagram.n_out):
             states = _apply_series_slot(fwd, states, slot)
         return states

@@ -258,6 +258,18 @@ class Diagram:
             object.__setattr__(self, "_program", cached)
         return cached
 
+    @property
+    def fused_program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
+        """`program` with each comul step that the next step, a mul, reads
+        exactly one output of run as one fused step (see `_fused_step`);
+        the evaluator uses it for a term-injective coproduct."""
+        cached = getattr(self, "_fused_program", None)
+        if cached is None:
+            cached = _program_from_slices(self.slices, self.widths(),
+                                          fuse=True)
+            object.__setattr__(self, "_fused_program", cached)
+        return cached
+
     def widths(self) -> list[int]:
         """Wire count before each slice and after the last one."""
         w = self.n_in
@@ -275,7 +287,8 @@ class Diagram:
 
 
 # A slice program step: a slice whose input keys are first read through a
-# wire permutation (an `operator.itemgetter`, or None).
+# wire permutation (an `operator.itemgetter`, or None), or a fused step
+# ``("fused", (comul label, mul label), (x_at, y_at, shape), out_key)``.
 Step = tuple[str, Optional[str], int, Optional[itemgetter]]
 
 
@@ -286,9 +299,47 @@ def _permutation(perm: Optional[list[int]]) -> Optional[itemgetter]:
     return itemgetter(*perm)  # a swap needs two wires, so a tuple comes out
 
 
-def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
+def _fused_step(comul: tuple, mul: tuple) -> Optional[tuple]:
+    """A comul step and the mul step after it, each ``(kind, label, off,
+    perm list or None, width)``, as one step if the mul reads exactly one
+    comul output; else None.
+
+    The fused step reads the comul's input at key position ``x_at`` and
+    the mul's other input at ``y_at``, both positions of the step's input
+    key.  ``shape`` says which comul output the mul reads (0 or 1) and at
+    which of its inputs (0 or 1).  A table entry ``((j, k, m), c)`` stands
+    for comul output pair (j, k) and mul output m; ``out_key`` maps
+    ``key + (j, k, m)`` to the mul step's output key.
+    """
+    _kind, c_label, c_off, perm1, width = comul
+    _kind, m_label, m_off, perm2, _width = mul
+    perm1 = perm1 or list(range(width))
+    perm2 = perm2 or list(range(width + 1))
+
+    def source(i: int) -> int:  # comul output position -> key + (j, k, m)
+        if i < c_off:
+            return perm1[i]
+        if i > c_off + 1:
+            return perm1[i - 1]
+        return width + i - c_off
+
+    reads = [perm2[m_off] - c_off, perm2[m_off + 1] - c_off]
+    hit = [r in (0, 1) for r in reads]
+    if hit[0] == hit[1]:
+        return None
+    side_m = hit.index(True)
+    other = perm2[m_off + 1 - side_m]
+    out = [source(i) for i in perm2[:m_off]] + [width + 2] + \
+        [source(i) for i in perm2[m_off + 2:]]
+    return ("fused", (c_label, m_label),
+            (perm1[c_off], source(other), (reads[side_m], side_m)),
+            itemgetter(*out))  # width >= 2 here, so a tuple comes out
+
+
+def _program_from_slices(slices: tuple[Slice, ...], widths: list[int],
+                         fuse: bool = False
                          ) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
-    steps: list[Step] = []
+    steps: list = []  # (kind, label, off, perm list or None, width), fused
     perm: Optional[list[int]] = None  # key position read at each wire
     for (kind, label, off), width in zip(slices, widths):
         if kind == "swap":
@@ -296,9 +347,16 @@ def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
                 perm = list(range(width))
             perm[off], perm[off + 1] = perm[off + 1], perm[off]
             continue
-        steps.append((kind, label, off, _permutation(perm)))
+        step = (kind, label, off, perm, width)
         perm = None
-    return tuple(steps), _permutation(perm)
+        if fuse and kind == "mul" and steps and steps[-1][0] == "comul":
+            fused = _fused_step(steps[-1], step)
+            if fused is not None:
+                steps[-1] = fused
+                continue
+        steps.append(step)
+    return tuple(s if s[0] == "fused" else s[:3] + (_permutation(s[3]),)
+                 for s in steps), _permutation(perm)
 
 
 def _canonical_from_graph(graph: _Graph) -> Diagram:

@@ -133,13 +133,6 @@ class MoufangLoop:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def associativity_witness(self) -> Optional[tuple[int, int, int]]:
-        """Some (a, b, c) with (ab)c != a(bc), or None if associative."""
-        for a, b, c in itertools.product(range(self.order), repeat=3):
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                return (a, b, c)
-        return None
-
     def cayley_text(self) -> str:
         lines = [f"loop {self.name}", f"order {self.order}",
                  f"identity {self.identity}",
@@ -187,8 +180,9 @@ class FiniteBialgebraModel:
     total degree; only the truncated binomial model uses it, recording the
     truncation-boundary waiver for the coproduct/product compatibility.
     ``verdicts`` holds the `Report` of each identity `holds_identity` has
-    decided on this model object, keyed by its ``(lhs, rhs)``; a new
-    model object (a new registration) starts with none.
+    decided on this model object, keyed by its ``(lhs, rhs)``, and
+    ``tables`` the evaluator's `FusedTables` for its coproduct and product;
+    a new model object (a new registration) starts with none.
     """
 
     name: str
@@ -203,6 +197,7 @@ class FiniteBialgebraModel:
     check_cap: Optional[int] = None
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
+    tables: "FusedTables" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # integral constants become ints, the evaluator's cheap scalars
@@ -212,6 +207,8 @@ class FiniteBialgebraModel:
                            _integral_row(self.unit_entries))
         object.__setattr__(self, "counit_entries",
                            integral_state(self.counit_entries))
+        object.__setattr__(self, "tables", FusedTables((self.mul_rows,),
+                                                       (self.comul_rows,)))
 
     def label(self, i: int) -> str:
         return self.basis_labels[i] if self.basis_labels else str(i)
@@ -274,10 +271,77 @@ def _slice_terms(state: State, kind: str, off: int, perm, rows,
         raise ModelError(f"cannot evaluate generator kind {kind!r}")
 
 
+def term_injective(comuls: Sequence[ComulRows]) -> bool:
+    """Does each pair (j, k) appear once across all rows of all coproduct
+    components?  Then no two coproduct terms of one slice share a key."""
+    pairs = [jk for rows in comuls for row in rows.values() for jk, _c in row]
+    return len(pairs) == len(set(pairs))
+
+
+class _FusedTable(dict):
+    """``(x, y) -> (((j, k, m), c1·c2), ...)`` for one coproduct and one
+    product component and one fused-step shape, filled on first lookup:
+    each term (j, k), c1 of coproduct row x, in row order, with each term
+    m, c2 of the product of its ``side_c`` output and y (y on the left if
+    ``side_m``), in row order.  A zero c1 makes no entry, as the coproduct
+    slice's zero term would have been cleaned away."""
+
+    def __init__(self, comul: ComulRows, mul: MulRows, shape) -> None:
+        super().__init__()
+        self.comul, self.mul, self.shape = comul, mul, shape
+
+    def __missing__(self, xy):
+        x, y = xy
+        side_c, side_m = self.shape
+        entries = []
+        for jk, c1 in self.comul.get(x, ()):
+            if c1:
+                o = jk[side_c]
+                for m, c2 in self.mul.get((y, o) if side_m else (o, y), ()):
+                    entries.append((jk + (m,), integral(c1 * c2)))
+        self[xy] = entries = tuple(entries)
+        return entries
+
+
+class FusedTables(dict):
+    """The fused-step tables of one model's or deformation's product and
+    coproduct components, keyed by ``(coproduct component, product
+    component, shape)`` and built on first use, and whether the coproduct
+    components are `term_injective`."""
+
+    def __init__(self, muls: Sequence[MulRows],
+                 comuls: Sequence[ComulRows]) -> None:
+        super().__init__()
+        self.muls, self.comuls = muls, comuls
+        self.injective = term_injective(comuls)
+
+    def __missing__(self, key):
+        a1, a2, shape = key
+        self[key] = table = _FusedTable(self.comuls[a1], self.muls[a2], shape)
+        return table
+
+
+def _fused_terms(state: State, x_at: int, y_at: int, out_key, table):
+    """The terms of a fused comul-then-mul step on one sparse tensor."""
+    for key, coeff in state.items():
+        for jkm, c in table[key[x_at], key[y_at]]:
+            yield out_key(key + jkm), coeff * c
+
+
+def _components(comps, label: Optional[str], order: int) -> list[int]:
+    """The component indices a mul/comul slice with this label convolves
+    ("0" keeps the constant one, "+" the positive ones), less the empty
+    positive ones, which make no term."""
+    first = 1 if label == "+" else 0
+    last = min(0 if label == "0" else order, len(comps) - 1)
+    return [a for a in range(first, last + 1) if a == 0 or comps[a]]
+
+
 def evaluate_components(d: Diagram, states: list[State],
                         model: FiniteBialgebraModel,
                         muls: Sequence[MulRows],
-                        comuls: Sequence[ComulRows]) -> list[State]:
+                        comuls: Sequence[ComulRows],
+                        tables: Optional[FusedTables] = None) -> list[State]:
     """Apply a diagram to sparse tensors indexed by h-degree, slice by slice.
 
     ``muls`` and ``comuls`` list the degree components of the product and
@@ -289,18 +353,45 @@ def evaluate_components(d: Diagram, states: list[State],
     into a permutation that the next slice reads its keys through.  A
     permutation is a bijection on keys, so the terms, and the key order of
     every output, are those of a swap-by-swap evaluation.
+
+    When the coproduct components are term-injective (`term_injective`),
+    the evaluator runs `Diagram.fused_program`: a comul step whose next
+    step, a mul, reads exactly one of its outputs is contracted into that
+    mul, through one table entry per pair of coproduct and product terms.
+    ``tables`` is the `FusedTables` of ``muls`` and ``comuls`` that a
+    model or deformation object keeps; without it each call builds its
+    own.  Since no two coproduct terms share a key, the comul slice would
+    have made each intermediate key once, in the order that the fused step
+    visits them, and its cleaning drops no nonzero term.  So the fused
+    step makes the staircase's terms in the staircase's order; it only
+    skips the intermediate keys whose product misses, which make no term.
+    Empty positive-degree components are skipped; they make no term.
     """
-    steps, tail = d.program
-    if d.slices and d.slices[0][0] == "swap":
-        states = [_clean(state) for state in states]  # as a swap slice did
+    if tables is None:
+        tables = FusedTables(muls, comuls)
+    steps, tail = d.fused_program if tables.injective else d.program
+    if ((d.slices and d.slices[0][0] == "swap")
+            or (steps and steps[0][0] == "fused")):
+        # as a swap slice, or the comul slice a fused step stands for, did
+        states = [_clean(state) for state in states]
     order = len(states) - 1
     for kind, label, off, perm in steps:
         out: list[State] = [{} for _ in states]
-        if kind in ("mul", "comul"):
+        if kind == "fused":
+            x_at, y_at, shape = off
+            mul_comps = _components(muls, label[1], order)
+            comul_comps = _components(comuls, label[0], order)
+            for a2 in mul_comps:
+                for b2 in range(order + 1 - a2):
+                    for a1 in comul_comps:
+                        if a1 > b2:
+                            break
+                        _accumulate(out[a2 + b2],
+                                    _fused_terms(states[b2 - a1], x_at, y_at,
+                                                 perm, tables[a1, a2, shape]))
+        elif kind in ("mul", "comul"):
             comps = muls if kind == "mul" else comuls
-            first = 1 if label == "+" else 0
-            last = min(0 if label == "0" else order, len(comps) - 1)
-            for a in range(first, last + 1):
+            for a in _components(comps, label, order):
                 for b in range(order + 1 - a):
                     _accumulate(out[a + b],
                                 _slice_terms(states[b], kind, off, perm,
@@ -328,7 +419,7 @@ def refuse_labels(d: Diagram) -> None:
 def _evaluate_plain(d: Diagram, model: FiniteBialgebraModel,
                     state: State) -> State:
     return evaluate_components(d, [state], model, (model.mul_rows,),
-                               (model.comul_rows,))[0]
+                               (model.comul_rows,), model.tables)[0]
 
 
 def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:

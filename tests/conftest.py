@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from moufang import linalg, models, octonion
@@ -10,6 +12,15 @@ def same_span(a, b) -> bool:
         return len(linalg.rref([list(v) for v in vectors])[1])
 
     return rank(a) == rank(b) == rank([*a, *b])
+
+
+def associativity_witness(loop):
+    """Some (a, b, c) with (ab)c != a(bc) in the loop, or None if it is
+    associative."""
+    for a, b, c in itertools.product(range(loop.order), repeat=3):
+        if loop.mul(loop.mul(a, b), c) != loop.mul(a, loop.mul(b, c)):
+            return (a, b, c)
+    return None
 
 
 @pytest.fixture(scope="session")

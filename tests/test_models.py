@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import associativity_witness
 from moufang.diagram import flip
 from moufang.dsl import parse
 from moufang.linalg import bilinear
@@ -45,7 +46,7 @@ def test_loop_moufang_failure_is_named():
 def test_cyclic_loop_romps():
     c2 = cyclic_loop(2)
     assert c2.identity == 0
-    assert c2.associativity_witness() is None
+    assert associativity_witness(c2) is None
     model = loop_bialgebra(c2)
     assert model.dim == 2
     assert "coassoc" in model.satisfied_flags
@@ -385,16 +386,43 @@ def _signed_deformation():
                                  name="signed", strict=False)
 
 
+def _injective_deformation():
+    """binomial[4] with degree-1 and -2 components whose coproduct pairs
+    (j, k), j + k > 4, are no base term: a term-injective series, so its
+    comul-then-mul steps run fused, degree convolution included.  One
+    coproduct term has coefficient 0, as a model file may give it."""
+    from moufang.deformation import deformation_from_maps
+
+    base = truncated_binomial_bialgebra(4)
+    comul1 = {2: (((3, 2), 1),), 3: (((4, 1), 0),),
+              4: (((2, 4), -1), ((4, 3), 2))}
+    comul2 = {1: (((4, 4), 1),)}
+    mul1 = {(1, 1): ((2, -1),), (3, 2): ((1, 3),)}
+    mul2 = {(2, 2): ((0, 1), (4, -2))}
+    return deformation_from_maps(base, 2, (comul1, comul2), (mul1, mul2),
+                                 name="injective", strict=False)
+
+
 def _evaluator_fixtures():
-    """(name, model, product components, coproduct components, order)."""
+    """(name, model, product components, coproduct components, order).
+
+    binomial:4, fn-cyclic:3 and "injective" have term-injective
+    coproducts, so the evaluator fuses their comul-then-mul steps; the
+    other three do not, and "shared-pairs" is the order-0 one: (1, 1) is a
+    term of rows 1 and 2.
+    """
     from moufang.deformation import simple_comul_perturbation
 
     for name in ("binomial:4", "fn-cyclic:3"):
         model = (truncated_binomial_bialgebra(4) if name == "binomial:4"
                  else function_bialgebra(cyclic_loop(3)))
         yield name, model, (model.mul_rows,), (model.comul_rows,), 0
+    model = truncated_binomial_bialgebra(4)
+    yield ("shared-pairs", model, (model.mul_rows,),
+           ({1: (((1, 1), 1),), 2: (((1, 1), -2), ((0, 2), 1))},), 0)
     for name, f in (("delta1:4:2", simple_comul_perturbation(4, 2)),
-                    ("signed", _signed_deformation())):
+                    ("signed", _signed_deformation()),
+                    ("injective", _injective_deformation())):
         yield name, f.base, f.mul_components, f.comul_components, f.order
 
 
@@ -455,6 +483,89 @@ def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
                                     muls, comuls)
         assert [list(s.items()) for s in got] == \
             [list(s.items()) for s in want], str(d)
+
+
+def test_fusion_keeps_key_order_only_for_a_term_injective_coproduct():
+    """On the signed deformation the pair (1, 1) is a term of two coproduct
+    rows, so contracting comul into the mul would visit it twice where the
+    staircase makes one intermediate key: degree 2 would come out with equal
+    values in another key order.  The evaluator must not fuse here."""
+    from conftest import reference_components
+    from moufang.models import evaluate_components, term_injective
+
+    _name, model, muls, comuls, _order = next(
+        f for f in _EVALUATOR_FIXTURES if f[0] == "signed")
+    assert not term_injective(comuls)
+    d = parse("id(1) * comul ; mul * id(1)")
+    assert d.fused_program[0][0][0] == "fused"
+    states = [{(0, 4): Fraction(1, 2), (0, 1): -1, (2, 3): 2},
+              {(4, 0): -1, (1, 1): 2, (2, 4): -1, (1, 2): 1},
+              {(4, 2): 1, (0, 1): 2}]
+    got = evaluate_components(d, [dict(s) for s in states], model, muls,
+                              comuls)
+    want = reference_components(d, [dict(s) for s in states], model, muls,
+                                comuls)
+    assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+
+
+_FUSED_SHAPES = ("id(1) * comul ; mul * id(1)",
+                 "comul * id(1) ; id(1) * mul",
+                 "id(1) * comul ; id(1) * swap ; mul * id(1)",
+                 "comul * id(1) ; swap * id(1) ; id(1) * mul",
+                 "swap ; id(1) * comul%+ ; mul%0 * id(1)",
+                 "comul%0 * id(1) ; id(1) * mul%+",
+                 "comul%+ * id(1) ; id(1) * mul")
+
+
+def test_fused_steps_match_reference_on_every_shape():
+    """Each of the four fused-step shapes, with labels, on the
+    term-injective fixtures: seeded signed inputs at every degree, zero
+    values included, give the reference's terms in its key order."""
+    from conftest import reference_components
+    from moufang.models import evaluate_components
+
+    fixtures = [f for f in _EVALUATOR_FIXTURES
+                if f[0] in ("binomial:4", "fn-cyclic:3", "injective")]
+    rng = random.Random(16)
+    values = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))
+    for text in _FUSED_SHAPES:
+        d = parse(text)
+        assert d.fused_program[0][0][0] == "fused", text
+        for name, model, muls, comuls, order in fixtures:
+            for _ in range(30):
+                states = [{(rng.randrange(model.dim),
+                            rng.randrange(model.dim)): rng.choice(values)
+                           for _ in range(5)} for _ in range(order + 1)]
+                got = evaluate_components(d, [dict(s) for s in states],
+                                          model, muls, comuls)
+                want = reference_components(d, [dict(s) for s in states],
+                                            model, muls, comuls)
+                assert [list(s.items()) for s in got] == \
+                    [list(s.items()) for s in want], (text, name, states)
+
+
+def test_fn_o16_comoufang_and_compatibility_sides_run_fused(fn_o16):
+    """The evaluator's saving on fn[o16]: its coproduct is term-injective,
+    each co-Moufang side and the compatibility law's two-coproduct side
+    contract a comul into the mul after it, and the tables are cached on
+    the model, or on a null deformation of it, which skips its empty
+    degree-1 components."""
+    from moufang.deformation import check_comoufang_mod, null_deformation
+    from moufang.theories import base_rules, flag_rules
+
+    co_l, = flag_rules("comoufang_l")
+    co_r, = flag_rules("comoufang_r")
+    bialg, = (r for r in base_rules() if r.name == "bialg")
+    for d in (co_l.lhs, co_l.rhs, co_r.lhs, co_r.rhs, bialg.rhs):
+        assert "fused" in [step[0] for step in d.fused_program[0]], str(d)
+    null = null_deformation(fn_o16, 1)
+    for side in ("left", "right"):
+        assert check_comoufang_mod(null, side).holds
+    for holder in (fn_o16, null):
+        assert holder.tables.injective
+        shapes = {shape for _a1, _a2, shape in holder.tables}
+        assert len(shapes) == 4, holder  # co-Moufang sides use four shapes
+    assert {key[:2] for key in null.tables} == {(0, 0)}
 
 
 # --- one verdict per identity per model object --------------------------------
