@@ -7,11 +7,14 @@ unit and counit stay undeformed.  All congruences "modulo h^n" become
 exact statements about degree-windowed convolutions of the components.
 
 The module also provides the spectral pieces those arguments rest on: the
-loop operator p∘Δ and its 2^n spectrum on the binomial model, the exact
-kernel of Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I, wedge/primitive membership projectors,
-the multiplicative-series defect identity, the kernel map R+S annihilating
-the coassociator of any two-sided co-Moufang deformation, and the Casimir
-and first-cohomology computations for the Lie-algebra case.
+loop operator p∘Δ and its 2^n spectrum on the binomial model; the exact
+kernel of T = Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I, read off Q's eigenspaces (Q must be
+diagonalizable with that spectrum, and then T is diagonal on tensor
+products of eigenvectors, so nothing is eliminated on the d³ triple
+space); wedge/primitive membership projectors; the multiplicative-series
+defect identity; the kernel map R+S annihilating the coassociator of any
+two-sided co-Moufang deformation; and the Casimir and first-cohomology
+computations for the Lie-algebra case.
 """
 
 from __future__ import annotations
@@ -190,8 +193,6 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
 def _evaluate_degrees(d: Diagram, deformation: TruncatedDeformation,
                       states: list[State]) -> list[State]:
     return evaluate_components(d, states, deformation.base,
-                               deformation.mul_components,
-                               deformation.comul_components,
                                deformation.tables)
 
 
@@ -365,31 +366,31 @@ def check_diagonalizable(q: Matrix, graded: GradedSpace) -> dict[int, list[Vecto
 
 
 def eigen_kernel_T(q: Matrix, graded: GradedSpace) -> list[Vector]:
-    """Exact nullspace basis of T = Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I.
+    """Exact basis of ker T, T = Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I, from Q's eigenspaces.
 
-    The triple space is ordered lexicographically: index (i, j, k) maps to
-    (i*d + j)*d + k.  Diagonalizability of Q (with the 2^degree spectrum of
-    the graded space) is checked first and refused on failure.
+    Q must be diagonalizable with the 2^degree spectrum of the graded space;
+    `check_diagonalizable` refuses it otherwise.  On v⊗w⊗e_k, with Qv = λv
+    and Qw = μw, T acts as λμ - λ - μ, and these vectors form a basis of the
+    triple space.  So ker T is spanned by the v⊗w⊗e_k whose eigenvalues
+    satisfy λμ = λ + μ.  Vectors are dense over the triple space, index
+    (i, j, k) at (i*d + j)*d + k.
     """
-    check_diagonalizable(q, graded)
+    spaces = check_diagonalizable(q, graded)
     d = len(q)
-    n3 = d ** 3
-    rows = []
-    for i1, i2, i3 in itertools.product(range(d), repeat=3):
-        row = [Fraction(0)] * n3
-        for j1 in range(d):
-            if q[i1][j1]:
-                for j2 in range(d):
-                    if q[i2][j2]:
-                        row[(j1 * d + j2) * d + i3] += q[i1][j1] * q[i2][j2]
-        for j1 in range(d):
-            if q[i1][j1]:
-                row[(j1 * d + i2) * d + i3] -= q[i1][j1]
-        for j2 in range(d):
-            if q[i2][j2]:
-                row[(i1 * d + j2) * d + i3] -= q[i2][j2]
-        rows.append(row)
-    return linalg.nullspace(rows)
+    kernel = []
+    for p, r in itertools.product(spaces, repeat=2):
+        lam, mu = 2 ** p, 2 ** r  # exact: degrees are nonnegative ints
+        if lam * mu != lam + mu:
+            continue
+        for v, w in itertools.product(spaces[p], spaces[r]):
+            vw = [(i * d + j, vi * wj) for i, vi in enumerate(v) if vi
+                  for j, wj in enumerate(w) if wj]
+            for k in range(d):
+                vec = [Fraction(0)] * d ** 3
+                for ij, c in vw:
+                    vec[ij * d + k] = c
+                kernel.append(vec)
+    return kernel
 
 
 # --- wedge and primitive membership ----------------------------------------
@@ -816,9 +817,7 @@ def shift_conjugation_deformation(max_degree: int, order: int
         states = [basis_state(key)] + [{} for _ in range(order)]
         for slot in range(diagram.n_in):
             states = _apply_series_slot(inv, states, slot)
-        states = evaluate_components(diagram, states, model,
-                                     (model.mul_rows,), (model.comul_rows,),
-                                     model.tables)
+        states = evaluate_components(diagram, states, model, model.tables)
         for slot in range(diagram.n_out):
             states = _apply_series_slot(fwd, states, slot)
         return states

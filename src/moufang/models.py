@@ -133,30 +133,6 @@ class MoufangLoop:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
-    def cayley_text(self) -> str:
-        lines = [f"loop {self.name}", f"order {self.order}",
-                 f"identity {self.identity}",
-                 "labels " + " ".join(self.labels)]
-        for row in self.table:
-            lines.append("row " + " ".join(str(x) for x in row))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_cayley_text(cls, text: str) -> "MoufangLoop":
-        records = read(text, {
-            "loop": (str,), "order": (int,), "identity": (int,),
-            "labels": (Many(),), "row": (Many(int),), "end": ()}, ModelError)
-        given = settings(records)
-        loop = cls.from_table([r.values[0] for r in records if r.head == "row"],
-                              given.get("labels"), given.get("loop", "loop"))
-        table_says = {"order": loop.order, "identity": loop.identity}
-        for r in records:
-            if r.head in table_says and r.values[0] != table_says[r.head]:
-                raise r.fail(f"{r.head} {r.values[0]} disagrees with the "
-                             f"table ({table_says[r.head]})")
-        return loop
-
 
 def cyclic_loop(n: int) -> MoufangLoop:
     """The cyclic group of order n viewed as a (Moufang) loop."""
@@ -339,16 +315,17 @@ def _components(comps, label: Optional[str], order: int) -> list[int]:
 
 def evaluate_components(d: Diagram, states: list[State],
                         model: FiniteBialgebraModel,
-                        muls: Sequence[MulRows],
-                        comuls: Sequence[ComulRows],
-                        tables: Optional[FusedTables] = None) -> list[State]:
+                        tables: FusedTables) -> list[State]:
     """Apply a diagram to sparse tensors indexed by h-degree, slice by slice.
 
-    ``muls`` and ``comuls`` list the degree components of the product and
-    coproduct; a plain model is the order-0 case ``(mul_rows,)``,
-    ``(comul_rows,)``.  mul/comul convolve degrees modulo
-    h^len(states) (label "0" keeps the constant component, "+" the
-    positive ones); unit and counit, from ``model``, act degree by degree.
+    ``tables`` is the `FusedTables` that a model or deformation object
+    keeps, and the one source of the structure maps: ``tables.muls`` and
+    ``tables.comuls`` list the degree components of the product and
+    coproduct, and the fused steps read the same components through it.  A
+    plain model is the order-0 case ``(mul_rows,)``, ``(comul_rows,)``.
+    mul/comul convolve degrees modulo h^len(states) (label "0" keeps the
+    constant component, "+" the positive ones); unit and counit, from
+    ``model``, act degree by degree.
     Swaps never copy a tensor: `Diagram.program` folds each run of them
     into a permutation that the next slice reads its keys through.  A
     permutation is a bijection on keys, so the terms, and the key order of
@@ -358,17 +335,14 @@ def evaluate_components(d: Diagram, states: list[State],
     the evaluator runs `Diagram.fused_program`: a comul step whose next
     step, a mul, reads exactly one of its outputs is contracted into that
     mul, through one table entry per pair of coproduct and product terms.
-    ``tables`` is the `FusedTables` of ``muls`` and ``comuls`` that a
-    model or deformation object keeps; without it each call builds its
-    own.  Since no two coproduct terms share a key, the comul slice would
+    Since no two coproduct terms share a key, the comul slice would
     have made each intermediate key once, in the order that the fused step
     visits them, and its cleaning drops no nonzero term.  So the fused
     step makes the staircase's terms in the staircase's order; it only
     skips the intermediate keys whose product misses, which make no term.
     Empty positive-degree components are skipped; they make no term.
     """
-    if tables is None:
-        tables = FusedTables(muls, comuls)
+    muls, comuls = tables.muls, tables.comuls
     steps, tail = d.fused_program if tables.injective else d.program
     if ((d.slices and d.slices[0][0] == "swap")
             or (steps and steps[0][0] == "fused")):
@@ -418,8 +392,7 @@ def refuse_labels(d: Diagram) -> None:
 
 def _evaluate_plain(d: Diagram, model: FiniteBialgebraModel,
                     state: State) -> State:
-    return evaluate_components(d, [state], model, (model.mul_rows,),
-                               (model.comul_rows,), model.tables)[0]
+    return evaluate_components(d, [state], model, model.tables)[0]
 
 
 def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:

@@ -4,8 +4,10 @@ Rules are bidirectional diagram pairs.  A rule side matches a host diagram
 through its port graph: a label-preserving injection of pattern nodes into
 host nodes that respects all internal wiring, with the pattern boundary cut
 anywhere in the host.  Matching is therefore automatically up to the
-interchange law and swap naturality.  A rule side that is a single identity
-wire matches every wire of the host.
+interchange law and swap naturality.  Only convex matches count: no host
+path may leave the matched nodes and come back to one, since rewriting
+modulo symmetric monoidal structure is sound on convex matches.  A rule
+side that is a single identity wire matches every wire of the host.
 
 `prove_equal` runs breadth-first search from both endpoints with a shared
 frontier-intersection test.  Absence of a proof within budget is an
@@ -133,13 +135,34 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
                 assignment.pop()
                 used.discard(hv)
 
+    consumers: list[list[int]] = [[] for _ in hg.nodes]
+    for v, row in enumerate(hg.node_inputs):
+        for prod in row:
+            if prod[0] != "b":
+                consumers[prod[0]].append(v)
+
+    def convex(node_map: tuple[int, ...]) -> bool:
+        """No path leaves the matched nodes and comes back to one."""
+        matched = set(node_map)
+        stack = [w for v in node_map for w in consumers[v] if w not in matched]
+        seen = set(stack)
+        while stack:
+            for w in consumers[stack.pop()]:
+                if w in matched:
+                    return False
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return True
+
     # Internal pattern wires are internal in the host too: each host
     # producer has a unique consumer, which the wiring checks pin down.
+    # A single node is always convex.
     return [
         Match(node_map,
               tuple(hg.node_inputs[node_map[v]][p] for v, p in interface),
               "nodes=" + ",".join(str(h) for h in node_map))
-        for node_map in extend(0)
+        for node_map in extend(0) if np_ == 1 or convex(node_map)
     ]
 
 
@@ -151,8 +174,9 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
              match: Match) -> Optional[Diagram]:
     """Glue `replacement` into `host` at the matched occurrence.
 
-    Returns None when the glued graph has no canonical form: it has a
-    cycle (a non-convex match) or is too wide.
+    Returns None when the glued graph has no canonical form: it is too
+    wide, or it has a cycle, which even a convex match can close when a
+    host wire runs straight from one matched node into another.
     """
     hg = host.graph
     pg = pattern.graph

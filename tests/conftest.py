@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,30 @@ def same_span(a, b) -> bool:
         return len(linalg.rref([list(v) for v in vectors])[1])
 
     return rank(a) == rank(b) == rank([*a, *b])
+
+
+def dense_kernel_T(q):
+    """Nullspace of T = Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I, written as a dense d³ × d³
+    matrix and row-reduced: the oracle for `deformation.eigen_kernel_T`.
+    Index (i, j, k) of the triple space is (i*d + j)*d + k."""
+    d = len(q)
+    n3 = d ** 3
+    rows = []
+    for i1, i2, i3 in itertools.product(range(d), repeat=3):
+        row = [Fraction(0)] * n3
+        for j1 in range(d):
+            if q[i1][j1]:
+                for j2 in range(d):
+                    if q[i2][j2]:
+                        row[(j1 * d + j2) * d + i3] += q[i1][j1] * q[i2][j2]
+        for j1 in range(d):
+            if q[i1][j1]:
+                row[(j1 * d + i2) * d + i3] -= q[i1][j1]
+        for j2 in range(d):
+            if q[i2][j2]:
+                row[(i1 * d + j2) * d + i3] -= q[i2][j2]
+        rows.append(row)
+    return linalg.nullspace(rows)
 
 
 def associativity_witness(loop):

@@ -4,8 +4,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import same_span
+from conftest import dense_kernel_T, same_span
 from moufang import linalg
 from moufang.deformation import (
     DeformationError,
@@ -236,6 +237,51 @@ def test_eigen_kernel_T_binomial_d4():
                     v[(i * d + j) * d + k] = F(1)
                     expected.append(v)
     assert same_span(kernel, expected)
+
+
+@st.composite
+def _diagonalizable_q(draw):
+    """diag(2^n) conjugated by a random unimodular integer matrix U, a
+    product of elementary row additions, with the grading of the n."""
+    d = draw(st.integers(1, 4))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=d, max_size=d))
+    u = linalg.eye(d)
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        c = draw(st.integers(-2, 2))
+        if i != j:
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    diag = [[F(2 ** n) if i == j else F(0) for j, _ in enumerate(degrees)]
+            for i, n in enumerate(degrees)]
+    q = linalg.mat_mul(linalg.mat_mul(u, diag), linalg.invert(u))
+    return q, GradedSpace(d, tuple(degrees))
+
+
+@given(_diagonalizable_q())
+@settings(max_examples=25, deadline=None)
+def test_eigen_kernel_T_spans_dense_kernel(qg):
+    q, graded = qg
+    kernel = eigen_kernel_T(q, graded)
+    oracle = dense_kernel_T(q)
+    assert len(kernel) == len(oracle)
+    assert same_span(kernel, oracle)
+
+
+@pytest.mark.parametrize("max_degree", [2, 4, 6])
+def test_eigen_kernel_T_spans_dense_kernel_on_binomial(max_degree):
+    q = q_operator(truncated_binomial_bialgebra(max_degree))
+    graded = GradedSpace(max_degree + 1, tuple(range(max_degree + 1)))
+    kernel = eigen_kernel_T(q, graded)
+    assert len(kernel) == max_degree + 1
+    assert same_span(kernel, dense_kernel_T(q))
+
+
+def test_eigen_kernel_T_empty_without_degree_one():
+    """2^p·2^r = 2^p + 2^r only for p = r = 1, so no degree 1, no kernel."""
+    graded = GradedSpace(3, (0, 2, 3))
+    q = [[F(1), F(1), F(0)], [F(0), F(4), F(0)], [F(0), F(0), F(8)]]
+    assert eigen_kernel_T(q, graded) == []
+    assert dense_kernel_T(q) == []
 
 
 def test_eigenvalue_formula_examples():

@@ -1,4 +1,4 @@
-"""The shared line-record reader and the seven loaders built on it."""
+"""The shared line-record reader and the six loaders built on it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,6 @@ from moufang.deformation import (
 from moufang.dsl import parse
 from moufang.models import (
     ModelError,
-    MoufangLoop,
     cyclic_loop,
     load_model_text,
     loop_bialgebra,
@@ -48,8 +47,6 @@ def _trace(text):
 LOADERS = {
     "model": (load_model_text, ModelError,
               "model dim flags basis degree cap kind mul comul unit counit end"),
-    "loop": (MoufangLoop.from_cayley_text, ModelError,
-             "loop order identity labels row end"),
     "theory": (load_theory_text, TheoryError, "theory flags rule end"),
     "goals": (load_goals_text, TheoryError, "goal source lhs rhs end"),
     "trace": (_trace, RewriteError, "counit-l unit-l -> <- 0"),
@@ -61,7 +58,6 @@ LOADERS = {
 
 # A valid one-dimensional model, so that one extra line is all that is wrong.
 _DIM1 = save_model_text(loop_bialgebra(cyclic_loop(1))).replace("end\n", "")
-_C3 = cyclic_loop(3).cayley_text()
 
 
 @pytest.mark.parametrize("loader,text,lineno", [
@@ -83,10 +79,6 @@ _C3 = cyclic_loop(3).cayley_text()
     pytest.param("model", _DIM1 + "flags nope\n", 9, id="model-unknown-flag"),
     pytest.param("model", "dim -2\n", 1, id="model-dim-negative"),
     pytest.param("model", "model m\ndim 0\n", 2, id="model-dim-zero"),
-    pytest.param("loop", _C3.replace("order 3", "order 7"), 2,
-                 id="loop-order"),
-    pytest.param("loop", _C3.replace("identity 0", "identity 2"), 3,
-                 id="loop-identity"),
     pytest.param("theory", "theory\n", 1, id="theory-bare-theory"),
     pytest.param("theory", "theory t\nrule\n", 2, id="theory-bare-rule"),
     pytest.param("theory", "theory t\nrule r : mul ; = mul\n", 2,
@@ -163,8 +155,6 @@ def test_read_checks_arity_and_fields():
 def test_every_format_round_trips_to_an_equal_object():
     binomial = truncated_binomial_bialgebra(4)
     assert load_model_text(save_model_text(binomial)) == binomial
-    loop = cyclic_loop(3)
-    assert MoufangLoop.from_cayley_text(loop.cayley_text()) == loop
     theory = named_theory("comoufang")
     assert load_theory_text(save_theory_text(theory)) == theory
     suite = goal_suite()

@@ -1,7 +1,10 @@
 import hashlib
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from moufang.diagram import ARITY, canonicalize, raw_diagram
 from moufang.dsl import parse
 from moufang.rewrite import (
     ProofTrace,
@@ -187,15 +190,87 @@ def test_rewrite_error_without_step():
 
 
 def test_splice_closing_a_cycle_is_refused():
-    """Matching both muls of the host at nodes 0,2 and crossing their inner
-    inputs would feed the comul's output back into its own input."""
+    """Host mul 0 feeds mul 1 directly, so matching both muls at nodes 0,1
+    is convex; crossing their inner inputs there would feed the
+    replacement's first mul its own output."""
+    rule = RewriteRule("cross", parse("mul * mul"),
+                       parse("id(1) * swap * id(1) ; mul * mul"))
+    host = parse("mul * id(1) ; mul")
+    assert [m.position for m in find_matches(host, rule.lhs)] == [
+        "nodes=0,1", "nodes=1,0"]
+    assert [m.position for m, _ in rewrites(host, rule, "->")] == [
+        "nodes=1,0"]
+
+
+def test_non_convex_match_is_refused():
+    """Host mul 0 feeds mul 2 through the unmatched comul, so a match of
+    both muls is not convex, in either order."""
     rule = RewriteRule("cross", parse("mul * mul"),
                        parse("id(1) * swap * id(1) ; mul * mul"))
     host = parse("mul * id(1) ; comul * id(1) ; id(1) * mul")
-    assert [m.position for m in find_matches(host, rule.lhs)] == [
-        "nodes=0,2", "nodes=2,0"]
-    assert "nodes=0,2" not in [m.position for m, _ in
-                               rewrites(host, rule, "->")]
+    assert find_matches(host, rule.lhs) == []
+    positions = [m.position for m, _ in rewrites(host, rule, "->")]
+    assert "nodes=0,2" not in positions and "nodes=2,0" not in positions
+
+
+@st.composite
+def _small_host(draw):
+    """A random canonical host of at most 9 generators on at most 5 wires."""
+    w = n_in = draw(st.integers(1, 4))
+    slices = []
+    for _ in range(draw(st.integers(1, 9))):
+        options = [kind for kind in ("mul", "comul", "swap", "unit", "counit")
+                   if ARITY[kind][0] <= w
+                   and w - ARITY[kind][0] + ARITY[kind][1] <= 5]
+        kind = draw(st.sampled_from(options))
+        slices.append((kind, None, draw(st.integers(0, w - ARITY[kind][0]))))
+        w += ARITY[kind][1] - ARITY[kind][0]
+    return canonicalize(raw_diagram(n_in, slices))
+
+
+def _brute_force_matches(hg, pg):
+    """Every label-preserving injection of pattern nodes into host nodes
+    that keeps the pattern's internal wires, less those where some host
+    path leaves the image and comes back to it, by enumerating paths."""
+    def paths(v):
+        """Every directed host path that starts at node v."""
+        yield (v,)
+        for w, row in enumerate(hg.node_inputs):
+            if any(prod[0] == v for prod in row):
+                for rest in paths(w):
+                    yield (v,) + rest
+
+    out = []
+    for node_map in itertools.permutations(range(len(hg.nodes)),
+                                           len(pg.nodes)):
+        if any(hg.nodes[h] != pg.nodes[v] for v, h in enumerate(node_map)):
+            continue
+        if any(prod[0] != "b"
+               and hg.node_inputs[node_map[v]][p] != (node_map[prod[0]],
+                                                       prod[1])
+               for v, row in enumerate(pg.node_inputs)
+               for p, prod in enumerate(row)):
+            continue
+        image = set(node_map)
+        if any(path[-1] in image and not image.issuperset(path)
+               for v in node_map for path in paths(v)):
+            continue
+        out.append(node_map)
+    return out
+
+
+_PATTERNS = ("mul * mul", "comul * comul", "mul * comul", "comul * mul",
+             "comul ; id(1) * comul", "mul * mul * mul")
+
+
+@given(host=_small_host(), pattern=st.sampled_from(_PATTERNS))
+@settings(max_examples=200, deadline=None)
+def test_matches_are_the_convex_embeddings(host, pattern):
+    """`find_matches` returns exactly the embeddings that no host path
+    leaves and re-enters, in ascending order of their node maps."""
+    p = parse(pattern)
+    got = [m.node_map for m in find_matches(host, p)]
+    assert got == _brute_force_matches(host.graph, p.graph)
 
 
 def test_goal_suite_traces_are_pinned():
