@@ -2,8 +2,8 @@
 
 Matrices are lists of rows of Fractions.  Everything here is a plain
 Gaussian-elimination routine, plus the one bilinear product that applies
-a sparse structure-constant table to two sparse vectors; no floating
-point is used anywhere.
+a sparse structure-constant table to two term lists; no floating point
+is used anywhere.
 """
 
 from __future__ import annotations
@@ -17,20 +17,26 @@ Vector = list[Fraction]
 # pair means zero.  Model products (`models.MulRows`) use this format.
 BilinearRows = dict[tuple[int, int], tuple[tuple[int, Fraction], ...]]
 Sparse = dict[int, int | Fraction]  # {index: coefficient}, no zero values
+Terms = list[tuple[int, int | Fraction]]  # [(index, coefficient), ...]
 
 
 def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(1 if j == i else 0) for j in range(dim))
 
 
-def bilinear(rows: BilinearRows, x: Sparse, y: Sparse) -> Sparse:
-    """b(x, y) for the bilinear map b : V x V -> V with the table `rows`."""
+def bilinear(rows: BilinearRows, x: Terms, y: Terms) -> Terms:
+    """b(x, y) for the bilinear map b : V x V -> V with the table `rows`:
+    one term per input term pair and table entry, unsummed (`collect`)."""
+    return [(k, a * b * c) for i, a in x for j, b in y
+            for k, c in rows.get((i, j), ())]
+
+
+def collect(terms: Terms) -> Sparse:
+    """The sum of a term list as a sparse vector."""
     out: Sparse = {}
-    for i, xi in x.items():
-        for j, yj in y.items():
-            for k, c in rows.get((i, j), ()):
-                out[k] = out.get(k, 0) + xi * yj * c
-    return {k: v for k, v in out.items() if v}
+    for k, c in terms:
+        out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def zeros(rows: int, cols: int) -> Matrix:

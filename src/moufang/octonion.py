@@ -12,31 +12,49 @@ independent but the structure-constant tables and witnesses are not, so
 this one is fixed and documented.  Basis order after three doublings with
 parameters (alpha, beta, gamma) is (1, u, v, uv, w, uw, vw, (uv)w).
 All arithmetic is exact rational.
+
+The law sweeps run on int term lists: each algebra caches its table with
+every constant times N, the lcm of their denominators.  Every law swept is
+homogeneous, with d products in each term (2 in an associator or Jacobian,
+3 in a polarized Moufang or Malcev side), so each difference comes out N^d
+times the true one: zero exactly when it is, and the first witness is
+unchanged.  `nalt_check` scales its vector the same way; it occurs once
+in each associator.  The dense API (`product`, `bracket_vec`, `associator`,
+`jacobian`) reads the unscaled table.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import Optional
 
-from .linalg import BilinearRows, Matrix, Sparse, basis_vector, bilinear, zeros
-from .models import (MOUFANG_LAWS, MoufangLoop, add_state, integral,
-                     integral_rows, subtract_state)
+from .linalg import (BilinearRows, Matrix, Terms, basis_vector, bilinear,
+                     collect, zeros)
+from .models import MOUFANG_LAWS, MoufangLoop
 
 Vector = tuple[Fraction, ...]
 
 
-def _sparse(x: Vector) -> Sparse:
-    return {i: integral(c) for i, c in enumerate(x) if c}
-
-
 def _dense_call(dim: int, f, *vectors: Vector) -> Vector:
-    """f on the sparse forms of dense vectors, as a dense Fraction tuple."""
-    out = f(*map(_sparse, vectors))
+    """f on the term lists of dense vectors, as a dense Fraction tuple."""
+    out = collect(f(*([(i, c) for i, c in enumerate(x) if c]
+                      for x in vectors)))
     return tuple(Fraction(out.get(i, 0)) for i in range(dim))
+
+
+def _denominators_lcm(cs) -> int:
+    return math.lcm(*(Fraction(c).denominator for c in cs))
+
+
+def _scaled_product(rows: BilinearRows):
+    """The product of `rows` times N, on int term lists."""
+    n = _denominators_lcm(c for row in rows.values() for _k, c in row)
+    return partial(bilinear, {ij: [(k, int(c * n)) for k, c in row]
+                              for ij, row in rows.items()})
 
 
 class AlgebraError(Exception):
@@ -61,13 +79,17 @@ class CayleyAlgebra:
     labels: tuple[str, ...]
 
     @cached_property
-    def mul_sparse(self):
-        """The product on sparse vectors, integral constants as ints."""
-        return partial(bilinear, integral_rows(
-            {ij: (kc,) for ij, kc in self.mul.items()}))
+    def mul_rows(self) -> BilinearRows:
+        """The table in the `linalg.BilinearRows` format."""
+        return {ij: (kc,) for ij, kc in self.mul.items()}
+
+    @cached_property
+    def mul_scaled(self):
+        """The product times N on int term lists (see the module doc)."""
+        return _scaled_product(self.mul_rows)
 
     def product(self, x: Vector, y: Vector) -> Vector:
-        return _dense_call(self.dim, self.mul_sparse, x, y)
+        return _dense_call(self.dim, partial(bilinear, self.mul_rows), x, y)
 
     def conj(self, x: Vector) -> Vector:
         return tuple(s * xi for s, xi in zip(self.conj_signs, x))
@@ -133,19 +155,26 @@ def octonion_algebra(alpha, beta, gamma) -> CayleyAlgebra:
     )
 
 
-def _associator(p, x: Sparse, y: Sparse, z: Sparse) -> Sparse:
-    return subtract_state(p(p(x, y), z), p(x, p(y, z)))
+def _neg(terms: Terms) -> Terms:
+    return [(k, -c) for k, c in terms]
+
+
+def _associator(p, x: Terms, y: Terms, z: Terms) -> Terms:
+    return p(p(x, y), z) + _neg(p(x, p(y, z)))
 
 
 def associator(a: CayleyAlgebra, x: Vector, y: Vector, z: Vector) -> Vector:
-    return _dense_call(a.dim, partial(_associator, a.mul_sparse), x, y, z)
+    p = partial(bilinear, a.mul_rows)
+    return _dense_call(a.dim, partial(_associator, p), x, y, z)
 
 
-def _witness(fails, keys) -> Optional[tuple]:
-    """The first index tuple of ``keys`` at which ``fails`` holds on the
-    sparse basis vectors ``{i: 1}``, or None.  Every law check of this
-    module is a failure predicate swept by this one loop."""
-    return next((k for k in keys if fails(*({i: 1} for i in k))), None)
+def _witness(laws, keys) -> Optional[tuple]:
+    """The first index tuple of ``keys`` at which one of the term lists
+    that ``laws`` returns on the basis term lists ``[(i, 1)]`` does not sum
+    to zero, or None.  Every law check of this module is swept by this one
+    loop."""
+    return next((k for k in keys
+                 if any(map(collect, laws(*([(i, 1)] for i in k))))), None)
 
 
 def _polarized(dim: int, lhs, rhs) -> Optional[tuple]:
@@ -158,30 +187,31 @@ def _polarized(dim: int, lhs, rhs) -> Optional[tuple]:
     sums are symmetric in s and t, so only s <= t is visited: that keeps
     the first witness, as (i, j, ...) comes before (j, i, ...) if i < j.
     """
-    def fails(s, t, x, y):
-        return (add_state(lhs(s, t, x, y), lhs(t, s, x, y))
-                != add_state(rhs(s, t, x, y), rhs(t, s, x, y)))
-    return _witness(fails, (k for k in itertools.product(range(dim), repeat=4)
+    def laws(s, t, x, y):
+        return (lhs(s, t, x, y) + lhs(t, s, x, y)
+                + _neg(rhs(s, t, x, y) + rhs(t, s, x, y)),)
+    return _witness(laws, (k for k in itertools.product(range(dim), repeat=4)
                             if k[0] <= k[1]))
 
 
 def check_alternative(a: CayleyAlgebra) -> Optional[tuple]:
     """Polarized alternativity sweep; returns a witness triple or None."""
-    def fails(x, y, z):
-        xyz = _associator(a.mul_sparse, x, y, z)
-        return (add_state(xyz, _associator(a.mul_sparse, y, x, z))
-                or add_state(xyz, _associator(a.mul_sparse, x, z, y)))
-    return _witness(fails, itertools.product(range(a.dim), repeat=3))
+    p = a.mul_scaled
+    def laws(x, y, z):
+        xyz = _associator(p, x, y, z)
+        return xyz + _associator(p, y, x, z), xyz + _associator(p, x, z, y)
+    return _witness(laws, itertools.product(range(a.dim), repeat=3))
 
 
 def nalt_check(a: CayleyAlgebra, v: Vector) -> bool:
     """Does v satisfy (v,x,y) = -(x,v,y) = (x,y,v) for all basis x, y?"""
-    p, v = a.mul_sparse, _sparse(v)
-    def fails(x, y):
+    p, n = a.mul_scaled, _denominators_lcm(v)
+    v = [(i, int(c * n)) for i, c in enumerate(v) if c]
+    def laws(x, y):
         first = _associator(p, v, x, y)
-        return (add_state(first, _associator(p, x, v, y))
-                or first != _associator(p, x, y, v))
-    return _witness(fails, itertools.product(range(a.dim), repeat=2)) is None
+        return (first + _associator(p, x, v, y),
+                first + _neg(_associator(p, x, y, v)))
+    return _witness(laws, itertools.product(range(a.dim), repeat=2)) is None
 
 
 def check_moufang(a: CayleyAlgebra, which: str) -> Optional[tuple]:
@@ -190,7 +220,7 @@ def check_moufang(a: CayleyAlgebra, which: str) -> Optional[tuple]:
     witness quadruple or None."""
     if which not in MOUFANG_LAWS:
         raise AlgebraError(f"unknown Moufang law {which!r}")
-    return _polarized(a.dim, *(partial(side, a.mul_sparse)
+    return _polarized(a.dim, *(partial(side, a.mul_scaled)
                                for side in MOUFANG_LAWS[which]))
 
 
@@ -211,12 +241,13 @@ class BracketAlgebra:
     labels: tuple[str, ...]
 
     @cached_property
-    def bracket_sparse(self):
-        """The bracket on sparse vectors, integral constants as ints."""
-        return partial(bilinear, integral_rows(self.bracket_rows))
+    def bracket_scaled(self):
+        """The bracket times N on int term lists (see the module doc)."""
+        return _scaled_product(self.bracket_rows)
 
     def bracket_vec(self, x: Vector, y: Vector) -> Vector:
-        return _dense_call(self.dim, self.bracket_sparse, x, y)
+        return _dense_call(self.dim, partial(bilinear, self.bracket_rows),
+                           x, y)
 
     def basis(self, i: int) -> Vector:
         return basis_vector(self.dim, i)
@@ -242,19 +273,20 @@ class BracketAlgebra:
                  for j in range(n)] for i in range(n)]
 
 
-def _jacobian(br, a: Sparse, b: Sparse, c: Sparse) -> Sparse:
-    return add_state(add_state(br(br(a, b), c), br(br(b, c), a)),
-                     br(br(c, a), b))
+def _jacobian(br, a: Terms, b: Terms, c: Terms) -> Terms:
+    return br(br(a, b), c) + br(br(b, c), a) + br(br(c, a), b)
 
 
 def jacobian(m: BracketAlgebra, a: Vector, b: Vector, c: Vector) -> Vector:
     """[[a,b],c] + [[b,c],a] + [[c,a],b]."""
-    return _dense_call(m.dim, partial(_jacobian, m.bracket_sparse), a, b, c)
+    br = partial(bilinear, m.bracket_rows)
+    return _dense_call(m.dim, partial(_jacobian, br), a, b, c)
 
 
 def jacobi_witness(m: BracketAlgebra) -> Optional[tuple]:
     """First basis triple at which the Jacobian is nonzero, or None."""
-    return _witness(partial(_jacobian, m.bracket_sparse),
+    br = m.bracket_scaled
+    return _witness(lambda a, b, c: (_jacobian(br, a, b, c),),
                     itertools.product(range(m.dim), repeat=3))
 
 
@@ -264,7 +296,7 @@ def malcev_witness(m: BracketAlgebra) -> Optional[tuple]:
     The law Jac(a,b,[a,c]) = [Jac(a,b,c),a] is quadratic in a; the check
     sweeps its polarization over the basis quadruples.
     """
-    br = m.bracket_sparse
+    br = m.bracket_scaled
     return _polarized(m.dim, lambda s, t, b, c: _jacobian(br, s, b, br(t, c)),
                       lambda s, t, b, c: br(_jacobian(br, s, b, c), t))
 

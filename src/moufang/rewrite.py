@@ -6,8 +6,10 @@ host nodes that respects all internal wiring, with the pattern boundary cut
 anywhere in the host.  Matching is therefore automatically up to the
 interchange law and swap naturality.  Only convex matches count: no host
 path may leave the matched nodes and come back to one, since rewriting
-modulo symmetric monoidal structure is sound on convex matches.  A rule
-side that is a single identity wire matches every wire of the host.
+modulo symmetric monoidal structure is sound on convex matches.  Nor may
+a host wire run from a matched node into a pattern input: splicing there
+would feed the replacement its own output.  A rule side that is a single
+identity wire matches every wire of the host.
 
 `prove_equal` runs breadth-first search from both endpoints with a shared
 frontier-intersection test.  Absence of a proof within budget is an
@@ -157,26 +159,26 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
 
     # Internal pattern wires are internal in the host too: each host
     # producer has a unique consumer, which the wiring checks pin down.
-    # A single node is always convex.
+    # A pattern input fed by a matched node would be spliced into the
+    # replacement's own output.  A single node, being acyclic, is fed by
+    # no matched node and is always convex.
+    found = ((node_map, tuple(hg.node_inputs[node_map[v]][p]
+                              for v, p in interface))
+             for node_map in extend(0))
     return [
-        Match(node_map,
-              tuple(hg.node_inputs[node_map[v]][p] for v, p in interface),
-              "nodes=" + ",".join(str(h) for h in node_map))
-        for node_map in extend(0) if np_ == 1 or convex(node_map)
+        Match(node_map, inputs, "nodes=" + ",".join(map(str, node_map)))
+        for node_map, inputs in found
+        if np_ == 1 or (not any(q[0] in node_map for q in inputs)
+                        and convex(node_map))
     ]
-
-
-class _CycleError(Exception):
-    """A splice whose replacement outputs feed back into its own inputs."""
 
 
 def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
              match: Match) -> Optional[Diagram]:
     """Glue `replacement` into `host` at the matched occurrence.
 
-    Returns None when the glued graph has no canonical form: it is too
-    wide, or it has a cycle, which even a convex match can close when a
-    host wire runs straight from one matched node into another.
+    Returns None when the glued graph is too wide for a canonical form.
+    It has no cycle: the match is convex and no matched node feeds it.
     """
     hg = host.graph
     pg = pattern.graph
@@ -223,10 +225,9 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
             u, q = prod
             pat_out_host[(match.node_map[u], q)] = j
 
-    resolving: set = set()
-
     def resolve_host(p: tuple) -> tuple:
-        """Producer in the new graph for a host producer."""
+        """Producer in the new graph for a host producer (recursing at
+        most once, as no matched node produces a match input)."""
         if p[0] == "b":
             return p
         v, q = p
@@ -235,38 +236,24 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
         j = pat_out_host.get((v, q))
         if j is None:
             raise RewriteError("matched producer is not part of the interface")
-        return resolve_repl_out(j)
-
-    def resolve_repl_out(j: int) -> tuple:
-        if j in resolving:
-            raise _CycleError()
         prod = rg.outputs[j]
         if prod[0] != "b":
             return (offset + prod[0], prod[1])
-        resolving.add(j)
-        try:
-            return resolve_host(match.inputs[prod[1]])
-        finally:
-            resolving.discard(j)
+        return resolve_host(match.inputs[prod[1]])
 
-    try:
-        nodes = [hg.nodes[v] for v in keep] + list(rg.nodes)
-        node_inputs = []
-        for v in keep:
-            node_inputs.append(
-                tuple(resolve_host(p) for p in hg.node_inputs[v])
-            )
-        for w in range(len(rg.nodes)):
-            row = []
-            for p in rg.node_inputs[w]:
-                if p[0] == "b":
-                    row.append(resolve_host(match.inputs[p[1]]))
-                else:
-                    row.append((offset + p[0], p[1]))
-            node_inputs.append(tuple(row))
-        outputs = tuple(resolve_host(p) for p in hg.outputs)
-    except _CycleError:
-        return None
+    nodes = [hg.nodes[v] for v in keep] + list(rg.nodes)
+    node_inputs = []
+    for v in keep:
+        node_inputs.append(tuple(resolve_host(p) for p in hg.node_inputs[v]))
+    for w in range(len(rg.nodes)):
+        row = []
+        for p in rg.node_inputs[w]:
+            if p[0] == "b":
+                row.append(resolve_host(match.inputs[p[1]]))
+            else:
+                row.append((offset + p[0], p[1]))
+        node_inputs.append(tuple(row))
+    outputs = tuple(resolve_host(p) for p in hg.outputs)
 
     new_graph = _Graph(hg.n_in, hg.n_out, nodes, node_inputs, outputs)
     try:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -227,10 +228,13 @@ def test_algebra_export_contains_table():
 # Dense rational tuples, a product read straight off the table, every index
 # tuple in lexicographic order (both orders of the polarized pair).  Zeros
 # are ints: int and Fraction arithmetic mix exactly, and ints are cheaper.
+# Each product is memoized per table: a sweep asks for the same few again
+# and again, and every answer is still read off the table.
 
 
 def _dense_product(rows, dim):
     """The bilinear map of ``rows`` ({(i, j): ((k, c), ...)}) on tuples."""
+    @functools.lru_cache(maxsize=None)
     def p(x, y):
         out = [0] * dim
         ys = [(j, b) for j, b in enumerate(y) if b]
@@ -283,6 +287,14 @@ def _oracle_moufang(p, dim, which):
                              lambda s, t, x, y: rhs(p, s, t, x, y))
 
 
+def _oracle_nalt(p, dim, v):
+    def fails(x, y):
+        first = _oracle_associator(p, v, x, y)
+        return (any(_add(first, _oracle_associator(p, x, v, y)))
+                or first != _oracle_associator(p, x, y, v))
+    return _oracle_witness(dim, 2, fails) is None
+
+
 def _oracle_jacobian(br, a, b, c):
     return _add(_add(br(br(a, b), c), br(br(b, c), a)), br(br(c, a), b))
 
@@ -302,6 +314,7 @@ def _oracle_malcev(br, dim):
 def _oracle_commutator(p):
     """The commutator bracket on the trace-zero part (indices 1..7), or
     None when some basis commutator has a trace component."""
+    @functools.lru_cache(maxsize=None)
     def comm(x, y):
         x, y = (Fraction(0),) + x, (Fraction(0),) + y
         return _sub(p(x, y), p(y, x))
@@ -332,10 +345,13 @@ def _algebras(draw):
     return CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
 
 
-@given(_algebras())
-@settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
-def test_sweeps_agree_with_dense_oracle(a):
-    p = _dense_product({ij: (kc,) for ij, kc in a.mul.items()}, a.dim)
+def _oracle_table(a):
+    return _dense_product({ij: (kc,) for ij, kc in a.mul.items()}, a.dim)
+
+
+def _assert_sweeps_agree(a):
+    """Products and every sweep's witness on ``a`` agree with the oracle."""
+    p = _oracle_table(a)
     e = [a.basis(i) for i in range(a.dim)]
     assert all(a.product(x, y) == p(x, y) for x in e for y in e)
     for which in ("left", "middle", "right"):
@@ -349,6 +365,55 @@ def test_sweeps_agree_with_dense_oracle(a):
     m = traceless_malcev(a, check=False)
     assert malcev_witness(m) == _oracle_malcev(br, 7)
     assert jacobi_witness(m) == _oracle_jacobi(br, 7)
+
+
+@given(_algebras())
+@settings(max_examples=10, deadline=None, phases=_NO_SHRINK)
+def test_sweeps_agree_with_dense_oracle(a):
+    _assert_sweeps_agree(a)
+
+
+def test_sweeps_agree_with_dense_oracle_at_non_integral_parameters():
+    """At (1/3, 2/7, -5/11) the scaled table has N = 3 * 7 * 11 = 231, so
+    every law difference is scaled before its zero test."""
+    a = octonion_algebra(Fraction(1, 3), Fraction(2, 7), Fraction(-5, 11))
+    assert a.mul_scaled([(1, 1)], [(1, 1)]) == [(0, 77)]  # u u = 1/3
+    _assert_sweeps_agree(a)
+    assert jacobi_witness(traceless_malcev(a)) == (0, 1, 3)
+    p = _oracle_table(a)
+    v = tuple(Fraction(n, d) for n, d in
+              [(1, 2), (-3, 1), (0, 1), (5, 7), (2, 3), (-1, 4), (9, 2), (1, 1)])
+    for x in [a.basis(i) for i in range(8)] + [v]:
+        assert nalt_check(a, x) == _oracle_nalt(p, 8, x) is True
+
+
+_FRACTIONAL = st.fractions(min_value=-3, max_value=3,
+                           max_denominator=7).filter(lambda q: q.denominator > 1)
+
+
+@st.composite
+def _fractional_algebras(draw):
+    """A parameter triple with every denominator above 1, or the split
+    table with one entry replaced by a non-integral constant."""
+    if draw(st.booleans()):
+        return octonion_algebra(*draw(st.tuples(*[_FRACTIONAL] * 3)))
+    o = octonion_algebra(-1, -1, -1)
+    index = st.integers(0, 7)
+    bad_mul = dict(o.mul)
+    bad_mul[(draw(index), draw(index))] = (draw(index), draw(_FRACTIONAL))
+    return CayleyAlgebra(o.dim, o.params, bad_mul, o.conj_signs, o.labels)
+
+
+@given(_fractional_algebras(),
+       st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                min_size=8, max_size=8).filter(
+                    lambda v: sum(map(bool, v)) > 1))
+@settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+def test_nalt_agrees_with_dense_oracle(a, v):
+    """nalt_check on a rational vector that is no multiple of a basis
+    vector, where the table and the vector are both scaled to ints."""
+    v = tuple(v)
+    assert nalt_check(a, v) == _oracle_nalt(_oracle_table(a), a.dim, v)
 
 
 _SL2 = {(0, 1): ((1, Fraction(2)),), (1, 0): ((1, Fraction(-2)),),
