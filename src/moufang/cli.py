@@ -62,10 +62,12 @@ def _load_model(spec: str, flag: str = "--model"
                 ) -> models.FiniteBialgebraModel:
     if Path(spec).is_file():
         return models.load_model_text(Path(spec).read_text())
-    head, _, arg = spec.partition(":")
+    head, sized, arg = spec.partition(":")
     build = (models.loop_bialgebra if head.startswith("loop-")
              else models.function_bialgebra)
     if head in ("loop-o16", "fn-o16"):
+        if sized:
+            raise CliError(f"{flag}: {head} takes no size, got {spec!r}")
         return build(octonion.o16_loop())
     if head in ("binomial", "loop-cyclic", "fn-cyclic"):
         with _flag(flag, spec):
@@ -267,6 +269,9 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
             (dlab.shift_conjugation_deformation, 12, 3) if head == "shift-conj"
             else (dlab.simple_comul_perturbation, 6, 1))
         parts = rest.split(":")
+        if len(parts) > 2:
+            raise CliError(f"--fixture: {head} takes at most D:ORDER, got "
+                           f"{spec!r}")
         with _flag("--fixture", spec):
             degree = int(parts[0]) if parts[0] else degree
             order = int(parts[1]) if len(parts) > 1 else order

@@ -45,13 +45,14 @@ from .models import (
     evaluate,
     evaluate_components,
     first_failure,
+    holds_identity,
     integral_rows,
     integral_state,
     subtract_state,
     truncated_binomial_bialgebra,
 )
 from .octonion import BracketAlgebra, jacobi_witness
-from .reader import Many, at_least, read, settings
+from .reader import at_least, read, settings
 from .theories import base_rules, flag_rules
 
 
@@ -124,8 +125,8 @@ class TruncatedDeformation:
     counit are those of the base.  Construction verifies the counit/unit
     laws of the full truncated series and bialgebra compatibility modulo
     h^(order+1) unless `strict` was disabled (negative-control fixtures).
-    ``verdicts`` keeps the `Report` of each Moufang or co-Moufang law
-    checked on this object, keyed by the law's ``(lhs, rhs)``, and
+    ``verdicts`` keeps the `Report` of each law `models.holds_identity`
+    has decided on this object, keyed by its ``(lhs, rhs)``, and
     ``tables`` the evaluator's `FusedTables` for its series maps.
     """
 
@@ -185,27 +186,9 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
                 )
             if any(i < 0 or i >= dim for i in key):
                 raise DeformationError("input index out of range for the base")
-    return [as_fractions(state) for state in
-            _evaluate_degrees(d, deformation,
-                              [integral_state(s) for s in states])]
-
-
-def _evaluate_degrees(d: Diagram, deformation: TruncatedDeformation,
-                      states: list[State]) -> list[State]:
-    return evaluate_components(d, states, deformation.base,
-                               deformation.tables)
-
-
-def _series_sweep(deformation: TruncatedDeformation, lhs: Diagram,
-                  rhs: Diagram, capped: bool = True):
-    """`models.basis_sweep` with the series structure maps, per h-degree up
-    to the deformation's order."""
-    return basis_sweep(
-        lhs, rhs, deformation.base,
-        lambda d, state: _evaluate_degrees(
-            d, deformation, [state] + [{} for _ in range(deformation.order)]),
-        capped,
-    )
+    return [as_fractions(state) for state in evaluate_components(
+        d, [integral_state(s) for s in states], deformation.base,
+        deformation.tables)]
 
 
 _MUL = parse("mul")
@@ -225,8 +208,8 @@ def verify_deformation(deformation: TruncatedDeformation) -> None:
         law = _REGISTRATION_LAWS.get(rule.name)
         if law is None:
             continue
-        report = first_failure(_series_sweep(
-            deformation, rule.lhs, rule.rhs, capped=rule.name == "bialg"))
+        report = first_failure(basis_sweep(
+            rule.lhs, rule.rhs, deformation, capped=rule.name == "bialg"))
         if not report.holds:
             key = report.witness
             where = (f"basis {model.label(key[0])}" if len(key) == 1 else
@@ -279,7 +262,7 @@ def coassociator(deformation: TruncatedDeformation, n: int
 def _coassociator_sweep(deformation: TruncatedDeformation):
     """``(input, coassociator per h-degree)`` for every basis element."""
     rule, = flag_rules("coassoc")
-    return _series_sweep(deformation, rule.lhs, rule.rhs, capped=False)
+    return basis_sweep(rule.lhs, rule.rhs, deformation, capped=False)
 
 
 # --- co-Moufang and Moufang checks modulo h^(N+1) ---------------------------
@@ -287,16 +270,12 @@ def _coassociator_sweep(deformation: TruncatedDeformation):
 
 def _check_law_mod(deformation: TruncatedDeformation, law: str,
                    sides: tuple[str, ...], side: str) -> Report:
-    """Sweep one side of a law family ("Moufang" or "co-Moufang") with the
-    series structure maps, modulo h^(N+1), once per deformation object."""
+    """One side of a law family ("Moufang" or "co-Moufang") modulo
+    h^(N+1), decided by `models.holds_identity` once per deformation."""
     if side not in sides:
         raise DeformationError(f"unknown {law} side {side!r}")
     rule = flag_rules(f"{law.replace('-', '').lower()}_{side[0]}")[0]
-    key = (rule.lhs, rule.rhs)
-    if key not in deformation.verdicts:
-        deformation.verdicts[key] = first_failure(
-            _series_sweep(deformation, *key))
-    return deformation.verdicts[key]
+    return holds_identity(rule.lhs, rule.rhs, deformation)
 
 
 def check_comoufang_mod(deformation: TruncatedDeformation, side: str
@@ -859,7 +838,7 @@ def simple_comul_perturbation(max_degree: int, order: int = 1
     )
 
 
-# --- fixture and structure-constant files -----------------------------------
+# --- fixture files ------------------------------------------------------------
 
 
 def save_deformation_text(deformation: TruncatedDeformation,
@@ -912,38 +891,6 @@ def load_deformation_text(text: str, resolve_base,
         model, order, [{i: tuple(v) for i, v in m.items()} for m in comul_raw],
         [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw],
         name=given.get("deformation", "deformation"), strict=strict)
-
-
-def save_lie_algebra_text(g: BracketAlgebra, name: str = "lie") -> str:
-    """Structure-constant file: `bracket i j k c` adds c·e_k to [e_i, e_j]."""
-    lines = [f"lie {name}", f"dim {g.dim}"]
-    if g.labels:
-        lines.append("labels " + " ".join(g.labels))
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k, c in g.bracket_rows[(i, j)]:
-                lines.append(f"bracket {i} {j} {k} {c}")
-    lines.append("end")
-    return "\n".join(lines) + "\n"
-
-
-def load_lie_algebra_text(text: str) -> BracketAlgebra:
-    records = read(text, {"lie": (str,), "dim": (at_least(1),),
-                          "labels": (Many(),),
-                          "bracket": (int, int, int, Fraction), "end": ()},
-                   DeformationError)
-    given = settings(records)
-    if "dim" not in given:
-        raise DeformationError("Lie-algebra file needs a dim line")
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for r in records:
-        if r.head == "labels" and len(r.values[0]) != given["dim"]:
-            raise r.fail(f"labels lists {len(r.values[0])} entries for "
-                         f"dimension {given['dim']}")
-        if r.head == "bracket":
-            i, j, k, c = r.values
-            brackets.setdefault((i, j), {})[k] = c
-    return lie_algebra(given["dim"], brackets, given.get("labels"))
 
 
 def exp_derivation_series(model: FiniteBialgebraModel, derivation: Matrix,

@@ -10,6 +10,12 @@ the API hands back (their outputs and the differences of `basis_sweep`)
 has Fraction values.  Tensors are sparse mappings from index tuples to
 nonzero scalars.
 
+A plain model is the order-0 truncated deformation of itself: its
+``order`` is 0 and its ``base`` is the model.  So `basis_sweep` and
+`holds_identity` take a model or a `deformation.TruncatedDeformation`
+alike, evaluate both through `evaluate_components`, and keep each verdict
+in the object's ``verdicts``.
+
 Models built here:
 
 * ``loop_bialgebra(L)``      -- basis = loop elements, x group-like; the
@@ -158,8 +164,12 @@ class FiniteBialgebraModel:
     ``verdicts`` holds the `Report` of each identity `holds_identity` has
     decided on this model object, keyed by its ``(lhs, rhs)``, and
     ``tables`` the evaluator's `FusedTables` for its coproduct and product;
-    a new model object (a new registration) starts with none.
+    a new model object (a new registration) starts with none.  A model is
+    the order-0 truncated deformation of itself: ``order`` is 0 and
+    ``base`` is the model, so sweeps and verdicts treat both alike.
     """
+
+    order = 0
 
     name: str
     dim: int
@@ -185,6 +195,10 @@ class FiniteBialgebraModel:
                            integral_state(self.counit_entries))
         object.__setattr__(self, "tables", FusedTables((self.mul_rows,),
                                                        (self.comul_rows,)))
+
+    @property
+    def base(self) -> "FiniteBialgebraModel":
+        return self
 
     def label(self, i: int) -> str:
         return self.basis_labels[i] if self.basis_labels else str(i)
@@ -318,14 +332,15 @@ def evaluate_components(d: Diagram, states: list[State],
                         tables: FusedTables) -> list[State]:
     """Apply a diagram to sparse tensors indexed by h-degree, slice by slice.
 
-    ``tables`` is the `FusedTables` that a model or deformation object
-    keeps, and the one source of the structure maps: ``tables.muls`` and
+    For a model or truncated deformation ``obj`` the call is
+    ``evaluate_components(d, states, obj.base, obj.tables)``.  ``tables``
+    is the one source of the structure maps: ``tables.muls`` and
     ``tables.comuls`` list the degree components of the product and
     coproduct, and the fused steps read the same components through it.  A
     plain model is the order-0 case ``(mul_rows,)``, ``(comul_rows,)``.
     mul/comul convolve degrees modulo h^len(states) (label "0" keeps the
-    constant component, "+" the positive ones); unit and counit, from
-    ``model``, act degree by degree.
+    constant component, "+" the positive ones); unit and counit, from the
+    base ``model``, act degree by degree.
     Swaps never copy a tensor: `Diagram.program` folds each run of them
     into a permutation that the next slice reads its keys through.  A
     permutation is a bijection on keys, so the terms, and the key order of
@@ -390,11 +405,6 @@ def refuse_labels(d: Diagram) -> None:
             )
 
 
-def _evaluate_plain(d: Diagram, model: FiniteBialgebraModel,
-                    state: State) -> State:
-    return evaluate_components(d, [state], model, model.tables)[0]
-
-
 def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
     """Interpret a diagram as a multilinear map and apply it to `state`."""
     for key in state:
@@ -405,7 +415,8 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
         if any(i < 0 or i >= model.dim for i in key):
             raise ModelError("input index out of range for model dimension")
     refuse_labels(d)
-    return as_fractions(_evaluate_plain(d, model, integral_state(state)))
+    return as_fractions(evaluate_components(
+        d, [integral_state(state)], model, model.tables)[0])
 
 
 def add_state(a: State, b: State) -> State:
@@ -420,34 +431,42 @@ def subtract_state(a: State, b: State) -> State:
     return add_state(a, {k: -v for k, v in b.items()})
 
 
-def basis_sweep(lhs: Diagram, rhs: Diagram, model: FiniteBialgebraModel,
-                run=None, capped: bool = True):
-    """Yield ``(input, differences)`` for every basis input, exactly.
-
-    ``run(diagram, state)`` evaluates to a list of tensors indexed by
-    h-degree (by default the plain evaluator, one degree); ``differences``
-    lists lhs - rhs at each degree, with Fraction values.  Inputs come from
-    ``model.basis_iterator`` or, with ``capped=False``, from every basis
-    tuple regardless of the model's degree cap.  A cap that leaves no input
-    is refused, since the sweep would check nothing.
-    """
+def _sweep_inputs(lhs: Diagram, rhs: Diagram, obj, capped: bool):
+    """The basis inputs of a sweep of lhs = rhs on ``obj``, once the sides'
+    arities and, on a plain model, their labels have been checked."""
     if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
         raise ArityMismatch(
             f"identity sides have different arities: "
             f"{lhs.n_in}->{lhs.n_out} vs {rhs.n_in}->{rhs.n_out}"
         )
-    if run is None:
-        for d in (lhs, rhs):
-            refuse_labels(d)
-        run = lambda d, state: [_evaluate_plain(d, model, state)]
-    keys = (model.basis_iterator(lhs.n_in) if capped
+    model = obj.base
+    if obj is model:
+        refuse_labels(lhs)
+        refuse_labels(rhs)
+    return (model.basis_iterator(lhs.n_in) if capped
             else itertools.product(range(model.dim), repeat=lhs.n_in))
-    checked = False
-    for key in keys:
+
+
+def basis_sweep(lhs: Diagram, rhs: Diagram, obj, capped: bool = True):
+    """Yield ``(input, differences)`` for every basis input, exactly.
+
+    ``obj`` is a `FiniteBialgebraModel` (the order-0 case) or a
+    `deformation.TruncatedDeformation`; each side is evaluated with its
+    structure maps on one basis state shared by both sides, padded to
+    ``obj.order + 1`` h-degrees, and ``differences`` lists lhs - rhs at
+    each degree, with Fraction values.  Labelled generators are refused on
+    a plain model only.  Inputs come from ``obj.base.basis_iterator`` or,
+    with ``capped=False``, from every basis tuple regardless of the base
+    model's degree cap.  A cap that leaves no input is refused, since the
+    sweep would check nothing.
+    """
+    model, checked = obj.base, False
+    for key in _sweep_inputs(lhs, rhs, obj, capped):
         checked = True
         state = basis_state(key)
-        yield key, [as_fractions(subtract_state(a, b))
-                    for a, b in zip(run(lhs, state), run(rhs, state))]
+        sides = [evaluate_components(d, [state] + [{}] * obj.order, model,
+                                     obj.tables) for d in (lhs, rhs)]
+        yield key, [as_fractions(subtract_state(a, b)) for a, b in zip(*sides)]
     if not checked:
         raise _vacuous_cap(model, lhs.n_in)
 
@@ -493,31 +512,31 @@ def first_failure(sweep, series: bool = True) -> Report:
     return Report(True)
 
 
-def holds_identity(lhs: Diagram, rhs: Diagram,
-                   model: FiniteBialgebraModel) -> Report:
-    """Exhaustive exact check of lhs = rhs on all (capped) basis inputs.
+def holds_identity(lhs: Diagram, rhs: Diagram, obj) -> Report:
+    """Exhaustive exact check of lhs = rhs on all (capped) basis inputs of
+    a model, or of a truncated deformation modulo h^(order+1).
 
-    Each identity is decided once per model object: the verdict is kept in
-    ``model.verdicts``.  The pair with its sides swapped reuses a holding
-    verdict only; a failure is swept again, so that its witness and the
-    sign of its difference are those of this orientation.  Identical sides
-    hold without a sweep, once the labels, the arities and the cap have
-    been checked as a sweep checks them.  A repeated check hands back the
-    same `Report`, so its ``diff`` is read-only.
+    Each identity is decided once per model or deformation object: the
+    verdict is kept in ``obj.verdicts``.  The pair with its sides swapped
+    reuses a holding verdict only; a failure is swept again, so that its
+    witness and the sign of its difference are those of this orientation.
+    Identical sides hold without a sweep, once the labels, the arities and
+    the cap have been checked as a sweep checks them.  A repeated check
+    hands back the same `Report`, so its ``diff`` is read-only.
     """
-    known = model.verdicts.get((lhs, rhs))
+    known = obj.verdicts.get((lhs, rhs))
     if known is None:
-        swapped = model.verdicts.get((rhs, lhs))
+        swapped = obj.verdicts.get((rhs, lhs))
         if swapped is not None and swapped.holds:
             known = swapped
         elif lhs == rhs:
-            refuse_labels(lhs)
-            if next(model.basis_iterator(lhs.n_in), None) is None:
-                raise _vacuous_cap(model, lhs.n_in)
+            if next(_sweep_inputs(lhs, rhs, obj, True), None) is None:
+                raise _vacuous_cap(obj.base, lhs.n_in)
             known = Report(True)
         else:
-            known = first_failure(basis_sweep(lhs, rhs, model), series=False)
-        model.verdicts[(lhs, rhs)] = known
+            known = first_failure(basis_sweep(lhs, rhs, obj),
+                                  series=obj is not obj.base)
+        obj.verdicts[(lhs, rhs)] = known
     return known
 
 

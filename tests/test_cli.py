@@ -83,6 +83,11 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("replay mul mul --trace .", "--trace:"),
     ("replay mul mul --trace=", "--trace:"),
     ("suite --goals .", "--goals:"),
+    ("check-model --model fn-o16:junk", "--model:"),
+    ("eval mul --model loop-o16:5", "--model:"),
+    ("deform --fixture shift-conj:12:3:9", "--fixture:"),
+    ("deform --fixture delta1:6:1:x", "--fixture:"),
+    ("deform --fixture null:fn-o16:junk:1", "--fixture:"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -170,15 +175,20 @@ def test_deform_subcommand(capsys):
 
 
 def test_deform_records_are_pinned(capsys):
-    for argv, digest in (
-            ("deform --fixture shift-conj:12:3",
+    # the last row fails on fn[o16], which is not coassociative: it pins
+    # the key order of a plain model's failure difference
+    coassoc = "comul ; comul * id(1) = comul ; id(1) * comul"
+    for argv, status, digest in (
+            ("deform --fixture shift-conj:12:3".split(), 0,
              "2eda9e47d6a77a9b491a4ff925cc36819a81e331"),
-            ("deform --fixture null:fn-o16:1",
+            ("deform --fixture null:fn-o16:1".split(), 0,
              "a4187dda667fee9fa47656eeb767b9cfd1f3c5ec"),
-            ("check-model --model fn-o16",
-             "22975f8f264395b9be7ee4b47f2bc701c9a69b94")):
-        code, out, _ = run(capsys, "--format", "records", *argv.split())
-        assert code == 0, argv
+            ("check-model --model fn-o16".split(), 0,
+             "22975f8f264395b9be7ee4b47f2bc701c9a69b94"),
+            ("check-model --model fn-o16 --identity".split() + [coassoc], 1,
+             "e570bcbb3e54bfdedee7b42a6fd2c01591949217")):
+        code, out, _ = run(capsys, "--format", "records", *argv)
+        assert code == status, argv
         assert sha1(out) == digest, argv
 
 

@@ -560,15 +560,44 @@ def _random_slices(draw, w, count):
 _SERIES_FIXTURES = {f[0]: f for f in _EVALUATOR_FIXTURES if f[4]}
 
 
+def _comuls(name):
+    return _SERIES_FIXTURES[name][3]
+
+
+def _edited_comuls(draw, comuls, dim, shared):
+    """The coproduct components with each term, on a coin drawn for it,
+    given coefficient 0 or, if ``shared``, repeated with the opposite
+    coefficient in another drawn row of its component.  Zeros keep a
+    term-injective coproduct so, and its steps fused; a pair shared by two
+    rows does not, and cancels where the two rows' inputs agree."""
+    comuls = [dict(rows) for rows in comuls]
+    for rows in comuls:
+        for x, row in sorted(rows.items()):
+            for t, (jk, c) in enumerate(row):
+                if draw(st.booleans()):
+                    if shared:
+                        y = (x + draw(st.integers(1, dim - 1))) % dim
+                        rows[y] = rows.get(y, ()) + ((jk, -c),)
+                    else:
+                        rows[x] = rows[x][:t] + ((jk, 0),) + rows[x][t + 1:]
+    return tuple(comuls)
+
+
 @st.composite
 def _fused_cases(draw):
-    """A series fixture's name, an input count, a raw slicing and a tensor
-    per degree.  The slicing has a comul, then swaps, then a mul that
-    reads exactly one of the comul's outputs, with random slices around
-    them.  Keys use few indices and values include zero, so that terms
-    meet and cancel."""
-    name = draw(st.sampled_from(sorted(_SERIES_FIXTURES)))
-    _name, model, _muls, _comuls, order = _SERIES_FIXTURES[name]
+    """A series fixture's name, its coproduct components with drawn zero
+    coefficients (on the term-injective fixture) or shared pairs
+    (`_edited_comuls`), an input count, a raw slicing and a tensor per
+    degree.  The slicing has a comul, then swaps, then a mul that reads
+    exactly one of the comul's outputs, with random slices around them.
+    Keys use few indices and values include zero, so that terms meet and
+    cancel; where a zero coefficient or a cancelling shared pair opens an
+    output key, a later term must meet it for the key order to tell."""
+    shared = draw(st.booleans())
+    name = (draw(st.sampled_from(sorted(_SERIES_FIXTURES))) if shared
+            else "injective")
+    _name, model, _muls, comuls, order = _SERIES_FIXTURES[name]
+    comuls = _edited_comuls(draw, comuls, model.dim, shared)
     n_in = draw(st.integers(2, 3))
     before, w = _random_slices(draw, n_in, draw(st.sampled_from((0, 3))))
     assume(2 <= w < _WIDTH)
@@ -583,29 +612,33 @@ def _fused_cases(draw):
     m_off = draw(st.sampled_from([m for m in range(w)
                                   if wires[m] != wires[m + 1]]))
     slices.append(("mul", draw(label), m_off))
-    after, _w = _random_slices(draw, w, 3)
+    after, _w = _random_slices(draw, w, draw(st.sampled_from((0, 3))))
     index = st.integers(0, draw(st.sampled_from((1, 2, model.dim - 1))))
     value = st.sampled_from((-2, -1, 0, 0, 1, 2, Fraction(1, 2),
                              Fraction(-3, 2)))
     states = [draw(st.dictionaries(st.tuples(*[index] * n_in), value,
-                                   min_size=1, max_size=8))
+                                   min_size=1, max_size=16))
               for _ in range(order + 1)]
-    return name, n_in, slices + after, states
+    return name, comuls, n_in, slices + after, states
 
 
 @given(_fused_cases())
-# Three cases that random drawings rarely hit.  "signed" shares the pair
-# (1, 1) between two coproduct rows, so it must not run fused:
-@example(("signed", 2, [("comul", None, 0), ("mul", None, 1)],
+# Three fixed cases, one per fault the random ones look for.  "signed"
+# shares the pair (1, 1) between two coproduct rows, so it must not run
+# fused:
+@example(("signed", _comuls("signed"), 2,
+          [("comul", None, 0), ("mul", None, 1)],
           [{(2, 2): 1}, {(2, 2): 1, (0, 1): -1}, {(0, 0): 1}]))
 # zero input values, which the comul slice a fused first step stands for
 # would have cleaned away:
-@example(("injective", 2, [("comul", None, 0), ("mul", None, 1)],
+@example(("injective", _comuls("injective"), 2,
+          [("comul", None, 0), ("mul", None, 1)],
           [{(2, 1): 1}, {(3, 0): 0}, {(2, 2): 0}]))
 # "injective"'s degree-1 coproduct has the term (4, 1) with coefficient 0
 # in row 3: a table entry for it would open output key (3, 2) at degree 1
 # before the staircase does:
-@example(("injective", 2, [("comul", None, 0), ("mul", None, 1)],
+@example(("injective", _comuls("injective"), 2,
+          [("comul", None, 0), ("mul", None, 1)],
           [{(3, 2): -1, (4, 0): -1, (3, 1): 2}, {(2, 0): -1}, {(3, 4): -1}]))
 @settings(max_examples=300, deadline=None)
 def test_fused_step_on_series_matches_reference(case):
@@ -616,8 +649,8 @@ def test_fused_step_on_series_matches_reference(case):
     from moufang.diagram import canonicalize, raw_diagram
     from moufang.models import FusedTables, evaluate_components
 
-    name, n_in, slices, states = case
-    _name, model, muls, comuls, _order = _SERIES_FIXTURES[name]
+    name, comuls, n_in, slices, states = case
+    _name, model, muls, _own, _order = _SERIES_FIXTURES[name]
     raw = raw_diagram(n_in, slices)
     assert "fused" in [step[0] for step in raw.fused_program[0]]
     for d in (raw, canonicalize(raw)):
@@ -748,3 +781,29 @@ def test_kernel_map_reuses_the_comoufang_verdicts(swept):
     assert swept == {}
     assert kernel_map_RS(unchecked).holds  # sweeps both laws first
     assert swept == {"fn[cyclic3]": 2 * 3}  # rank 1, both sides
+
+
+def test_holds_identity_decides_on_a_deformation(swept, fn_o16):
+    """One memo for plain models and truncated deformations: a law check
+    modulo h^(N+1) is a `holds_identity` verdict kept on the deformation,
+    the swapped pair of a holding law is reused, and labels are read."""
+    from moufang.deformation import (check_comoufang_mod, null_deformation,
+                                     simple_comul_perturbation)
+    from moufang.theories import flag_rules
+
+    co_l, = flag_rules("comoufang_l")
+    delta1 = simple_comul_perturbation(6, 3)
+    report = holds_identity(co_l.lhs, co_l.rhs, delta1)
+    assert check_comoufang_mod(delta1, "left") is report
+    assert (report.holds, report.degree, report.witness) == (False, 1, (3,))
+    null = null_deformation(fn_o16, 1)
+    swept.clear()
+    first = holds_identity(co_l.lhs, co_l.rhs, null)
+    assert first.holds and swept == {"fn[o16]": 16}
+    assert holds_identity(co_l.rhs, co_l.lhs, null) is first
+    assert swept == {"fn[o16]": 16}
+    # a labelled diagram has a meaning on a deformation: the positive
+    # coproduct components are empty on the null one, and not on delta1
+    assert holds_identity(parse("comul%0"), parse("comul"), null).holds
+    shifted = holds_identity(parse("comul%0"), parse("comul"), delta1)
+    assert (shifted.holds, shifted.degree, shifted.witness) == (False, 1, (1,))

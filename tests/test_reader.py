@@ -1,4 +1,4 @@
-"""The shared line-record reader and the six loaders built on it."""
+"""The shared line-record reader and the five loaders built on it."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +6,8 @@ from hypothesis import given, settings, strategies as st
 from moufang.deformation import (
     DeformationError,
     load_deformation_text,
-    load_lie_algebra_text,
     save_deformation_text,
-    save_lie_algebra_text,
     shift_conjugation_deformation,
-    sl2,
 )
 from moufang.dsl import parse
 from moufang.models import (
@@ -52,8 +49,6 @@ LOADERS = {
     "trace": (_trace, RewriteError, "counit-l unit-l -> <- 0"),
     "fixture": (_fixture, DeformationError,
                 "deformation base order comul mul end"),
-    "lie": (load_lie_algebra_text, DeformationError,
-            "lie dim labels bracket end"),
 }
 
 # A valid one-dimensional model, so that one extra line is all that is wrong.
@@ -95,10 +90,6 @@ _DIM1 = save_model_text(loop_bialgebra(cyclic_loop(1))).replace("end\n", "")
                  id="fixture-bare-deformation"),
     pytest.param("fixture", "base b\norder -1\n", 2,
                  id="fixture-order-negative"),
-    pytest.param("lie", "dim 2\nbracket 0 1\n", 2, id="lie-short-bracket"),
-    pytest.param("lie", "lie g\ndim -3\nend\n", 2, id="lie-dim-negative"),
-    pytest.param("lie", "lie g\ndim 2\nlabels a\nend\n", 3,
-                 id="lie-label-count"),
 ])
 def test_malformed_line_is_named(loader, text, lineno):
     load, error, _words = LOADERS[loader]
@@ -167,5 +158,3 @@ def test_every_format_round_trips_to_an_equal_object():
     loaded = load_deformation_text(save_deformation_text(fixture, "b6"),
                                    lambda ref: fixture.base)
     assert loaded == fixture
-    g = sl2()
-    assert load_lie_algebra_text(save_lie_algebra_text(g)) == g
