@@ -70,6 +70,8 @@ def _load_model(spec: str, flag: str = "--model"
             raise CliError(f"{flag}: {head} takes no size, got {spec!r}")
         return build(octonion.o16_loop())
     if head in ("binomial", "loop-cyclic", "fn-cyclic"):
+        if sized and not arg:
+            raise CliError(f"{flag}: empty size field in {spec!r}")
         with _flag(flag, spec):
             if head == "binomial":
                 return models.truncated_binomial_bialgebra(int(arg or 6))
@@ -256,9 +258,11 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
     if Path(spec).is_file():
         return dlab.load_deformation_text(
             Path(spec).read_text(), lambda ref: _load_model(ref, "--fixture"))
-    head, _, rest = spec.partition(":")
+    head, sep, rest = spec.partition(":")
     if head == "null":
-        model_spec, _, order = rest.rpartition(":")
+        model_spec, order_sep, order = rest.rpartition(":")
+        if order_sep and not order:
+            raise CliError(f"--fixture: empty ORDER field in {spec!r}")
         with _flag("--fixture", spec):
             order = int(order or 1)
         model = _load_model(model_spec, "--fixture")
@@ -268,12 +272,15 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
         build, degree, order = (
             (dlab.shift_conjugation_deformation, 12, 3) if head == "shift-conj"
             else (dlab.simple_comul_perturbation, 6, 1))
-        parts = rest.split(":")
+        parts = rest.split(":") if sep else []
         if len(parts) > 2:
             raise CliError(f"--fixture: {head} takes at most D:ORDER, got "
                            f"{spec!r}")
+        for name, part in zip(("D", "ORDER"), parts):
+            if not part:
+                raise CliError(f"--fixture: empty {name} field in {spec!r}")
         with _flag("--fixture", spec):
-            degree = int(parts[0]) if parts[0] else degree
+            degree = int(parts[0]) if parts else degree
             order = int(parts[1]) if len(parts) > 1 else order
             return build(degree, order)
     raise CliError(

@@ -59,32 +59,96 @@ def _check_generator(kind: str, label: Optional[str]) -> None:
 # arities; identity slices are never stored.
 Slice = tuple[str, Optional[str], int]
 
-# Producers inside the port graph: either a boundary input ("b", i) or an
-# output port of a node (node_index, port).
-_Producer = tuple
-
 
 class _Graph:
     """Port graph of a diagram: nodes are non-swap generator occurrences.
 
-    Swaps and identities leave no node; they only permute the wiring.  Each
-    consumer port records its unique producer, which makes wires implicit:
-    a wire is a (producer, consumer) pair and every producer feeds exactly
-    one consumer.
+    Swaps and identities leave no node; they only permute the wiring.  A
+    port is an int: output p of node v is ``2*v + p`` and boundary input i
+    is ``~i``.  Each consumer records its unique producer port in
+    `node_inputs` or `outputs`, which makes wires implicit.  The graph is
+    indexed once, when built: `cons[port]` is the consuming node or ``~j``
+    for boundary output j (a list: ``~i`` reads Python's negative index;
+    unused output slots hold None), and `waits[v]` counts node v's inputs
+    from non-unit nodes.  A graph is never mutated (see `splice_wire`).
     """
 
-    __slots__ = ("n_in", "n_out", "nodes", "node_inputs", "outputs")
+    __slots__ = ("n_in", "n_out", "nodes", "node_inputs", "outputs",
+                 "cons", "waits", "_match_index")
 
-    def __init__(self, n_in, n_out, nodes, node_inputs, outputs):
+    def __init__(self, n_in, n_out, nodes, node_inputs, outputs,
+                 cons=None, waits=None):
         self.n_in = n_in
         self.n_out = n_out
-        self.nodes = nodes            # list of (kind, label)
-        self.node_inputs = node_inputs  # list of tuple[_Producer, ...]
-        self.outputs = outputs        # tuple[_Producer, ...]
+        self.nodes = nodes              # list of (kind, label)
+        self.node_inputs = node_inputs  # list of tuple[int, ...]
+        self.outputs = outputs          # tuple[int, ...]
+        if cons is None:
+            cons = [None] * (2 * len(nodes) + n_in)
+            waits = []
+            for v, row in enumerate(node_inputs):
+                for prod in row:
+                    cons[prod] = v
+                waits.append(sum(prod >= 0 and nodes[prod >> 1][0] != "unit"
+                                 for prod in row))
+            for j, prod in enumerate(outputs):
+                cons[prod] = ~j
+        self.cons = cons
+        self.waits = waits
+        self._match_index = None
+
+    def match_index(self) -> tuple[dict, list[list[int]]]:
+        """The nodes of each (kind, label), ascending, and the consumer
+        nodes of each node; built on first use, once per graph."""
+        if self._match_index is None:
+            by_label: dict[tuple, list[int]] = {}
+            for v, nl in enumerate(self.nodes):
+                by_label.setdefault(nl, []).append(v)
+            consumers = [[c for c in self.cons[2 * v:2 * v + 2]
+                          if c is not None and c >= 0]
+                         for v in range(len(self.nodes))]
+            self._match_index = (by_label, consumers)
+        return self._match_index
+
+    def splice_wire(self, p0: int, rg: "_Graph") -> "_Graph":
+        """This graph with the wire from port `p0` run through `rg`, a
+        1 -> 1 graph: copies of this graph's lists with what changes
+        patched in (the row or output that read `p0`, its consumer-index
+        entries and wait counts); this graph is left as it is."""
+        n = len(self.nodes)
+        shift = 2 * n  # rg's node ports, renumbered after this graph's
+        c = self.cons[p0]
+        rc = rg.cons[-1]  # rg's consumer of its boundary input
+        rp = rg.outputs[0]
+        new_out = p0 if rp < 0 else rp + shift
+        nodes = self.nodes + rg.nodes
+        node_inputs = self.node_inputs + [
+            tuple(p0 if p < 0 else p + shift for p in row)
+            for row in rg.node_inputs]
+        outputs = self.outputs
+        waits = self.waits + rg.waits
+
+        def waited(p: int) -> bool:  # does a non-unit node produce p?
+            return p >= 0 and nodes[p >> 1][0] != "unit"
+
+        if rc >= 0:
+            waits[n + rc] += waited(p0)
+        if c >= 0:
+            node_inputs[c] = tuple(new_out if p == p0 else p
+                                   for p in node_inputs[c])
+            waits[c] += waited(new_out) - waited(p0)
+        else:
+            outputs = outputs[:~c] + (new_out,) + outputs[~c + 1:]
+        cons = self.cons[:shift] + [
+            None if u is None else u + n if u >= 0 else c
+            for u in rg.cons[:2 * len(rg.nodes)]] + self.cons[shift:]
+        cons[p0] = rc + n if rc >= 0 else c
+        return _Graph(self.n_in, self.n_out, nodes, node_inputs, outputs,
+                      cons, waits)
 
 
 def _graph_from_slices(n_in: int, slices: Iterable[Slice]) -> _Graph:
-    live: list[_Producer] = [("b", i) for i in range(n_in)]
+    live: list[int] = [~i for i in range(n_in)]
     nodes: list[tuple[str, Optional[str]]] = []
     node_inputs: list[tuple] = []
     for kind, label, off in slices:
@@ -101,13 +165,13 @@ def _graph_from_slices(n_in: int, slices: Iterable[Slice]) -> _Graph:
         v = len(nodes)
         nodes.append((kind, label))
         node_inputs.append(tuple(live[off:off + k]))
-        live[off:off + k] = [(v, p) for p in range(m)]
+        live[off:off + k] = range(2 * v, 2 * v + m)
         if len(live) > MAX_WIRES:
             raise DiagramError(f"diagram exceeds {MAX_WIRES} parallel wires")
     return _Graph(n_in, len(live), nodes, node_inputs, tuple(live))
 
 
-def _consumer_signature(graph: _Graph, start: int, cons: dict) -> tuple:
+def _consumer_signature(graph: _Graph, start: int) -> tuple:
     """Iso-invariant fingerprint of the subgraph reachable below a node.
 
     Used only to break ties between simultaneously-ready nodes that have no
@@ -120,16 +184,15 @@ def _consumer_signature(graph: _Graph, start: int, cons: dict) -> tuple:
     for v in queue:  # grows as new nodes are reached
         kind, label = graph.nodes[v]
         row = [kind, label or ""]
-        for p in range(ARITY[kind][1]):
-            c = cons[(v, p)]
-            if c[0] == "out":
-                row.append(("out", c[1]))
+        for port in range(2 * v, 2 * v + ARITY[kind][1]):
+            u = graph.cons[port]
+            if u < 0:
+                row.append(("out", ~u))
             else:
-                u, q = c
                 if u not in order:
                     order[u] = len(order)
                     queue.append(u)
-                row.append(("n", order[u], q))
+                row.append(("n", order[u], graph.node_inputs[u].index(port)))
         sig.append(tuple(row))
     return tuple(sig)
 
@@ -145,17 +208,10 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
     non-unit node; readiness is counted down, one pass per emitted node.
     """
     nodes = graph.nodes
+    cons = graph.cons
     is_unit = [kind == "unit" for kind, _label in nodes]
-    cons = {}
-    waiting = [0] * len(nodes)
-    for v, inputs in enumerate(graph.node_inputs):
-        for p, prod in enumerate(inputs):
-            cons[prod] = (v, p)
-            if prod[0] != "b" and not is_unit[prod[0]]:
-                waiting[v] += 1
-    for j, prod in enumerate(graph.outputs):
-        cons[prod] = ("out", j)
-    live: list[_Producer] = [("b", i) for i in range(graph.n_in)]
+    waiting = graph.waits[:]
+    live: list[int] = [~i for i in range(graph.n_in)]
     slices: list[Slice] = []
 
     def emit_swaps_to(q: int, target: int) -> None:
@@ -170,8 +226,8 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
         # ready gives the ready node with the leftmost live input.
         best = None
         for t, prod in enumerate(live):
-            v = cons[prod][0]
-            if v != "out" and not waiting[v]:
+            v = cons[prod]
+            if v >= 0 and not waiting[v]:
                 best = v
                 break
         else:
@@ -182,7 +238,7 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
                 if is_unit[v] or waiting[v]:
                     continue
                 kind, label = nodes[v]
-                key = (kind, label or "", _consumer_signature(graph, v, cons))
+                key = (kind, label or "", _consumer_signature(graph, v))
                 if best_key is None or key < best_key:
                     best, best_key = v, key
             t = len(live)
@@ -191,31 +247,33 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
             if not all(is_unit[v] for v in remaining):
                 raise DiagramError("diagram has a cycle")
             # Only unit nodes remain; they feed boundary outputs directly.
-            pending = sorted(remaining, key=lambda v: cons[(v, 0)][1])
+            pending = sorted(remaining, key=lambda v: ~cons[2 * v])
             for v in pending:
                 slices.append(("unit", nodes[v][1], len(live)))
-                live.append((v, 0))
+                live.append(2 * v)
             break
 
         v = best
         kind, label = nodes[v]
         k, m = ARITY[kind]
         for p, prod in enumerate(graph.node_inputs[v]):
-            if prod[0] != "b" and is_unit[prod[0]]:
-                slices.append(("unit", nodes[prod[0]][1], t + p))
+            if prod >= 0 and is_unit[prod >> 1]:
+                slices.append(("unit", nodes[prod >> 1][1], t + p))
                 live.insert(t + p, prod)
-                remaining.discard(prod[0])
+                remaining.discard(prod >> 1)
             else:
-                emit_swaps_to(live.index(prod, t + p), t + p)
+                q = live.index(prod, t + p)
+                if q > t + p:  # most inputs are in place: skip the call
+                    emit_swaps_to(q, t + p)
         # The just-in-time units above count towards the width too.
-        if len(live) + max(m - k, 0) > MAX_WIRES:
+        if len(live) + (m - k if m > k else 0) > MAX_WIRES:
             raise DiagramError(f"diagram exceeds {MAX_WIRES} parallel wires")
         slices.append((kind, label, t))
-        live[t:t + k] = [(v, p) for p in range(m)]
+        live[t:t + k] = range(2 * v, 2 * v + m)
         remaining.discard(v)
-        for p in range(m):
-            u = cons[(v, p)][0]
-            if u != "out":
+        for port in range(2 * v, 2 * v + m):
+            u = cons[port]
+            if u >= 0:
                 waiting[u] -= 1
 
     # Sort the live wires into boundary-output order.

@@ -11,6 +11,10 @@ a host wire run from a matched node into a pattern input: splicing there
 would feed the replacement its own output.  A rule side that is a single
 identity wire matches every wire of the host.
 
+Ports are the int ids of `diagram._Graph`.  Each host is indexed once, in
+its cached graph, and every rule and direction reads that index.  A wire
+splice patches copies of the host's lists (`_Graph.splice_wire`).
+
 `prove_equal` runs breadth-first search from both endpoints with a shared
 frontier-intersection test.  Absence of a proof within budget is an
 ordinary outcome, not an error; it never implies the equality is false.
@@ -71,12 +75,12 @@ class Match:
     """One occurrence of a pattern: node images plus the input interface."""
 
     node_map: tuple[int, ...]          # pattern node -> host node
-    inputs: tuple[tuple, ...]          # host producer per pattern input
+    inputs: tuple[int, ...]            # host producer port per pattern input
     position: str                      # printable locator
 
 
-def _producer_name(p: tuple) -> str:
-    return f"b{p[1]}" if p[0] == "b" else f"n{p[0]}.{p[1]}"
+def _producer_name(p: int) -> str:
+    return f"b{~p}" if p < 0 else f"n{p >> 1}.{p & 1}"
 
 
 def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
@@ -85,13 +89,13 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
     pg = pattern.graph
     np_ = len(pg.nodes)
     if np_ == 0:
-        if pg.n_in != 1 or pg.outputs != (("b", 0),):
+        if pg.n_in != 1 or pg.outputs != (~0,):
             raise RewriteError(
                 "only the single identity wire is supported as an empty pattern"
             )
-        producers = [("b", i) for i in range(hg.n_in)] + [
-            (v, q) for v in range(len(hg.nodes))
-            for q in range(ARITY[hg.nodes[v][0]][1])
+        producers = [~i for i in range(hg.n_in)] + [
+            port for v, (kind, _label) in enumerate(hg.nodes)
+            for port in range(2 * v, 2 * v + ARITY[kind][1])
         ]
         return [
             Match((), (p,), f"wire={_producer_name(p)}") for p in producers
@@ -99,8 +103,8 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
 
     # pattern input -> the (pattern node, port) that consumes it
     consumer = {
-        prod[1]: (v, p) for v in range(np_)
-        for p, prod in enumerate(pg.node_inputs[v]) if prod[0] == "b"
+        ~prod: (v, p) for v in range(np_)
+        for p, prod in enumerate(pg.node_inputs[v]) if prod < 0
     }
     if len(consumer) != pg.n_in:
         raise RewriteError(
@@ -109,11 +113,7 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
             "the spectator wire"
         )
     interface = [consumer[i] for i in range(pg.n_in)]
-
-    host_by_label: dict[tuple, list[int]] = {}
-    for i, nl in enumerate(hg.nodes):
-        host_by_label.setdefault(nl, []).append(i)
-
+    host_by_label, consumers = hg.match_index()
     assignment: list[int] = []
     used: set[int] = set()
 
@@ -128,7 +128,8 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
                 continue
             row = hg.node_inputs[hv]
             for p, prod in enumerate(pg.node_inputs[v]):
-                if prod[0] != "b" and row[p] != (assignment[prod[0]], prod[1]):
+                if prod >= 0 and row[p] != 2 * assignment[prod >> 1] + (
+                        prod & 1):
                     break
             else:
                 assignment.append(hv)
@@ -136,12 +137,6 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
                 yield from extend(v + 1)
                 assignment.pop()
                 used.discard(hv)
-
-    consumers: list[list[int]] = [[] for _ in hg.nodes]
-    for v, row in enumerate(hg.node_inputs):
-        for prod in row:
-            if prod[0] != "b":
-                consumers[prod[0]].append(v)
 
     def convex(node_map: tuple[int, ...]) -> bool:
         """No path leaves the matched nodes and comes back to one."""
@@ -168,7 +163,8 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
     return [
         Match(node_map, inputs, "nodes=" + ",".join(map(str, node_map)))
         for node_map, inputs in found
-        if np_ == 1 or (not any(q[0] in node_map for q in inputs)
+        if np_ == 1 or (not any(q >= 0 and q >> 1 in node_map
+                                for q in inputs)
                         and convex(node_map))
     ]
 
@@ -187,72 +183,46 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
 
     if not pg.nodes:
         # Wire splice: cut the matched wire and run it through the
-        # replacement (which may itself be a bare wire, a no-op).
-        # Kept apart: folded into the general path it was ~10% slower.
-        p0 = match.inputs[0]
-        offset = len(hg.nodes)
-        rp = rg.outputs[0]
-        new_out = p0 if rp[0] == "b" else (offset + rp[0], rp[1])
-
-        def tr(p: tuple) -> tuple:
-            return new_out if p == p0 else p
-
-        nodes = list(hg.nodes) + list(rg.nodes)
-        node_inputs = [
-            tuple(tr(p) for p in hg.node_inputs[v])
-            for v in range(len(hg.nodes))
-        ]
-        for w in range(len(rg.nodes)):
-            node_inputs.append(tuple(
-                p0 if p[0] == "b" else (offset + p[0], p[1])
-                for p in rg.node_inputs[w]
-            ))
-        outputs = tuple(tr(p) for p in hg.outputs)
-        new_graph = _Graph(hg.n_in, hg.n_out, nodes, node_inputs, outputs)
+        # replacement (which may itself be a bare wire, a no-op), patching
+        # copies of the host's lists rather than rebuilding them.
         try:
-            return _canonical_from_graph(new_graph)
+            return _canonical_from_graph(hg.splice_wire(match.inputs[0], rg))
         except DiagramError:
             return None
 
     keep = [v for v in range(len(hg.nodes)) if v not in matched]
     new_index = {v: i for i, v in enumerate(keep)}
-    offset = len(keep)  # replacement nodes appended after kept host nodes
+    shift = 2 * len(keep)  # replacement ports follow the kept host nodes'
 
-    # Pattern boundary outputs as host producers.
-    pat_out_host: dict[tuple, int] = {}
+    # Pattern boundary outputs as host producer ports.
+    pat_out_host: dict[int, int] = {}
     for j, prod in enumerate(pg.outputs):
-        if prod[0] != "b":
-            u, q = prod
-            pat_out_host[(match.node_map[u], q)] = j
+        if prod >= 0:
+            pat_out_host[2 * match.node_map[prod >> 1] + (prod & 1)] = j
 
-    def resolve_host(p: tuple) -> tuple:
-        """Producer in the new graph for a host producer (recursing at
-        most once, as no matched node produces a match input)."""
-        if p[0] == "b":
+    def resolve_host(p: int) -> int:
+        """Port in the new graph for a host port (recursing at most once,
+        as no matched node produces a match input)."""
+        if p < 0:
             return p
-        v, q = p
+        v = p >> 1
         if v not in matched:
-            return (new_index[v], q)
-        j = pat_out_host.get((v, q))
+            return 2 * new_index[v] + (p & 1)
+        j = pat_out_host.get(p)
         if j is None:
             raise RewriteError("matched producer is not part of the interface")
         prod = rg.outputs[j]
-        if prod[0] != "b":
-            return (offset + prod[0], prod[1])
-        return resolve_host(match.inputs[prod[1]])
+        if prod >= 0:
+            return shift + prod
+        return resolve_host(match.inputs[~prod])
 
-    nodes = [hg.nodes[v] for v in keep] + list(rg.nodes)
-    node_inputs = []
-    for v in keep:
-        node_inputs.append(tuple(resolve_host(p) for p in hg.node_inputs[v]))
-    for w in range(len(rg.nodes)):
-        row = []
-        for p in rg.node_inputs[w]:
-            if p[0] == "b":
-                row.append(resolve_host(match.inputs[p[1]]))
-            else:
-                row.append((offset + p[0], p[1]))
-        node_inputs.append(tuple(row))
+    nodes = [hg.nodes[v] for v in keep] + rg.nodes
+    node_inputs = [tuple(resolve_host(p) for p in hg.node_inputs[v])
+                   for v in keep]
+    for row in rg.node_inputs:
+        node_inputs.append(tuple(
+            resolve_host(match.inputs[~p]) if p < 0 else shift + p
+            for p in row))
     outputs = tuple(resolve_host(p) for p in hg.outputs)
 
     new_graph = _Graph(hg.n_in, hg.n_out, nodes, node_inputs, outputs)

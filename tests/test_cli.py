@@ -88,6 +88,10 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("deform --fixture shift-conj:12:3:9", "--fixture:"),
     ("deform --fixture delta1:6:1:x", "--fixture:"),
     ("deform --fixture null:fn-o16:junk:1", "--fixture:"),
+    ("deform --fixture null:fn-cyclic:3:", "--fixture: empty ORDER"),
+    ("eval mul --model binomial:", "--model: empty size"),
+    ("deform --fixture delta1:6:", "--fixture: empty ORDER"),
+    ("deform --fixture shift-conj::", "--fixture: empty D"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())

@@ -225,9 +225,16 @@ def test_scalar_bubble_canonicalizes():
     assert canonicalize(beside) == beside
 
 
+def _port(producer):
+    """A producer ("b", i) or (node, output) as its port id."""
+    kind, index = producer
+    return ~index if kind == "b" else 2 * kind + index
+
+
 def test_cyclic_port_graph_has_no_slicing():
     """A comul eats a mul's output and feeds the mul's second input back."""
     cyclic = _Graph(1, 1, [("mul", None), ("comul", None)],
-                    [(("b", 0), (1, 1)), ((0, 0),)], ((1, 0),))
+                    [(_port(("b", 0)), _port((1, 1))), (_port((0, 0)),)],
+                    (_port((1, 0)),))
     with pytest.raises(DiagramError, match="^diagram has a cycle$"):
         _slices_from_graph(cyclic)

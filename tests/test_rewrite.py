@@ -4,7 +4,15 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from moufang.diagram import ARITY, canonicalize, raw_diagram
+from moufang.diagram import (
+    ARITY,
+    LABELLABLE,
+    LABELS,
+    DiagramError,
+    canonicalize,
+    identity,
+    raw_diagram,
+)
 from moufang.dsl import parse
 from moufang.rewrite import (
     ProofTrace,
@@ -228,15 +236,27 @@ def _small_host(draw):
     return canonicalize(raw_diagram(n_in, slices))
 
 
+def _producer(port):
+    """A port id as ("b", i) for boundary input i or (node, output)."""
+    return ("b", ~port) if port < 0 else (port >> 1, port & 1)
+
+
+def _node_inputs(graph):
+    """The graph's producer rows, decoded with `_producer`."""
+    return [tuple(map(_producer, row)) for row in graph.node_inputs]
+
+
 def _brute_force_matches(hg, pg):
     """Every label-preserving injection of pattern nodes into host nodes
     that keeps the pattern's internal wires, less those where some host
     path leaves the image and comes back to it, by enumerating paths, and
     those where a host wire runs from the image into a pattern input."""
+    host_inputs, pattern_inputs = _node_inputs(hg), _node_inputs(pg)
+
     def paths(v):
         """Every directed host path that starts at node v."""
         yield (v,)
-        for w, row in enumerate(hg.node_inputs):
+        for w, row in enumerate(host_inputs):
             if any(prod[0] == v for prod in row):
                 for rest in paths(w):
                     yield (v,) + rest
@@ -247,14 +267,14 @@ def _brute_force_matches(hg, pg):
         if any(hg.nodes[h] != pg.nodes[v] for v, h in enumerate(node_map)):
             continue
         if any(prod[0] != "b"
-               and hg.node_inputs[node_map[v]][p] != (node_map[prod[0]],
-                                                       prod[1])
-               for v, row in enumerate(pg.node_inputs)
+               and host_inputs[node_map[v]][p] != (node_map[prod[0]],
+                                                   prod[1])
+               for v, row in enumerate(pattern_inputs)
                for p, prod in enumerate(row)):
             continue
         image = set(node_map)
-        if any(prod[0] == "b" and hg.node_inputs[node_map[v]][p][0] in image
-               for v, row in enumerate(pg.node_inputs)
+        if any(prod[0] == "b" and host_inputs[node_map[v]][p][0] in image
+               for v, row in enumerate(pattern_inputs)
                for p, prod in enumerate(row)):
             continue
         if any(path[-1] in image and not image.issuperset(path)
@@ -277,6 +297,81 @@ def test_matches_are_the_convex_embeddings(host, pattern):
     p = parse(pattern)
     got = [m.node_map for m in find_matches(host, p)]
     assert got == _brute_force_matches(host.graph, p.graph)
+
+
+_SPLICE_RULES = ("counit-l", "counit-r", "unit-l", "unit-r")
+
+
+@st.composite
+def _splice_host(draw):
+    """A random canonical host like `_small_host`, from 0 inputs, with
+    labelled generators and closed unit-counit bubbles."""
+    w = n_in = draw(st.integers(0, 4))
+    slices = []
+    for _ in range(draw(st.integers(1, 9))):
+        options = [kind for kind in ("mul", "comul", "swap", "unit", "counit")
+                   if ARITY[kind][0] <= w
+                   and w - ARITY[kind][0] + ARITY[kind][1] <= 5] + ["bubble"]
+        kind = draw(st.sampled_from(options))
+        off = draw(st.integers(0, w - ARITY.get(kind, (0,))[0]))
+        if kind == "bubble":
+            slices += [("unit", None, off), ("counit", None, off)]
+            continue
+        label = draw(st.sampled_from(LABELS)) if kind in LABELLABLE else None
+        slices.append((kind, label, off))
+        w += ARITY[kind][1] - ARITY[kind][0]
+    return canonicalize(raw_diagram(n_in, slices))
+
+
+def _splices_by_slices(host, side):
+    """(position, result) for `side` drawn on each wire of the host's
+    slices where that wire is live, canonicalized from the slices alone;
+    wires whose drawing is too wide are left out."""
+    wires = [(f"wire=b{i}", 0, i) for i in range(host.n_in)]
+    v = 0
+    for at, (kind, _label, off) in enumerate(host.slices):
+        if kind != "swap":
+            wires += [(f"wire=n{v}.{q}", at + 1, off + q)
+                      for q in range(ARITY[kind][1])]
+            v += 1
+    out = []
+    for position, at, wire in wires:
+        drawn = [(kind, label, off + wire) for kind, label, off in side.slices]
+        try:
+            out.append((position, canonicalize(raw_diagram(
+                host.n_in, host.slices[:at] + tuple(drawn)
+                + host.slices[at:]))))
+        except DiagramError:
+            pass
+    return out
+
+
+@given(host=_splice_host())
+@settings(max_examples=200, deadline=None)
+def test_wire_splices_match_splicing_the_slices(host):
+    """Each `id(1)`-pattern rule applied `<-` at every wire of the host
+    gives what drawing the rule side on that wire of the host's slices
+    and canonicalizing gives, in the same order; the host's cached port
+    graph is left as it was."""
+    graph = host.graph
+    before = (list(graph.nodes), list(graph.node_inputs), graph.outputs,
+              list(graph.cons), list(graph.waits))
+    for name in _SPLICE_RULES:
+        rule = rule_by_name(name)
+        got = [(m.position, result)
+               for m, result in rewrites(host, rule, "<-")]
+        assert got == _splices_by_slices(host, rule.lhs), name
+    assert host.graph is graph
+    assert (list(graph.nodes), list(graph.node_inputs), graph.outputs,
+            list(graph.cons), list(graph.waits)) == before
+
+
+@pytest.mark.parametrize("name", _SPLICE_RULES)
+def test_wire_splice_width_limit(name):
+    """A splice that widens the host past MAX_WIRES gives no result."""
+    rule = rule_by_name(name)
+    assert rewrites(identity(16), rule, "<-") == []
+    assert len(rewrites(identity(15), rule, "<-")) == 15
 
 
 def test_goal_suite_traces_are_pinned():
