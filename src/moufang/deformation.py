@@ -11,10 +11,9 @@ loop operator p∘Δ and its 2^n spectrum on the binomial model; the exact
 kernel of T = Q⊗Q⊗I - Q⊗I⊗I - I⊗Q⊗I, read off Q's eigenspaces (Q must be
 diagonalizable with that spectrum, and then T is diagonal on tensor
 products of eigenvectors, so nothing is eliminated on the d³ triple
-space); wedge/primitive membership projectors; the multiplicative-series
-defect identity; the kernel map R+S annihilating the coassociator of any
-two-sided co-Moufang deformation; and the Casimir and first-cohomology
-computations for the Lie-algebra case.
+space); wedge/primitive membership projectors; the kernel map R+S
+annihilating the coassociator of any two-sided co-Moufang deformation; and
+the Casimir and first-cohomology computations for the Lie-algebra case.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from .models import (
     as_fractions,
     basis_state,
     basis_sweep,
+    breaks_structure,
     evaluate,
     evaluate_components,
     first_failure,
@@ -128,6 +128,10 @@ class TruncatedDeformation:
     ``verdicts`` keeps the `Report` of each law `models.holds_identity`
     has decided on this object, keyed by its ``(lhs, rhs)``, and
     ``tables`` the evaluator's `FusedTables` for its series maps.
+    ``automorphisms`` are the base model's when every positive-degree
+    component is checked to commute with each of them (the null
+    deformation's, being empty, always do), and none otherwise; verdict
+    sweeps take orbits of them only (`models.sweep_inputs`).
     """
 
     base: FiniteBialgebraModel
@@ -138,6 +142,7 @@ class TruncatedDeformation:
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
     tables: FusedTables = field(init=False, compare=False, repr=False)
+    automorphisms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 0:
@@ -160,6 +165,11 @@ class TruncatedDeformation:
             integral_rows(rows) for rows in self.mul_components))
         object.__setattr__(self, "tables", FusedTables(
             self.mul_components, self.comul_components))
+        autos = self.base.automorphisms
+        if any(breaks_structure(p, self.mul_components[1:],
+                                self.comul_components[1:]) for p in autos):
+            autos = ()
+        object.__setattr__(self, "automorphisms", autos)
 
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
@@ -256,11 +266,12 @@ def coassociator(deformation: TruncatedDeformation, n: int
         raise DeformationError(
             f"component {n} exceeds the deformation order {deformation.order}"
         )
-    return {i: diffs[n] for (i,), diffs in _coassociator_sweep(deformation)}
+    return {i: diffs[n]
+            for (i,), _covered, diffs in _coassociator_sweep(deformation)}
 
 
 def _coassociator_sweep(deformation: TruncatedDeformation):
-    """``(input, coassociator per h-degree)`` for every basis element."""
+    """``(input, 1, coassociator per h-degree)`` for every basis element."""
     rule, = flag_rules("coassoc")
     return basis_sweep(rule.lhs, rule.rhs, deformation, capped=False)
 
@@ -437,75 +448,6 @@ def wedge_membership(t: State, slots: str, primitive: Sequence[int]) -> bool:
     return antisymmetrize(t, subset) == t
 
 
-# --- multiplicative series and the defect identity ---------------------------
-
-
-def _multiplicative_failures(deformation: TruncatedDeformation,
-                             phi: TruncatedSeriesMap):
-    """Yield (degree, basis pair) wherever phi_h(x•y) != phi_h(x)•phi_h(y)
-    modulo h^(min(order, phi.order)+1)."""
-    order = min(deformation.order, phi.order)
-    for key in deformation.base.basis_iterator(2):
-        states = [basis_state(key)] + [{} for _ in range(order)]
-        lhs = _apply_series_slot(
-            phi, evaluate_series(_MUL, deformation, states, order), 0)
-        for slot in (0, 1):
-            states = _apply_series_slot(phi, states, slot)
-        rhs = evaluate_series(_MUL, deformation, states, order)
-        yield from ((n, key) for n in range(order + 1) if lhs[n] != rhs[n])
-
-
-def derivation_defect(phi: TruncatedSeriesMap, psi: TruncatedSeriesMap,
-                      deformation: TruncatedDeformation, n: int
-                      ) -> Report:
-    """The defect identity for two multiplicative series agreeing below n.
-
-    Preconditions (checked, violations raise): both series are
-    multiplicative for the deformed product modulo h^(order+1), and their
-    components agree at every degree below n.  The verified identity, at
-    every basis pair, is
-
-        (phi_n - psi_n)(x y) = (phi_n - psi_n)(x) phi_0(y)
-                               + psi_0(x) (phi_n - psi_n)(y)
-
-    with x y the base product.
-    """
-    if n < 1 or n > min(phi.order, psi.order):
-        raise DeformationError(f"degree {n} outside both series")
-    for name, series in (("first", phi), ("second", psi)):
-        # lowest degree, then first pair (basis_iterator is lexicographic)
-        bad = min(_multiplicative_failures(deformation, series), default=None)
-        if bad is not None:
-            raise DeformationError(
-                f"{name} series is not multiplicative at degree {bad[0]}, "
-                f"basis pair {bad[1]}"
-            )
-    for i in range(n):
-        if phi.at(i) != psi.at(i):
-            raise DeformationError(
-                f"series differ already at degree {i} (need agreement "
-                f"below {n})"
-            )
-    model = deformation.base
-    delta = TruncatedSeriesMap((linalg.mat_sub(phi.at(n), psi.at(n)),))
-
-    def on(series: TruncatedSeriesMap, slot: int, state: State) -> State:
-        # a degree-0 input meets only the series' degree-0 component
-        return _apply_series_slot(series, [state], slot)[0]
-
-    def sweep():
-        for key in model.basis_iterator(2):
-            pair = basis_state(key)
-            lhs = on(delta, 0, evaluate(_MUL, model, pair))
-            rhs = add_state(
-                evaluate(_MUL, model, on(phi, 1, on(delta, 0, pair))),
-                evaluate(_MUL, model, on(delta, 1, on(psi, 0, pair))))
-            # the series agree below degree n, so only degree n can differ
-            yield key, [{}] * n + [subtract_state(lhs, rhs)]
-
-    return first_failure(sweep())
-
-
 # --- the kernel map R + S ---------------------------------------------------
 
 _R_DIAG = parse("comul * id(2) ; id(1) * swap * id(1) ; mul * id(2)")
@@ -532,8 +474,9 @@ def kernel_map_RS(deformation: TruncatedDeformation) -> Report:
     """
     _require_left_and_right(deformation, check_comoufang_mod,
                             "{} is not {} co-Moufang: ")
-    return first_failure((x, apply_kernel_map(deformation, coassoc))
-                         for x, coassoc in _coassociator_sweep(deformation))
+    return first_failure((x, covered, apply_kernel_map(deformation, coassoc))
+                         for x, covered, coassoc
+                         in _coassociator_sweep(deformation))
 
 
 # --- deformed associator congruences (the Nalt consequence) -----------------
@@ -588,8 +531,8 @@ def nalt_mod_h(deformation: TruncatedDeformation, a: Vector) -> Report:
         for y, z in itertools.product(range(model.dim), repeat=2):
             first, second, third = (_associator_series(
                 deformation, embed(p, y, z)) for p in range(3))
-            yield (y, z), [add_state(f, s) or subtract_state(f, t)
-                           for f, s, t in zip(first, second, third)]
+            yield (y, z), 1, [add_state(f, s) or subtract_state(f, t)
+                              for f, s, t in zip(first, second, third)]
 
     return first_failure(sweep())
 
@@ -667,10 +610,6 @@ def check_representation(g: BracketAlgebra, action: Sequence[Matrix]) -> None:
 def adjoint_action(g: BracketAlgebra) -> list[Matrix]:
     """Copies of the cached adjoint matrices, so callers may write to them."""
     return [[row[:] for row in m] for m in g.ad]
-
-
-def trivial_action(g: BracketAlgebra, dim: int = 1) -> list[Matrix]:
-    return [linalg.zeros(dim, dim) for _ in range(g.dim)]
 
 
 def exterior_power_action(action: Sequence[Matrix], k: int) -> list[Matrix]:
@@ -907,23 +846,3 @@ def exp_derivation_series(model: FiniteBialgebraModel, derivation: Matrix,
         )
         k += 1
     return TruncatedSeriesMap(tuple(comps))
-
-
-def identity_series(model: FiniteBialgebraModel, order: int
-                    ) -> TruncatedSeriesMap:
-    d = model.dim
-    return TruncatedSeriesMap(
-        tuple([linalg.eye(d)] + [linalg.zeros(d, d) for _ in range(order)])
-    )
-
-
-def euler_derivation(model: FiniteBialgebraModel) -> Matrix:
-    """The degree operator a^n -> n a^n (an exact derivation of the
-    truncated binomial model)."""
-    if model.degrees is None:
-        raise DeformationError("model carries no grading")
-    d = model.dim
-    m = linalg.zeros(d, d)
-    for n in range(d):
-        m[n][n] = Fraction(model.degrees[n])
-    return m

@@ -16,6 +16,19 @@ A plain model is the order-0 truncated deformation of itself: its
 alike, evaluate both through `evaluate_components`, and keep each verdict
 in the object's ``verdicts``.
 
+Verdict sweeps are exhaustive by symmetry.  A basis permutation σ that
+commutes with the product, coproduct, unit and counit commutes with every
+diagram, so the difference of a law at σx is σ of its difference at x:
+the inputs where a law fails form a union of orbits.  Loop and function
+models carry generators of the loop's automorphism group, checked exactly
+when the model is built, and `holds_identity` evaluates only each orbit's
+least tuple, in `basis_iterator` order; its first failing input, and so
+its witness and difference, are the full sweep's.  Orbits are not taken
+on a model with a degree cap (the cap need not be invariant), on a
+deformation with a positive-degree component that some generator does
+not commute with, or where every input's value is wanted (the
+coassociator, and any ``capped=False`` sweep).
+
 Models built here:
 
 * ``loop_bialgebra(L)``      -- basis = loop elements, x group-like; the
@@ -24,7 +37,8 @@ Models built here:
 * ``function_bialgebra(L)``  -- delta functionals on the loop with the
   pointwise product; the coproduct is dual to the loop product.  It is
   commutative and associative, satisfies the dual (co-)Moufang laws, and
-  is coassociative iff the loop is associative.
+  is coassociative iff the loop is associative.  Both take the loop's
+  automorphisms as basis permutations.
 * ``truncated_binomial_bialgebra(D)`` -- powers of one primitive element
   with the binomial coproduct, products truncated above degree D.  The
   truncation breaks the algebra-map law for the coproduct at the degree
@@ -36,6 +50,7 @@ Models built here:
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
@@ -139,6 +154,85 @@ class MoufangLoop:
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
+    def _closure(self, gens: Sequence[int]) -> dict[int, Optional[tuple]]:
+        """The subloop generated by ``gens``, each element with the product
+        ``(a, b)`` that first reached it (None for the identity and the
+        generators), in order of discovery.  A finite subset closed under
+        the product is a subloop, since its translations are injective."""
+        words = dict.fromkeys((self.identity, *gens))
+        grown = True
+        while grown:
+            grown = False
+            for a, b in itertools.product(list(words), repeat=2):
+                c = self.table[a][b]
+                if c not in words:
+                    words[c], grown = (a, b), True
+        return words
+
+    def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
+        """Generators of the loop's automorphism group, each the tuple of
+        the elements' images.
+
+        A greedy generating set fixes every automorphism through its images
+        of the generators, extended by the products that built the loop
+        from them; each candidate is checked against the whole Cayley
+        table.  For each generator in turn, with the earlier ones fixed,
+        one automorphism is kept per image (a transversal of the stabilizer
+        chain; together they generate the group), and of these only the
+        ones that enlarge the group generated so far.
+        """
+        n, table = self.order, self.table
+        gens, words = [], self._closure(())
+        for x in range(n):
+            if x not in words:
+                gens.append(x)
+                words = self._closure(gens)
+        steps = [(c, *ab) for c, ab in words.items() if ab is not None]
+
+        def extend(images):
+            phi = [self.identity] * n
+            for g, image in zip(gens, images):
+                phi[g] = image
+            for c, a, b in steps:
+                phi[c] = table[phi[a]][phi[b]]
+            if len(set(phi)) == n and all(
+                    phi[table[a][b]] == table[phi[a]][phi[b]]
+                    for a, b in itertools.product(range(n), repeat=2)):
+                return tuple(phi)
+            return None
+
+        transversal = []
+        for level in range(len(gens)):
+            for image in range(n):
+                for rest in itertools.product(range(n),
+                                              repeat=len(gens) - level - 1):
+                    phi = extend((*gens[:level], image, *rest))
+                    if phi is not None:
+                        transversal.append(phi)
+                        break
+        kept, group = [], {tuple(range(n))}
+        for phi in transversal:
+            if phi not in group:
+                kept.append(phi)
+                group = permutation_closure(kept)
+        return tuple(kept)
+
+
+def permutation_closure(gens: Sequence[tuple[int, ...]]
+                        ) -> set[tuple[int, ...]]:
+    """The group that the permutations ``gens`` (at least one) generate: a
+    finite closure under composition, from the identity."""
+    group = {tuple(range(len(gens[0])))}
+    frontier = list(group)
+    while frontier:
+        p = frontier.pop()
+        for g in gens:
+            q = tuple(map(g.__getitem__, p))
+            if q not in group:
+                group.add(q)
+                frontier.append(q)
+    return group
+
 
 def cyclic_loop(n: int) -> MoufangLoop:
     """The cyclic group of order n viewed as a (Moufang) loop."""
@@ -167,6 +261,10 @@ class FiniteBialgebraModel:
     a new model object (a new registration) starts with none.  A model is
     the order-0 truncated deformation of itself: ``order`` is 0 and
     ``base`` is the model, so sweeps and verdicts treat both alike.
+    ``automorphisms`` lists basis permutations (the image of each basis
+    index) that commute with every structure map; each is checked exactly
+    when the model is built, and ``orbits`` holds the orbits of the group
+    they generate on basis tuples, built on first use (`Orbits`).
     """
 
     order = 0
@@ -181,9 +279,12 @@ class FiniteBialgebraModel:
     basis_labels: tuple[str, ...] = ()
     degrees: Optional[tuple[int, ...]] = None
     check_cap: Optional[int] = None
+    automorphisms: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
     tables: "FusedTables" = field(init=False, compare=False, repr=False)
+    orbits: "Orbits" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         # integral constants become ints, the evaluator's cheap scalars
@@ -195,6 +296,16 @@ class FiniteBialgebraModel:
                            integral_state(self.counit_entries))
         object.__setattr__(self, "tables", FusedTables((self.mul_rows,),
                                                        (self.comul_rows,)))
+        for p in self.automorphisms:
+            claim = f"model {self.name}: claimed automorphism {tuple(p)}"
+            if sorted(p) != list(range(self.dim)):
+                raise ModelError(f"{claim} does not permute the basis")
+            broken = breaks_structure(p, (self.mul_rows,), (self.comul_rows,),
+                                      self.unit_entries, self.counit_entries)
+            if broken:
+                raise ModelError(f"{claim} does not commute with the {broken}")
+        object.__setattr__(self, "orbits",
+                           Orbits(self.dim, self.automorphisms))
 
     @property
     def base(self) -> "FiniteBialgebraModel":
@@ -210,6 +321,88 @@ class FiniteBialgebraModel:
                 if sum(self.degrees[i] for i in key) > self.check_cap:
                     continue
             yield key
+
+
+def breaks_structure(p: Sequence[int], muls: Sequence[MulRows],
+                     comuls: Sequence[ComulRows], unit_entries=(),
+                     counit_entries=None) -> Optional[str]:
+    """The first structure map that the basis permutation ``p`` does not
+    commute with ("product", "coproduct", "unit" or "counit"), or None.
+    Each row is compared with the row at its permuted key as a multiset
+    of terms, since permuting reorders a row's terms.  Checking the rows
+    present suffices: ``p`` permutes the keys, so it then maps the nonempty
+    rows onto the nonempty rows."""
+    for rows in muls:
+        for (i, j), row in rows.items():
+            if (Counter((p[k], c) for k, c in row)
+                    != Counter(rows.get((p[i], p[j]), ()))):
+                return "product"
+    for rows in comuls:
+        for i, row in rows.items():
+            if (Counter(((p[j], p[k]), c) for (j, k), c in row)
+                    != Counter(rows.get(p[i], ()))):
+                return "coproduct"
+    if Counter((p[i], c) for i, c in unit_entries) != Counter(unit_entries):
+        return "unit"
+    if counit_entries and any(counit_entries.get(p[i], 0) != c
+                              for i, c in counit_entries.items()):
+        return "counit"
+    return None
+
+
+class Orbits(dict):
+    """``rank -> {representative: orbit size}`` for the group that the
+    basis permutations ``generators`` generate, acting on basis tuples of
+    one rank, filled on first lookup.
+
+    Union-find over the tuples' indices in `basis_iterator` order, each
+    class rooted at its least index, joins every tuple with its image
+    under every generator.  So each representative is its orbit's least
+    tuple, and the representatives come in `basis_iterator` order.
+    """
+
+    def __init__(self, dim: int, generators) -> None:
+        super().__init__()
+        self.dim, self.generators = dim, generators
+
+    def __missing__(self, rank: int) -> dict[tuple[int, ...], int]:
+        dim = self.dim
+        place = [dim ** (rank - 1 - pos) for pos in range(rank)]
+        parent = list(range(dim ** rank))
+
+        def root(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for p in self.generators:
+            image = [0]  # the index of each tuple's image, in index order
+            for _ in range(rank):
+                image = [y * dim + p[i] for y in image for i in range(dim)]
+            for x, y in enumerate(image):
+                a, b = root(x), root(y)
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        sizes: dict[int, int] = {}
+        for x in range(dim ** rank):
+            r = root(x)
+            sizes[r] = sizes.get(r, 0) + 1
+        self[rank] = orbits = {
+            tuple(r // w % dim for w in place): n for r, n in sizes.items()}
+        return orbits
+
+
+def sweep_inputs(obj, rank: int):
+    """``(input, basis tuples it stands for)`` pairs that a verdict sweep of
+    a rank-``rank`` identity on ``obj`` (a model or truncated deformation)
+    visits: one representative per orbit of ``obj.automorphisms`` with its
+    orbit's size when there are any and the base model has no cap, and
+    otherwise every capped basis input, standing for itself."""
+    model = obj.base
+    if obj.automorphisms and model.check_cap is None:
+        return iter(model.orbits[rank].items())
+    return ((key, 1) for key in model.basis_iterator(rank))
 
 
 def basis_state(indices: Iterable[int]) -> State:
@@ -432,8 +625,10 @@ def subtract_state(a: State, b: State) -> State:
 
 
 def _sweep_inputs(lhs: Diagram, rhs: Diagram, obj, capped: bool):
-    """The basis inputs of a sweep of lhs = rhs on ``obj``, once the sides'
-    arities and, on a plain model, their labels have been checked."""
+    """The ``(input, basis tuples it stands for)`` pairs of a sweep of
+    lhs = rhs on ``obj`` (`sweep_inputs`, or with ``capped=False`` every
+    basis tuple), once the sides' arities and, on a plain model, their
+    labels have been checked."""
     if (lhs.n_in, lhs.n_out) != (rhs.n_in, rhs.n_out):
         raise ArityMismatch(
             f"identity sides have different arities: "
@@ -443,30 +638,43 @@ def _sweep_inputs(lhs: Diagram, rhs: Diagram, obj, capped: bool):
     if obj is model:
         refuse_labels(lhs)
         refuse_labels(rhs)
-    return (model.basis_iterator(lhs.n_in) if capped
-            else itertools.product(range(model.dim), repeat=lhs.n_in))
+    if capped:
+        return sweep_inputs(obj, lhs.n_in)
+    return ((key, 1) for key in itertools.product(range(model.dim),
+                                                  repeat=lhs.n_in))
 
 
 def basis_sweep(lhs: Diagram, rhs: Diagram, obj, capped: bool = True):
-    """Yield ``(input, differences)`` for every basis input, exactly.
+    """Yield ``(input, covered, differences)`` for each swept basis input,
+    exactly.
 
     ``obj`` is a `FiniteBialgebraModel` (the order-0 case) or a
     `deformation.TruncatedDeformation`; each side is evaluated with its
     structure maps on one basis state shared by both sides, padded to
     ``obj.order + 1`` h-degrees, and ``differences`` lists lhs - rhs at
     each degree, with Fraction values.  Labelled generators are refused on
-    a plain model only.  Inputs come from ``obj.base.basis_iterator`` or,
-    with ``capped=False``, from every basis tuple regardless of the base
-    model's degree cap.  A cap that leaves no input is refused, since the
-    sweep would check nothing.
+    a plain model only.  Inputs come from `sweep_inputs`, one per orbit of
+    the verified automorphisms where it takes orbits, and ``covered`` is
+    the number of basis tuples the input stands for.  With
+    ``capped=False`` every basis tuple is swept, regardless of the base
+    model's degree cap or symmetry, each covering itself.  A cap that
+    leaves no input is refused, since the sweep would check nothing.
+
+    An orbit sweep is exhaustive: an automorphism σ commutes with every
+    diagram, so the difference at σx is σ of the difference at x, and the
+    inputs where a law fails form a union of orbits.  Since each
+    representative is its orbit's least tuple, visited in `basis_iterator`
+    order, the first failing representative is the first failing tuple of
+    the full sweep.
     """
     model, checked = obj.base, False
-    for key in _sweep_inputs(lhs, rhs, obj, capped):
+    for key, covered in _sweep_inputs(lhs, rhs, obj, capped):
         checked = True
         state = basis_state(key)
         sides = [evaluate_components(d, [state] + [{}] * obj.order, model,
                                      obj.tables) for d in (lhs, rhs)]
-        yield key, [as_fractions(subtract_state(a, b)) for a, b in zip(*sides)]
+        yield key, covered, [as_fractions(subtract_state(a, b))
+                             for a, b in zip(*sides)]
     if not checked:
         raise _vacuous_cap(model, lhs.n_in)
 
@@ -482,13 +690,18 @@ class Report:
 
     A failure names the first basis input (``witness``) whose difference
     ``diff`` is nonzero; ``degree`` is its h-degree for a check on a
-    truncated deformation and None for one on a plain model.
+    truncated deformation and None for one on a plain model.  ``swept``
+    counts the inputs the sweep evaluated and ``covered`` the basis tuples
+    they stand for (`basis_sweep`); both are deterministic, and they are
+    not part of the verdict, so equality ignores them.
     """
 
     holds: bool
     degree: Optional[int] = None
     witness: Optional[tuple[int, ...]] = None
     diff: Optional[State] = None
+    swept: int = field(default=0, compare=False)
+    covered: int = field(default=0, compare=False)
 
     def describe(self, model: FiniteBialgebraModel) -> str:
         if self.holds:
@@ -502,14 +715,18 @@ class Report:
 
 
 def first_failure(sweep, series: bool = True) -> Report:
-    """The `Report` of a sweep of ``(input, differences per h-degree)``:
-    its first nonzero difference, lowest degree first within an input;
+    """The `Report` of a sweep of ``(input, covered, differences per
+    h-degree)``: its first nonzero difference, lowest degree first within
+    an input, with the inputs swept and the tuples covered up to it;
     ``series=False`` reports a plain check, with no degree."""
-    for key, diffs in sweep:
+    swept = covered = 0
+    for key, n_covered, diffs in sweep:
+        swept, covered = swept + 1, covered + n_covered
         for n, diff in enumerate(diffs):
             if diff:
-                return Report(False, n if series else None, key, diff)
-    return Report(True)
+                return Report(False, n if series else None, key, diff,
+                              swept, covered)
+    return Report(True, swept=swept, covered=covered)
 
 
 def holds_identity(lhs: Diagram, rhs: Diagram, obj) -> Report:
@@ -520,9 +737,10 @@ def holds_identity(lhs: Diagram, rhs: Diagram, obj) -> Report:
     verdict is kept in ``obj.verdicts``.  The pair with its sides swapped
     reuses a holding verdict only; a failure is swept again, so that its
     witness and the sign of its difference are those of this orientation.
-    Identical sides hold without a sweep, once the labels, the arities and
-    the cap have been checked as a sweep checks them.  A repeated check
-    hands back the same `Report`, so its ``diff`` is read-only.
+    Identical sides hold without a sweep (so with zero counts), once the
+    labels, the arities and the cap have been checked as a sweep checks
+    them.  A repeated check hands back the same `Report`, so its ``diff``
+    is read-only and its counts are those of the first sweep.
     """
     known = obj.verdicts.get((lhs, rhs))
     if known is None:
@@ -559,7 +777,8 @@ def verify_registration(model: FiniteBialgebraModel) -> None:
 
 
 def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
-    """Loop algebra with group-like coproduct on every loop element."""
+    """Loop algebra with group-like coproduct on every loop element; the
+    loop's automorphisms permute the basis."""
     model = FiniteBialgebraModel(
         name=f"loop[{loop.name}]",
         dim=loop.order,
@@ -572,13 +791,15 @@ def loop_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
             {"coassoc", "cocomm", "moufang_l", "moufang_m", "moufang_r"}
         ),
         basis_labels=loop.labels,
+        automorphisms=loop.automorphism_generators(),
     )
     verify_registration(model)
     return model
 
 
 def function_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
-    """Functions on the loop: pointwise product, coproduct dual to the loop."""
+    """Functions on the loop: pointwise product, coproduct dual to the
+    loop.  The loop's automorphisms permute the delta functionals."""
     splits: dict[int, list[tuple[tuple[int, int], int]]] = {
         i: [] for i in range(loop.order)
     }
@@ -594,6 +815,7 @@ def function_bialgebra(loop: MoufangLoop) -> FiniteBialgebraModel:
         counit_entries={loop.identity: 1},
         satisfied_flags=frozenset({"assoc", "comm", "comoufang_l", "comoufang_r"}),
         basis_labels=tuple("d" + l for l in loop.labels),
+        automorphisms=loop.automorphism_generators(),
     )
     verify_registration(model)
     return model

@@ -10,6 +10,7 @@ from conftest import dense_kernel_T, same_span
 from moufang import linalg
 from moufang.deformation import (
     DeformationError,
+    _apply_series_slot,
     GradedSpace,
     TruncatedSeriesMap,
     adjoint_action,
@@ -21,14 +22,11 @@ from moufang.deformation import (
     check_moufang_mod,
     check_representation,
     coassociator,
-    derivation_defect,
     eigen_kernel_T,
-    euler_derivation,
     evaluate_series,
     exp_derivation_series,
     exterior_power_action,
     h1_dimension,
-    identity_series,
     is_primitive,
     kernel_map_RS,
     lie_algebra,
@@ -39,14 +37,16 @@ from moufang.deformation import (
     shift_conjugation_deformation,
     simple_comul_perturbation,
     sl2,
-    trivial_action,
     wedge_membership,
 )
 from moufang.dsl import parse
 from moufang.models import (
+    add_state,
     basis_state,
     evaluate,
+    first_failure,
     holds_identity,
+    subtract_state,
     truncated_binomial_bialgebra,
 )
 from moufang.octonion import octonion_algebra, traceless_malcev
@@ -319,6 +319,99 @@ def test_antisymmetrizer_idempotent_and_commutes():
     proj_then_anti = antisymmetrize(primitive_project(t, (0, 1), [1, 2]), (0, 1))
     anti_then_proj = primitive_project(antisymmetrize(t, (0, 1)), (0, 1), [1, 2])
     assert proj_then_anti == anti_then_proj
+
+
+# --- the multiplicative-series defect identity -------------------------------
+# Series maps and the defect identity that only these tests use.  Their
+# sweeps read `basis_iterator(2)` directly, since the series maps are never
+# checked invariant under a model's automorphisms.
+
+_MUL = parse("mul")
+
+
+def identity_series(model, order):
+    d = model.dim
+    return TruncatedSeriesMap(
+        tuple([linalg.eye(d)] + [linalg.zeros(d, d) for _ in range(order)]))
+
+
+def euler_derivation(model):
+    """The degree operator a^n -> n a^n (an exact derivation of the
+    truncated binomial model)."""
+    if model.degrees is None:
+        raise DeformationError("model carries no grading")
+    d = model.dim
+    m = linalg.zeros(d, d)
+    for n in range(d):
+        m[n][n] = Fraction(model.degrees[n])
+    return m
+
+
+def trivial_action(g, dim=1):
+    return [linalg.zeros(dim, dim) for _ in range(g.dim)]
+
+
+def _multiplicative_failures(deformation, phi):
+    """Yield (degree, basis pair) wherever phi_h(x•y) != phi_h(x)•phi_h(y)
+    modulo h^(min(order, phi.order)+1)."""
+    order = min(deformation.order, phi.order)
+    for key in deformation.base.basis_iterator(2):
+        states = [basis_state(key)] + [{} for _ in range(order)]
+        lhs = _apply_series_slot(
+            phi, evaluate_series(_MUL, deformation, states, order), 0)
+        for slot in (0, 1):
+            states = _apply_series_slot(phi, states, slot)
+        rhs = evaluate_series(_MUL, deformation, states, order)
+        yield from ((n, key) for n in range(order + 1) if lhs[n] != rhs[n])
+
+
+def derivation_defect(phi, psi, deformation, n):
+    """The defect identity for two multiplicative series agreeing below n.
+
+    Preconditions (checked, violations raise): both series are
+    multiplicative for the deformed product modulo h^(order+1), and their
+    components agree at every degree below n.  The verified identity, at
+    every basis pair, is
+
+        (phi_n - psi_n)(x y) = (phi_n - psi_n)(x) phi_0(y)
+                               + psi_0(x) (phi_n - psi_n)(y)
+
+    with x y the base product.
+    """
+    if n < 1 or n > min(phi.order, psi.order):
+        raise DeformationError(f"degree {n} outside both series")
+    for name, series in (("first", phi), ("second", psi)):
+        # lowest degree, then first pair (basis_iterator is lexicographic)
+        bad = min(_multiplicative_failures(deformation, series), default=None)
+        if bad is not None:
+            raise DeformationError(
+                f"{name} series is not multiplicative at degree {bad[0]}, "
+                f"basis pair {bad[1]}"
+            )
+    for i in range(n):
+        if phi.at(i) != psi.at(i):
+            raise DeformationError(
+                f"series differ already at degree {i} (need agreement "
+                f"below {n})"
+            )
+    model = deformation.base
+    delta = TruncatedSeriesMap((linalg.mat_sub(phi.at(n), psi.at(n)),))
+
+    def on(series, slot, state):
+        # a degree-0 input meets only the series' degree-0 component
+        return _apply_series_slot(series, [state], slot)[0]
+
+    def sweep():
+        for key in model.basis_iterator(2):
+            pair = basis_state(key)
+            lhs = on(delta, 0, evaluate(_MUL, model, pair))
+            rhs = add_state(
+                evaluate(_MUL, model, on(phi, 1, on(delta, 0, pair))),
+                evaluate(_MUL, model, on(delta, 1, on(psi, 0, pair))))
+            # the series agree below degree n, so only degree n can differ
+            yield key, 1, [{}] * n + [subtract_state(lhs, rhs)]
+
+    return first_failure(sweep())
 
 
 def test_derivation_defect_trivial_and_fixture():

@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import associativity_witness
+from moufang import models
 from moufang.diagram import flip
 from moufang.dsl import parse
 from moufang.linalg import bilinear, collect
@@ -691,16 +693,17 @@ def test_fn_o16_comoufang_and_compatibility_sides_run_fused(fn_o16):
 
 @pytest.fixture
 def swept(monkeypatch):
-    """The basis inputs identity sweeps draw, counted per model name."""
+    """The inputs verdict sweeps draw, counted per base model name: one per
+    orbit of a model's automorphisms, or each capped basis input."""
     counts = {}
-    sweep = FiniteBialgebraModel.basis_iterator
+    draw = models.sweep_inputs
 
-    def counting(model, rank):
-        for key in sweep(model, rank):
-            counts[model.name] = counts.get(model.name, 0) + 1
-            yield key
+    def counting(obj, rank):
+        for item in draw(obj, rank):
+            counts[obj.base.name] = counts.get(obj.base.name, 0) + 1
+            yield item
 
-    monkeypatch.setattr(FiniteBialgebraModel, "basis_iterator", counting)
+    monkeypatch.setattr(models, "sweep_inputs", counting)
     return counts
 
 
@@ -713,9 +716,9 @@ def test_second_check_on_one_model_sweeps_nothing(swept):
     model = function_bialgebra(cyclic_loop(3))
     swept.clear()
     first = holds_identity(*_COASSOC, model)
-    assert first.holds and swept == {"fn[cyclic3]": 3}
+    assert first.holds and swept == {"fn[cyclic3]": 2}  # orbits {0}, {1, 2}
     assert holds_identity(*_COASSOC, model) is first
-    assert swept == {"fn[cyclic3]": 3}
+    assert swept == {"fn[cyclic3]": 2}
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.holds = False
     # a new model object, registered or copied, decides the law afresh
@@ -723,7 +726,7 @@ def test_second_check_on_one_model_sweeps_nothing(swept):
                   dataclasses.replace(model)):
         swept.clear()
         assert holds_identity(*_COASSOC, fresh).holds
-        assert swept == {"fn[cyclic3]": 3}
+        assert swept == {"fn[cyclic3]": 2}
 
 
 def test_swapped_holding_pair_is_reused(swept):
@@ -780,7 +783,7 @@ def test_kernel_map_reuses_the_comoufang_verdicts(swept):
     assert kernel_map_RS(checked).holds
     assert swept == {}
     assert kernel_map_RS(unchecked).holds  # sweeps both laws first
-    assert swept == {"fn[cyclic3]": 2 * 3}  # rank 1, both sides
+    assert swept == {"fn[cyclic3]": 2 * 2}  # two rank-1 orbits, both sides
 
 
 def test_holds_identity_decides_on_a_deformation(swept, fn_o16):
@@ -799,11 +802,203 @@ def test_holds_identity_decides_on_a_deformation(swept, fn_o16):
     null = null_deformation(fn_o16, 1)
     swept.clear()
     first = holds_identity(co_l.lhs, co_l.rhs, null)
-    assert first.holds and swept == {"fn[o16]": 16}
+    assert first.holds and swept == {"fn[o16]": 3}  # three rank-1 orbits
     assert holds_identity(co_l.rhs, co_l.lhs, null) is first
-    assert swept == {"fn[o16]": 16}
+    assert swept == {"fn[o16]": 3}
     # a labelled diagram has a meaning on a deformation: the positive
     # coproduct components are empty on the null one, and not on delta1
     assert holds_identity(parse("comul%0"), parse("comul"), null).holds
     shifted = holds_identity(parse("comul%0"), parse("comul"), delta1)
     assert (shifted.holds, shifted.degree, shifted.witness) == (False, 1, (1,))
+
+
+# --- exhaustive by symmetry: one input per orbit of verified automorphisms ---
+
+
+def _chein_dihedral3():
+    """Chein's loop M(D₃, 2) of order 12, the smallest nonassociative
+    Moufang loop: on pairs (g, s) of D₃ ≅ S₃ and s in {0, 1},
+    (g,0)(h,0) = (gh,0), (g,0)(h,1) = (hg,1), (g,1)(h,0) = (gh⁻¹,1) and
+    (g,1)(h,1) = (h⁻¹g,0).  Element (g, s) has index 6s + (index of g)."""
+    import itertools
+
+    group = list(itertools.permutations(range(3)))
+
+    def mul(g, h):
+        return tuple(g[h[i]] for i in range(3))
+
+    def inv(g):
+        return tuple(sorted(range(3), key=g.__getitem__))
+
+    def product(a, b):
+        (s, g), (t, h) = divmod(a, 6), divmod(b, 6)
+        g, h = group[g], group[h]
+        k, u = {(0, 0): (mul(g, h), 0), (0, 1): (mul(h, g), 1),
+                (1, 0): (mul(g, inv(h)), 1),
+                (1, 1): (mul(inv(h), g), 0)}[s, t]
+        return 6 * u + group.index(k)
+
+    return MoufangLoop.from_table(
+        [[product(a, b) for b in range(12)] for a in range(12)],
+        name="chein-d3")
+
+
+_SYMMETRIC_LOOPS = {"o16": None, "cyclic5": lambda: cyclic_loop(5),
+                    "cyclic6": lambda: cyclic_loop(6),
+                    "chein-d3": _chein_dihedral3}
+
+
+@pytest.fixture(scope="module")
+def symmetric_pairs(o16):
+    """(name, object sweeping orbits, the same object sweeping every input)
+    for loop and fn models and three deformations of fn[o16]; the second
+    object's base is the first's with no automorphisms claimed."""
+    import dataclasses
+
+    from moufang.deformation import deformation_from_maps, null_deformation
+
+    pairs = []
+    for name, make in _SYMMETRIC_LOOPS.items():
+        loop = o16 if make is None else make()
+        for build in (loop_bialgebra, function_bialgebra):
+            model = build(loop)
+            pairs.append((model.name, model,
+                          dataclasses.replace(model, automorphisms=())))
+    fn, fn_full = pairs[1][1:]
+    assert fn.name == "fn[o16]"
+    # Δ₁ = Δ is invariant; Δ₁(δ_v) = δ_v ⊗ δ_v is not, and it must fall
+    # back: v is in the orbit of u, so an orbit sweep would never visit it
+    scaled = ((fn.comul_rows,), ({},))
+    skewed = (({2: (((2, 2), 1),)},), ({},))
+    for name, maps in (("null", None), ("scaled", scaled),
+                       ("skewed", skewed)):
+        twins = [null_deformation(base, 1) if maps is None else
+                 deformation_from_maps(base, 1, *maps, name=name,
+                                       strict=False)
+                 for base in (fn, fn_full)]
+        pairs.append((f"{name}[fn[o16]]", *twins))
+    return pairs
+
+
+def test_symmetric_pairs_take_orbits_only_where_verified(symmetric_pairs):
+    for name, orbit, full in symmetric_pairs:
+        assert not full.automorphisms, name
+        invariant = not name.startswith("skewed")
+        assert bool(orbit.automorphisms) == invariant, name
+    null = next(o for n, o, _f in symmetric_pairs if n == "null[fn[o16]]")
+    assert null.automorphisms == null.base.automorphisms
+
+
+def _rank_sides(max_rank=3):
+    """Catalog rule and goal sides of at most ``max_rank`` inputs, grouped
+    by arity, for identities built from two of them."""
+    groups = {}
+    for _name, d in _agreement_sides():
+        if d.n_in <= max_rank:
+            groups.setdefault((d.n_in, d.n_out), []).append(d)
+    return [sides for sides in groups.values() if len(sides) > 1]
+
+
+_RANK_SIDES = _rank_sides()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_orbit_sweep_matches_full_sweep(symmetric_pairs, data):
+    """The orbit sweep gives the full sweep's `Report`: verdict, degree,
+    witness, difference and its key order, in both orientations; a holding
+    law covers every tuple with no more inputs than the full sweep."""
+    name, orbit, full = data.draw(st.sampled_from(symmetric_pairs))
+    sides = st.sampled_from(data.draw(st.sampled_from(_RANK_SIDES)))
+    lhs, rhs = data.draw(sides), data.draw(sides)
+    for a, b in ((lhs, rhs), (rhs, lhs)):
+        got, want = (holds_identity(a, b, obj) for obj in (orbit, full))
+        assert got == want, (name, str(a), str(b))
+        assert list(got.diff or {}) == list(want.diff or {}), name
+        assert got.swept <= want.swept, name
+        if got.holds and got.covered:
+            assert got.covered == want.covered == orbit.base.dim ** a.n_in
+
+
+def test_o16_automorphism_group_and_orbits(o16, loop_o16, fn_o16):
+    """|Aut(o16)| = 1344, the order of the octonion loop's automorphism
+    group; its orbits on tuples of ranks 1-3 number 3, 11 and 51 (rank 1:
+    {1}, {-1} and the fourteen elements of order 4)."""
+    from moufang.models import permutation_closure
+
+    gens = o16.automorphism_generators()
+    assert len(gens) == 3
+    assert len(permutation_closure(gens)) == 1344
+    for model in (loop_o16, fn_o16):
+        assert model.automorphisms == gens
+        assert [len(model.orbits[r]) for r in (1, 2, 3)] == [3, 11, 51]
+        assert model.orbits[1] == {(0,): 1, (1,): 14, (8,): 1}
+        for r in (1, 2, 3):
+            assert sum(model.orbits[r].values()) == 16 ** r
+
+
+def test_unverified_automorphism_is_refused(o16, loop_o16, fn_o16,
+                                            monkeypatch):
+    """A claimed automorphism is checked when the model is built, also when
+    `dataclasses.replace` builds it again."""
+    import dataclasses
+
+    swap_uv = (0, 2, 1) + tuple(range(3, 16))  # u <-> v: uv = -vu breaks it
+    for model, broken in ((loop_o16, "product"), (fn_o16, "coproduct")):
+        with pytest.raises(ModelError, match=(
+                rf"^model {re.escape(model.name)}: claimed automorphism "
+                rf"{re.escape(str(swap_uv))} does not commute with the "
+                rf"{broken}$")):
+            dataclasses.replace(model, automorphisms=(swap_uv,))
+    with pytest.raises(ModelError, match=r"^model loop\[o16\]: claimed "
+                       r"automorphism \(0, 0,.*\) does not permute the basis$"):
+        dataclasses.replace(loop_o16, automorphisms=((0,) * 16,))
+    with pytest.raises(ModelError, match=r"^model loop\[o16\]: .* does not "
+                       r"commute with the counit$"):
+        dataclasses.replace(loop_o16, counit_entries={1: 1})
+    # coefficients count too: x -> -x swaps the rows of (1, 1) and (2, 2),
+    # so scaling one of them alone leaves it no automorphism
+    c3 = loop_bialgebra(cyclic_loop(3))
+    assert c3.automorphisms == ((0, 2, 1),)
+    with pytest.raises(ModelError, match=r"^model loop\[cyclic3\]: claimed "
+                       r"automorphism \(0, 2, 1\) does not commute with the "
+                       r"product$"):
+        dataclasses.replace(c3, mul_rows={**c3.mul_rows, (1, 1): ((2, 2),)})
+    checked = []
+    check = models.breaks_structure
+    monkeypatch.setattr(models, "breaks_structure",
+                        lambda p, *rows: checked.append(p) or check(p, *rows))
+    again = dataclasses.replace(fn_o16)
+    assert checked == list(fn_o16.automorphisms)
+    assert again.automorphisms == fn_o16.automorphisms
+
+
+def _registered_models(o16):
+    yield from (loop_bialgebra(o16), function_bialgebra(o16),
+                truncated_binomial_bialgebra(6),
+                loop_bialgebra(_chein_dihedral3()),
+                function_bialgebra(_chein_dihedral3()),
+                load_model_text(_C2_HALF))
+    for n in (2, 3, 6):
+        yield from (loop_bialgebra(cyclic_loop(n)),
+                    function_bialgebra(cyclic_loop(n)))
+
+
+def test_every_registered_law_covers_every_capped_tuple(o16):
+    """Exhaustiveness, counted: each law a registration decided covers
+    every capped basis tuple, and an orbit sweep evaluates one input per
+    orbit."""
+    from moufang.theories import base_rules, flag_rules
+
+    for model in _registered_models(o16):
+        laws = base_rules() + tuple(
+            r for flag in sorted(model.satisfied_flags)
+            for r in flag_rules(flag))
+        for rule in laws:
+            report = holds_identity(rule.lhs, rule.rhs, model)
+            rank = rule.lhs.n_in
+            tuples = len(list(model.basis_iterator(rank)))
+            assert report.holds and report.covered == tuples, (
+                model.name, rule.name)
+            assert report.swept == (len(model.orbits[rank])
+                                    if model.automorphisms else tuples)
