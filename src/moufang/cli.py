@@ -58,8 +58,10 @@ def _load_theory(spec: str) -> theories.Theory:
         raise
 
 
-def _load_model(spec: str, flag: str = "--model"
-                ) -> models.FiniteBialgebraModel:
+def _load_model(spec: str, flag: str = "--model",
+                loops: dict | None = None) -> models.FiniteBialgebraModel:
+    """The model a flag names.  Calls that pass one ``loops`` dict share
+    the o16 loop they build, and so its automorphism search."""
     if Path(spec).is_file():
         return models.load_model_text(Path(spec).read_text())
     head, sized, arg = spec.partition(":")
@@ -68,7 +70,10 @@ def _load_model(spec: str, flag: str = "--model"
     if head in ("loop-o16", "fn-o16"):
         if sized:
             raise CliError(f"{flag}: {head} takes no size, got {spec!r}")
-        return build(octonion.o16_loop())
+        loops = {} if loops is None else loops
+        if "o16" not in loops:
+            loops["o16"] = octonion.o16_loop()
+        return build(loops["o16"])
     if head in ("binomial", "loop-cyclic", "fn-cyclic"):
         if sized and not arg:
             raise CliError(f"{flag}: empty size field in {spec!r}")
@@ -200,10 +205,10 @@ def _identity(text: str):
 
 def cmd_check_model(args, reporter: Reporter) -> int:
     identity = _identity(args.identity) if args.identity else None
-    status = 0
+    status, loops = 0, {}
     for spec in args.model or ["binomial:6"]:
         try:
-            model = _load_model(spec)
+            model = _load_model(spec, loops=loops)
         except models.ModelError as exc:
             reporter.emit("model", spec, "fail", str(exc))
             status = 1
@@ -329,7 +334,8 @@ def cmd_render(args, reporter: Reporter) -> int:
 def cmd_replay(args, reporter: Reporter) -> int:
     theory = _load_theory(args.theory or "base")
     lhs, rhs = parse(args.lhs), parse(args.rhs)
-    sound_on = [_load_model(spec) for spec in args.model or []]
+    loops: dict = {}
+    sound_on = [_load_model(spec, loops=loops) for spec in args.model or []]
     for model in sound_on:
         if missing := _missing_flags(model, theory):
             raise CliError(f"--model: {model.name} is not registered for "
@@ -382,9 +388,10 @@ def cmd_suite(args, reporter: Reporter) -> int:
 
     reporter.text("== model registration ==")
     registry: dict[str, models.FiniteBialgebraModel] = {}
+    loops: dict = {}
     for spec in ["loop-o16", "fn-o16", "binomial:6"] + (args.model or []):
         try:
-            model = _load_model(spec)
+            model = _load_model(spec, loops=loops)
             registry[model.name] = model
             reporter.emit("register", model.name, "pass")
         except models.ModelError as exc:

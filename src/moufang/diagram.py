@@ -306,26 +306,15 @@ class Diagram:
     @property
     def program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
         """The slices with every run of swaps folded into one wire
-        permutation: ``(steps, tail)``.  A step ``(kind, label, off,
-        perm)`` applies a non-swap generator to keys read through
-        ``perm`` (None for no permutation); ``tail`` permutes the keys
-        after the last step."""
+        permutation, and each comul step that the next step, a mul, reads
+        exactly one output of run as one fused step (see `_fused_step`):
+        ``(steps, tail)``.  A step ``(kind, label, off, perm)`` applies a
+        non-swap generator to keys read through ``perm`` (None for no
+        permutation); ``tail`` permutes the keys after the last step."""
         cached = getattr(self, "_program", None)
         if cached is None:
             cached = _program_from_slices(self.slices, self.widths())
             object.__setattr__(self, "_program", cached)
-        return cached
-
-    @property
-    def fused_program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
-        """`program` with each comul step that the next step, a mul, reads
-        exactly one output of run as one fused step (see `_fused_step`);
-        the evaluator uses it for a term-injective coproduct."""
-        cached = getattr(self, "_fused_program", None)
-        if cached is None:
-            cached = _program_from_slices(self.slices, self.widths(),
-                                          fuse=True)
-            object.__setattr__(self, "_fused_program", cached)
         return cached
 
     def widths(self) -> list[int]:
@@ -394,8 +383,7 @@ def _fused_step(comul: tuple, mul: tuple) -> Optional[tuple]:
             itemgetter(*out))  # width >= 2 here, so a tuple comes out
 
 
-def _program_from_slices(slices: tuple[Slice, ...], widths: list[int],
-                         fuse: bool = False
+def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
                          ) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
     steps: list = []  # (kind, label, off, perm list or None, width), fused
     perm: Optional[list[int]] = None  # key position read at each wire
@@ -407,7 +395,7 @@ def _program_from_slices(slices: tuple[Slice, ...], widths: list[int],
             continue
         step = (kind, label, off, perm, width)
         perm = None
-        if fuse and kind == "mul" and steps and steps[-1][0] == "comul":
+        if kind == "mul" and steps and steps[-1][0] == "comul":
             fused = _fused_step(steps[-1], step)
             if fused is not None:
                 steps[-1] = fused

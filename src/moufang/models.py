@@ -171,7 +171,15 @@ class MoufangLoop:
 
     def automorphism_generators(self) -> tuple[tuple[int, ...], ...]:
         """Generators of the loop's automorphism group, each the tuple of
-        the elements' images.
+        the elements' images; searched once per loop and cached on it."""
+        cached = getattr(self, "_automorphisms", None)
+        if cached is None:
+            cached = self._search_automorphisms()
+            object.__setattr__(self, "_automorphisms", cached)
+        return cached
+
+    def _search_automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        """`automorphism_generators`, searched.
 
         A greedy generating set fixes every automorphism through its images
         of the generators, extended by the products that built the loop
@@ -454,20 +462,12 @@ def _slice_terms(state: State, kind: str, off: int, perm, rows,
         raise ModelError(f"cannot evaluate generator kind {kind!r}")
 
 
-def term_injective(comuls: Sequence[ComulRows]) -> bool:
-    """Does each pair (j, k) appear once across all rows of all coproduct
-    components?  Then no two coproduct terms of one slice share a key."""
-    pairs = [jk for rows in comuls for row in rows.values() for jk, _c in row]
-    return len(pairs) == len(set(pairs))
-
-
 class _FusedTable(dict):
     """``(x, y) -> (((j, k, m), c1·c2), ...)`` for one coproduct and one
     product component and one fused-step shape, filled on first lookup:
     each term (j, k), c1 of coproduct row x, in row order, with each term
     m, c2 of the product of its ``side_c`` output and y (y on the left if
-    ``side_m``), in row order.  A zero c1 makes no entry, as the coproduct
-    slice's zero term would have been cleaned away."""
+    ``side_m``), in row order.  A zero c1 makes no entry."""
 
     def __init__(self, comul: ComulRows, mul: MulRows, shape) -> None:
         super().__init__()
@@ -489,14 +489,12 @@ class _FusedTable(dict):
 class FusedTables(dict):
     """The fused-step tables of one model's or deformation's product and
     coproduct components, keyed by ``(coproduct component, product
-    component, shape)`` and built on first use, and whether the coproduct
-    components are `term_injective`."""
+    component, shape)`` and built on first use."""
 
     def __init__(self, muls: Sequence[MulRows],
                  comuls: Sequence[ComulRows]) -> None:
         super().__init__()
         self.muls, self.comuls = muls, comuls
-        self.injective = term_injective(comuls)
 
     def __missing__(self, key):
         a1, a2, shape = key
@@ -534,27 +532,19 @@ def evaluate_components(d: Diagram, states: list[State],
     mul/comul convolve degrees modulo h^len(states) (label "0" keeps the
     constant component, "+" the positive ones); unit and counit, from the
     base ``model``, act degree by degree.
-    Swaps never copy a tensor: `Diagram.program` folds each run of them
-    into a permutation that the next slice reads its keys through.  A
-    permutation is a bijection on keys, so the terms, and the key order of
-    every output, are those of a swap-by-swap evaluation.
-
-    When the coproduct components are term-injective (`term_injective`),
-    the evaluator runs `Diagram.fused_program`: a comul step whose next
-    step, a mul, reads exactly one of its outputs is contracted into that
-    mul, through one table entry per pair of coproduct and product terms.
-    Since no two coproduct terms share a key, the comul slice would
-    have made each intermediate key once, in the order that the fused step
-    visits them, and its cleaning drops no nonzero term.  So the fused
-    step makes the staircase's terms in the staircase's order; it only
-    skips the intermediate keys whose product misses, which make no term.
+    `Diagram.program` gives the steps.  Swaps never copy a tensor: each
+    run of them is folded into a permutation that the next step reads its
+    keys through.  A comul step whose next step, a mul, reads exactly one
+    of its outputs is contracted into that mul, through one table entry per
+    pair of coproduct and product terms, so the intermediate tensor is
+    never built.  Both give the values of a slice-by-slice evaluation, by
+    linearity; the key order of an output is not part of the result.
     Empty positive-degree components are skipped; they make no term.
     """
     muls, comuls = tables.muls, tables.comuls
-    steps, tail = d.fused_program if tables.injective else d.program
-    if ((d.slices and d.slices[0][0] == "swap")
-            or (steps and steps[0][0] == "fused")):
-        # as a swap slice, or the comul slice a fused step stands for, did
+    steps, tail = d.program
+    if d.slices and d.slices[0][0] == "swap":
+        # as a swap slice did; a swap-only diagram has no step to clean
         states = [_clean(state) for state in states]
     order = len(states) - 1
     for kind, label, off, perm in steps:
@@ -707,11 +697,12 @@ class Report:
         if self.holds:
             return "holds"
         labels = tuple(model.label(i) for i in self.witness)
+        diff = dict(sorted(self.diff.items()))
         if self.degree is None:
             return (f"fails on basis input ({', '.join(labels)}); "
-                    f"difference {self.diff}")
+                    f"difference {diff}")
         return (f"fails at h-degree {self.degree} on basis input {labels}; "
-                f"difference {self.diff}")
+                f"difference {diff}")
 
 
 def first_failure(sweep, series: bool = True) -> Report:

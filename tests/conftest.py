@@ -100,8 +100,9 @@ def _reference_terms(state, kind, off, rows, model):
 
 def reference_components(d, states, model, muls, comuls):
     """`models.evaluate_components` one slice at a time, each swap a full
-    pass over the tensor: the order of terms, and so the key order of each
-    output, that the evaluator must reproduce."""
+    pass over the tensor and no comul contracted into a mul: the reference
+    for the values of each output, which the evaluator must reproduce
+    exactly."""
     order = len(states) - 1
     for kind, label, off in d.slices:
         out = [{} for _ in states]

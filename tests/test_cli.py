@@ -180,7 +180,7 @@ def test_deform_subcommand(capsys):
 
 def test_deform_records_are_pinned(capsys):
     # the last row fails on fn[o16], which is not coassociative: it pins
-    # the key order of a plain model's failure difference
+    # a plain model's failure difference, printed sorted by key
     coassoc = "comul ; comul * id(1) = comul ; id(1) * comul"
     for argv, status, digest in (
             ("deform --fixture shift-conj:12:3".split(), 0,
@@ -190,10 +190,29 @@ def test_deform_records_are_pinned(capsys):
             ("check-model --model fn-o16".split(), 0,
              "22975f8f264395b9be7ee4b47f2bc701c9a69b94"),
             ("check-model --model fn-o16 --identity".split() + [coassoc], 1,
-             "e570bcbb3e54bfdedee7b42a6fd2c01591949217")):
+             "1904bfb55add5cf8a144937d7a001b336c55de9b")):
         code, out, _ = run(capsys, "--format", "records", *argv)
         assert code == status, argv
         assert sha1(out) == digest, argv
+
+
+def test_suite_searches_o16_automorphisms_once(capsys, monkeypatch):
+    """loop-o16 and fn-o16 share one loop, whose automorphism search runs
+    once and is cached on it; so do the `--model` flags of check-model."""
+    from moufang.models import MoufangLoop
+
+    searches = []
+    search = MoufangLoop._search_automorphisms
+    monkeypatch.setattr(MoufangLoop, "_search_automorphisms",
+                        lambda loop: searches.append(loop.name)
+                        or search(loop))
+    code, _out, _ = run(capsys, "--format", "records", "suite")
+    assert code == 0
+    assert searches == ["o16"]
+    code, _out, _ = run(capsys, "check-model", "--model", "loop-o16",
+                        "--model", "fn-o16")
+    assert code == 0
+    assert searches == ["o16", "o16"]
 
 
 def test_deform_negative_fixture(capsys):
@@ -289,8 +308,8 @@ def test_prove_with_theory_file(tmp_path, capsys):
     assert code == 0
 
 
-# Records of failing checks, pinned verbatim: witness, h-degree and the
-# insertion order of each difference are part of the output.
+# Records of failing checks, pinned verbatim: witness, h-degree and each
+# difference, printed sorted by key, are part of the output.
 GOLDEN_FAILURES = {
     'delta1:6:3': (
         ['deform', '--fixture', 'delta1:6:3'], 1,
@@ -300,8 +319,8 @@ GOLDEN_FAILURES = {
             "REC kind=coassociator name=degree-1 status=info detail='nonzero on 4 of 7 basis inputs'",
             "REC kind=coassociator name=degree-2 status=info detail='nonzero on 0 of 7 basis inputs'",
             "REC kind=coassociator name=degree-3 status=info detail='nonzero on 0 of 7 basis inputs'",
-            'REC kind=comoufang name=left status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(2, 1, 1): Fraction(3, 1), (1, 2, 1): Fraction(3, 1), (3, 0, 1): Fraction(3, 1), (1, 1, 2): Fraction(-6, 1), (2, 0, 2): Fraction(-3, 1)}"',
-            'REC kind=comoufang name=right status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(2, 0, 2): Fraction(3, 1), (2, 1, 1): Fraction(6, 1), (1, 1, 2): Fraction(-3, 1), (1, 0, 3): Fraction(-3, 1), (1, 2, 1): Fraction(-3, 1)}"',
+            'REC kind=comoufang name=left status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(1, 1, 2): Fraction(-6, 1), (1, 2, 1): Fraction(3, 1), (2, 0, 2): Fraction(-3, 1), (2, 1, 1): Fraction(3, 1), (3, 0, 1): Fraction(3, 1)}"',
+            'REC kind=comoufang name=right status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(1, 0, 3): Fraction(-3, 1), (1, 1, 2): Fraction(-3, 1), (1, 2, 1): Fraction(-3, 1), (2, 0, 2): Fraction(3, 1), (2, 1, 1): Fraction(6, 1)}"',
         ],
     ),
     'delta1:4:2': (
@@ -313,7 +332,7 @@ GOLDEN_FAILURES = {
             "REC kind=coassociator name=degree-2 status=info detail='nonzero on 0 of 5 basis inputs'",
             'REC kind=comoufang name=left status=pass',
             'REC kind=comoufang name=right status=pass',
-            'REC kind=kernel-map name=R+S status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(1, 1, 2): Fraction(6, 1), (2, 0, 2): Fraction(3, 1), (1, 2, 1): Fraction(-3, 1), (2, 1, 1): Fraction(-3, 1), (3, 0, 1): Fraction(-3, 1)}"',
+            'REC kind=kernel-map name=R+S status=fail detail="fails at h-degree 1 on basis input (\'a^3\',); difference {(1, 1, 2): Fraction(6, 1), (1, 2, 1): Fraction(-3, 1), (2, 0, 2): Fraction(3, 1), (2, 1, 1): Fraction(-3, 1), (3, 0, 1): Fraction(-3, 1)}"',
         ],
     ),
     'check-model:binomial:6': (

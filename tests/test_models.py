@@ -338,7 +338,7 @@ def test_plain_evaluator_is_order_zero_series(model_name, request):
             state[key] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         plain = evaluate(d, model, state)
         series = evaluate_series(d, null, state)
-        assert list(plain.items()) == list(series[0].items()), name
+        assert plain == series[0], name
         assert series[1:] == [{}, {}], name
 
 
@@ -384,9 +384,9 @@ def _signed_deformation():
 
 def _injective_deformation():
     """binomial[4] with degree-1 and -2 components whose coproduct pairs
-    (j, k), j + k > 4, are no base term: a term-injective series, so its
-    comul-then-mul steps run fused, degree convolution included.  One
-    coproduct term has coefficient 0, as a model file may give it."""
+    (j, k), j + k > 4, are no base term, so that its comul-then-mul steps
+    convolve degrees 0, 1 and 2 in each fused step.  One coproduct term has
+    coefficient 0, as a model file may give it."""
     from moufang.deformation import deformation_from_maps
 
     base = truncated_binomial_bialgebra(4)
@@ -402,10 +402,11 @@ def _injective_deformation():
 def _evaluator_fixtures():
     """(name, model, product components, coproduct components, order).
 
-    binomial:4, fn-cyclic:3 and "injective" have term-injective
-    coproducts, so the evaluator fuses their comul-then-mul steps; the
-    other three do not, and "shared-pairs" is the order-0 one: (1, 1) is a
-    term of rows 1 and 2.
+    The evaluator fuses the comul-then-mul steps of all six.  In
+    "shared-pairs", the order-0 one, and in "signed" and delta1:4:2 a pair
+    (j, k) is a term of two coproduct rows, of one component or of two, so
+    a fused step can meet one intermediate key twice: in "shared-pairs"
+    (1, 1) is a term of rows 1 and 2.
     """
     from moufang.deformation import simple_comul_perturbation
 
@@ -458,9 +459,9 @@ def _raw_slices(draw):
        fixture=st.sampled_from(_EVALUATOR_FIXTURES))
 @settings(max_examples=300, deadline=None)
 def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
-    """Terms, values and the key order of every output agree with the
-    staircase that copies the tensor at each swap, on raw drawings and
-    their canonical forms, with signed (and some zero) input values."""
+    """Every output equals the staircase that copies the tensor at each
+    swap, on raw drawings and their canonical forms, with signed (and some
+    zero) input values."""
     from conftest import reference_components
     from moufang.diagram import canonicalize, raw_diagram
     from moufang.models import FusedTables, evaluate_components
@@ -477,24 +478,20 @@ def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
                                   FusedTables(muls, comuls))
         want = reference_components(d, [dict(s) for s in states], model,
                                     muls, comuls)
-        assert [list(s.items()) for s in got] == \
-            [list(s.items()) for s in want], str(d)
+        assert got == want, str(d)
 
 
-def test_fusion_keeps_key_order_only_for_a_term_injective_coproduct():
+def test_signed_deformation_runs_fused_and_matches_reference():
     """On the signed deformation the pair (1, 1) is a term of two coproduct
-    rows, so contracting comul into the mul would visit it twice where the
-    staircase makes one intermediate key: degree 2 would come out with equal
-    values in another key order.  The evaluator must not fuse here."""
+    rows, so the fused step visits it twice where the staircase makes one
+    intermediate key, and terms cancel at degree 2: the values agree."""
     from conftest import reference_components
-    from moufang.models import (FusedTables, evaluate_components,
-                                term_injective)
+    from moufang.models import FusedTables, evaluate_components
 
     _name, model, muls, comuls, _order = next(
         f for f in _EVALUATOR_FIXTURES if f[0] == "signed")
-    assert not term_injective(comuls)
     d = parse("id(1) * comul ; mul * id(1)")
-    assert d.fused_program[0][0][0] == "fused"
+    assert d.program[0][0][0] == "fused"
     states = [{(0, 4): Fraction(1, 2), (0, 1): -1, (2, 3): 2},
               {(4, 0): -1, (1, 1): 2, (2, 4): -1, (1, 2): 1},
               {(4, 2): 1, (0, 1): 2}]
@@ -502,7 +499,7 @@ def test_fusion_keeps_key_order_only_for_a_term_injective_coproduct():
                               FusedTables(muls, comuls))
     want = reference_components(d, [dict(s) for s in states], model, muls,
                                 comuls)
-    assert [list(s.items()) for s in got] == [list(s.items()) for s in want]
+    assert got == want
 
 
 _FUSED_SHAPES = ("id(1) * comul ; mul * id(1)",
@@ -515,20 +512,18 @@ _FUSED_SHAPES = ("id(1) * comul ; mul * id(1)",
 
 
 def test_fused_steps_match_reference_on_every_shape():
-    """Each of the four fused-step shapes, with labels, on the
-    term-injective fixtures: seeded signed inputs at every degree, zero
-    values included, give the reference's terms in its key order."""
+    """Each of the four fused-step shapes, with labels, on every
+    fixture: seeded signed inputs at every degree, zero values included,
+    give the reference's values."""
     from conftest import reference_components
     from moufang.models import FusedTables, evaluate_components
 
-    fixtures = [f for f in _EVALUATOR_FIXTURES
-                if f[0] in ("binomial:4", "fn-cyclic:3", "injective")]
     rng = random.Random(16)
     values = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))
     for text in _FUSED_SHAPES:
         d = parse(text)
-        assert d.fused_program[0][0][0] == "fused", text
-        for name, model, muls, comuls, order in fixtures:
+        assert d.program[0][0][0] == "fused", text
+        for name, model, muls, comuls, order in _EVALUATOR_FIXTURES:
             for _ in range(30):
                 states = [{(rng.randrange(model.dim),
                             rng.randrange(model.dim)): rng.choice(values)
@@ -537,8 +532,7 @@ def test_fused_steps_match_reference_on_every_shape():
                                           model, FusedTables(muls, comuls))
                 want = reference_components(d, [dict(s) for s in states],
                                             model, muls, comuls)
-                assert [list(s.items()) for s in got] == \
-                    [list(s.items()) for s in want], (text, name, states)
+                assert got == want, (text, name, states)
 
 
 def _random_slices(draw, w, count):
@@ -569,9 +563,9 @@ def _comuls(name):
 def _edited_comuls(draw, comuls, dim, shared):
     """The coproduct components with each term, on a coin drawn for it,
     given coefficient 0 or, if ``shared``, repeated with the opposite
-    coefficient in another drawn row of its component.  Zeros keep a
-    term-injective coproduct so, and its steps fused; a pair shared by two
-    rows does not, and cancels where the two rows' inputs agree."""
+    coefficient in another drawn row of its component.  A zero makes no
+    fused table entry; a pair shared by two rows cancels where the two
+    rows' inputs agree."""
     comuls = [dict(rows) for rows in comuls]
     for rows in comuls:
         for x, row in sorted(rows.items()):
@@ -588,13 +582,12 @@ def _edited_comuls(draw, comuls, dim, shared):
 @st.composite
 def _fused_cases(draw):
     """A series fixture's name, its coproduct components with drawn zero
-    coefficients (on the term-injective fixture) or shared pairs
+    coefficients (on "injective") or shared pairs
     (`_edited_comuls`), an input count, a raw slicing and a tensor per
     degree.  The slicing has a comul, then swaps, then a mul that reads
     exactly one of the comul's outputs, with random slices around them.
     Keys use few indices and values include zero, so that terms meet and
-    cancel; where a zero coefficient or a cancelling shared pair opens an
-    output key, a later term must meet it for the key order to tell."""
+    cancel."""
     shared = draw(st.booleans())
     name = (draw(st.sampled_from(sorted(_SERIES_FIXTURES))) if shared
             else "injective")
@@ -626,27 +619,25 @@ def _fused_cases(draw):
 
 @given(_fused_cases())
 # Three fixed cases, one per fault the random ones look for.  "signed"
-# shares the pair (1, 1) between two coproduct rows, so it must not run
-# fused:
+# shares the pair (1, 1) between two coproduct rows, so a fused step meets
+# one intermediate key twice:
 @example(("signed", _comuls("signed"), 2,
           [("comul", None, 0), ("mul", None, 1)],
           [{(2, 2): 1}, {(2, 2): 1, (0, 1): -1}, {(0, 0): 1}]))
-# zero input values, which the comul slice a fused first step stands for
-# would have cleaned away:
+# zero input values at degrees 1 and 2:
 @example(("injective", _comuls("injective"), 2,
           [("comul", None, 0), ("mul", None, 1)],
           [{(2, 1): 1}, {(3, 0): 0}, {(2, 2): 0}]))
 # "injective"'s degree-1 coproduct has the term (4, 1) with coefficient 0
-# in row 3: a table entry for it would open output key (3, 2) at degree 1
-# before the staircase does:
+# in row 3, which must make no term of output key (3, 2) at degree 1:
 @example(("injective", _comuls("injective"), 2,
           [("comul", None, 0), ("mul", None, 1)],
           [{(3, 2): -1, (4, 0): -1, (3, 1): 2}, {(2, 0): -1}, {(3, 4): -1}]))
 @settings(max_examples=300, deadline=None)
 def test_fused_step_on_series_matches_reference(case):
     """Every drawing here has a fusable comul-then-mul pair.  On the series
-    fixtures, term-injective or not, with a nonzero tensor at each degree,
-    the evaluator gives the reference's terms in its key order."""
+    fixtures, with a nonzero tensor at each degree, the evaluator gives the
+    reference's values."""
     from conftest import reference_components
     from moufang.diagram import canonicalize, raw_diagram
     from moufang.models import FusedTables, evaluate_components
@@ -654,22 +645,20 @@ def test_fused_step_on_series_matches_reference(case):
     name, comuls, n_in, slices, states = case
     _name, model, muls, _own, _order = _SERIES_FIXTURES[name]
     raw = raw_diagram(n_in, slices)
-    assert "fused" in [step[0] for step in raw.fused_program[0]]
+    assert "fused" in [step[0] for step in raw.program[0]]
     for d in (raw, canonicalize(raw)):
         got = evaluate_components(d, [dict(s) for s in states], model,
                                   FusedTables(muls, comuls))
         want = reference_components(d, [dict(s) for s in states], model,
                                     muls, comuls)
-        assert [list(s.items()) for s in got] == \
-            [list(s.items()) for s in want], str(d)
+        assert got == want, str(d)
 
 
 def test_fn_o16_comoufang_and_compatibility_sides_run_fused(fn_o16):
-    """The evaluator's saving on fn[o16]: its coproduct is term-injective,
-    each co-Moufang side and the compatibility law's two-coproduct side
-    contract a comul into the mul after it, and the tables are cached on
-    the model, or on a null deformation of it, which skips its empty
-    degree-1 components."""
+    """The evaluator's saving on fn[o16]: each co-Moufang side and the
+    compatibility law's two-coproduct side contract a comul into the mul
+    after it, and the tables are cached on the model, or on a null
+    deformation of it, which skips its empty degree-1 components."""
     from moufang.deformation import check_comoufang_mod, null_deformation
     from moufang.theories import base_rules, flag_rules
 
@@ -677,15 +666,32 @@ def test_fn_o16_comoufang_and_compatibility_sides_run_fused(fn_o16):
     co_r, = flag_rules("comoufang_r")
     bialg, = (r for r in base_rules() if r.name == "bialg")
     for d in (co_l.lhs, co_l.rhs, co_r.lhs, co_r.rhs, bialg.rhs):
-        assert "fused" in [step[0] for step in d.fused_program[0]], str(d)
+        assert "fused" in [step[0] for step in d.program[0]], str(d)
     null = null_deformation(fn_o16, 1)
     for side in ("left", "right"):
         assert check_comoufang_mod(null, side).holds
     for holder in (fn_o16, null):
-        assert holder.tables.injective
         shapes = {shape for _a1, _a2, shape in holder.tables}
         assert len(shapes) == 4, holder  # co-Moufang sides use four shapes
     assert {key[:2] for key in null.tables} == {(0, 0)}
+
+
+def test_deformation_comoufang_sides_run_fused():
+    """Δ₁ and the shift conjugation share coproduct pairs between rows or
+    components, and their co-Moufang sides run fused all the same: the
+    checks fill the fused-step tables at positive degrees (each side's
+    fused step is checked above)."""
+    from moufang.deformation import (check_comoufang_mod,
+                                     shift_conjugation_deformation,
+                                     simple_comul_perturbation)
+
+    delta1 = simple_comul_perturbation(6, 3)
+    shift = shift_conjugation_deformation(10, 2)
+    for deformation, holds in ((delta1, False), (shift, True)):
+        for side in ("left", "right"):
+            assert check_comoufang_mod(deformation, side).holds == holds
+        assert any(a1 + a2 for a1, a2, _shape in deformation.tables), \
+            deformation.name
 
 
 # --- one verdict per identity per model object --------------------------------
@@ -906,7 +912,7 @@ _RANK_SIDES = _rank_sides()
 @settings(max_examples=200, deadline=None)
 def test_orbit_sweep_matches_full_sweep(symmetric_pairs, data):
     """The orbit sweep gives the full sweep's `Report`: verdict, degree,
-    witness, difference and its key order, in both orientations; a holding
+    witness and difference, in both orientations; a holding
     law covers every tuple with no more inputs than the full sweep."""
     name, orbit, full = data.draw(st.sampled_from(symmetric_pairs))
     sides = st.sampled_from(data.draw(st.sampled_from(_RANK_SIDES)))
@@ -914,10 +920,28 @@ def test_orbit_sweep_matches_full_sweep(symmetric_pairs, data):
     for a, b in ((lhs, rhs), (rhs, lhs)):
         got, want = (holds_identity(a, b, obj) for obj in (orbit, full))
         assert got == want, (name, str(a), str(b))
-        assert list(got.diff or {}) == list(want.diff or {}), name
         assert got.swept <= want.swept, name
         if got.holds and got.covered:
             assert got.covered == want.covered == orbit.base.dim ** a.n_in
+
+
+def test_describe_prints_a_difference_sorted_by_key(binomial6):
+    """A failure's difference prints sorted by key, whatever order its keys
+    were inserted in: on a plain model and at an h-degree of a
+    deformation."""
+    from moufang.deformation import simple_comul_perturbation
+    from moufang.models import Report
+
+    diff = {(2, 1): Fraction(3), (0, 3): Fraction(-1), (1, 2): Fraction(1, 2)}
+    text = ("difference {(0, 3): Fraction(-1, 1), (1, 2): Fraction(1, 2), "
+            "(2, 1): Fraction(3, 1)}")
+    plain = Report(False, None, (1, 2), diff)
+    assert plain.describe(binomial6) == f"fails on basis input (a, a^2); {text}"
+    delta1 = simple_comul_perturbation(4, 2)
+    series = Report(False, 1, (3,), diff)
+    assert series.describe(delta1.base) == (
+        f"fails at h-degree 1 on basis input ('a^3',); {text}")
+    assert list(diff) == [(2, 1), (0, 3), (1, 2)]  # the report's own order
 
 
 def test_o16_automorphism_group_and_orbits(o16, loop_o16, fn_o16):
