@@ -16,6 +16,7 @@ generators are distinct from plain ones for matching and evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional
 
@@ -71,10 +72,12 @@ class _Graph:
     for boundary output j (a list: ``~i`` reads Python's negative index;
     unused output slots hold None), and `waits[v]` counts node v's inputs
     from non-unit nodes.  A graph is never mutated (see `splice_wire`).
+    Two indexes are built on first use and kept with the graph: the match
+    index of `find_matches` and the splice record of `_canonical_splice`.
     """
 
     __slots__ = ("n_in", "n_out", "nodes", "node_inputs", "outputs",
-                 "cons", "waits", "_match_index")
+                 "cons", "waits", "_match_index", "_splice_record")
 
     def __init__(self, n_in, n_out, nodes, node_inputs, outputs,
                  cons=None, waits=None):
@@ -96,6 +99,7 @@ class _Graph:
         self.cons = cons
         self.waits = waits
         self._match_index = None
+        self._splice_record = None
 
     def match_index(self) -> tuple[dict, list[list[int]]]:
         """The nodes of each (kind, label), ascending, and the consumer
@@ -109,6 +113,15 @@ class _Graph:
                          for v in range(len(self.nodes))]
             self._match_index = (by_label, consumers)
         return self._match_index
+
+    def splice_record(self) -> tuple[tuple[Slice, ...], dict]:
+        """This graph's canonical slices, and where a two-node side spliced
+        into each wire lands in them (see `_slices_from_graph`); built on
+        first use, once per graph."""
+        if self._splice_record is None:
+            landing: dict = {}
+            self._splice_record = (_slices_from_graph(self, landing), landing)
+        return self._splice_record
 
     def splice_wire(self, p0: int, rg: "_Graph") -> "_Graph":
         """This graph with the wire from port `p0` run through `rg`, a
@@ -197,7 +210,8 @@ def _consumer_signature(graph: _Graph, start: int) -> tuple:
     return tuple(sig)
 
 
-def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
+def _slices_from_graph(graph: _Graph, landing: Optional[dict] = None
+                       ) -> tuple[Slice, ...]:
     """Extract the canonical staircase slicing of a port graph.
 
     Nodes are emitted greedily, leftmost first; swap slices are inserted
@@ -206,13 +220,26 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
     with a cycle has no slicing and raises DiagramError.  Units are
     emitted just in time, so a node is ready once no input waits on a
     non-unit node; readiness is counted down, one pass per emitted node.
+
+    A `landing` dict is filled with where a unit or counit side spliced
+    into a wire would land.  The side's node on the wire is ready once the
+    wire is live, so the run emits it at the first step that scans up to
+    the wire or takes the wire's consumer, and otherwise runs as before.
+    For each wire not fed by a unit the dict holds ``(slice count, live
+    position, width, hold)`` at that step.  `hold` is 0 if the consumer is not taken then,
+    1 if it is taken from this wire and 2 if from a wire further left, with
+    no ready node between; a wire with a ready node between holds None.
+    The dict is emptied if a closed bubble was chosen among two or more: a
+    splice could change their consumer signatures.
     """
     nodes = graph.nodes
     cons = graph.cons
-    is_unit = [kind == "unit" for kind, _label in nodes]
     waiting = graph.waits[:]
     live: list[int] = [~i for i in range(graph.n_in)]
     slices: list[Slice] = []
+    emitted = [False] * len(nodes)
+    left = len(nodes)
+    tied = False
 
     def emit_swaps_to(q: int, target: int) -> None:
         while q > target:
@@ -220,8 +247,25 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
             live[q - 1], live[q] = live[q], live[q - 1]
             q -= 1
 
-    remaining = set(range(len(nodes)))
-    while remaining:
+    def land(t: int, best: Optional[int]) -> None:
+        # A unit's output is live only in the step that consumes it, or
+        # after the last call, so every wire seen here has a node producer.
+        for q, prod in enumerate(live):
+            if prod in landing or cons[prod] != best and q > t:
+                continue
+            if cons[prod] != best:
+                hold = 0
+            elif q == t:
+                hold = 1
+            elif any(cons[p] >= 0 and cons[p] != best and not waiting[cons[p]]
+                     for p in live[t + 1:q]):
+                landing[prod] = None  # the scan would take that node first
+                continue
+            else:
+                hold = 2
+            landing[prod] = (len(slices), q, len(live), hold)
+
+    while left:
         # Each wire has one consumer, so the first wire whose consumer is
         # ready gives the ready node with the leftmost live input.
         best = None
@@ -232,23 +276,25 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
                 break
         else:
             # Only closed scalar bubbles can be ready: break ties by kind,
-            # label and what lies below.
+            # label and what lies below, visiting nodes in ascending order.
             best_key = None
-            for v in remaining:
-                if is_unit[v] or waiting[v]:
+            for v, (kind, label) in enumerate(nodes):
+                if emitted[v] or waiting[v] or kind == "unit":
                     continue
-                kind, label = nodes[v]
                 key = (kind, label or "", _consumer_signature(graph, v))
+                tied = tied or best_key is not None
                 if best_key is None or key < best_key:
                     best, best_key = v, key
             t = len(live)
+        if landing is not None:
+            land(t, best)
         if best is None:
             # No node is ready: any non-unit node left waits on a cycle.
-            if not all(is_unit[v] for v in remaining):
+            pending = [v for v in range(len(nodes)) if not emitted[v]]
+            if any(nodes[v][0] != "unit" for v in pending):
                 raise DiagramError("diagram has a cycle")
             # Only unit nodes remain; they feed boundary outputs directly.
-            pending = sorted(remaining, key=lambda v: ~cons[2 * v])
-            for v in pending:
+            for v in sorted(pending, key=lambda v: ~cons[2 * v]):
                 slices.append(("unit", nodes[v][1], len(live)))
                 live.append(2 * v)
             break
@@ -257,10 +303,11 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
         kind, label = nodes[v]
         k, m = ARITY[kind]
         for p, prod in enumerate(graph.node_inputs[v]):
-            if prod >= 0 and is_unit[prod >> 1]:
+            if prod >= 0 and nodes[prod >> 1][0] == "unit":
                 slices.append(("unit", nodes[prod >> 1][1], t + p))
                 live.insert(t + p, prod)
-                remaining.discard(prod >> 1)
+                emitted[prod >> 1] = True
+                left -= 1
             else:
                 q = live.index(prod, t + p)
                 if q > t + p:  # most inputs are in place: skip the call
@@ -270,11 +317,17 @@ def _slices_from_graph(graph: _Graph) -> tuple[Slice, ...]:
             raise DiagramError(f"diagram exceeds {MAX_WIRES} parallel wires")
         slices.append((kind, label, t))
         live[t:t + k] = range(2 * v, 2 * v + m)
-        remaining.discard(v)
+        emitted[v] = True
+        left -= 1
         for port in range(2 * v, 2 * v + m):
             u = cons[port]
             if u >= 0:
                 waiting[u] -= 1
+    else:
+        if landing is not None:
+            land(len(live), None)
+    if tied and landing:
+        landing.clear()
 
     # Sort the live wires into boundary-output order.
     for j in range(graph.n_out):
@@ -295,15 +348,11 @@ class Diagram:
         if self.n_in < 0 or self.n_in > MAX_WIRES or self.n_out > MAX_WIRES:
             raise DiagramError("boundary arity out of range")
 
-    @property
+    @cached_property
     def graph(self) -> _Graph:
-        cached = getattr(self, "_graph", None)
-        if cached is None:
-            cached = _graph_from_slices(self.n_in, self.slices)
-            object.__setattr__(self, "_graph", cached)
-        return cached
+        return _graph_from_slices(self.n_in, self.slices)
 
-    @property
+    @cached_property
     def program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
         """The slices with every run of swaps folded into one wire
         permutation, and each comul step that the next step, a mul, reads
@@ -311,11 +360,7 @@ class Diagram:
         ``(steps, tail)``.  A step ``(kind, label, off, perm)`` applies a
         non-swap generator to keys read through ``perm`` (None for no
         permutation); ``tail`` permutes the keys after the last step."""
-        cached = getattr(self, "_program", None)
-        if cached is None:
-            cached = _program_from_slices(self.slices, self.widths())
-            object.__setattr__(self, "_program", cached)
-        return cached
+        return _program_from_slices(self.slices, self.widths())
 
     def widths(self) -> list[int]:
         """Wire count before each slice and after the last one."""
@@ -407,6 +452,36 @@ def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
 
 def _canonical_from_graph(graph: _Graph) -> Diagram:
     return Diagram(graph.n_in, graph.n_out, _slices_from_graph(graph))
+
+
+def _canonical_splice(graph: _Graph, p0: int, rg: _Graph) -> Diagram:
+    """The canonical form of `graph` with the wire from port `p0` run
+    through `rg`, a 1 -> 1 graph; DiagramError if it is too wide.
+
+    A unit side (a unit into input s of a mul) or a counit side (a comul
+    whose output s feeds a counit) goes into the graph's canonical slices
+    where its splice record says.  A counit side also needs the consumer
+    not taken first: hold 0, or hold 1 with the counit on the left.  Any
+    other side or wire is spliced into a copy of the graph and sliced anew.
+    """
+    if len(rg.nodes) == 2:
+        (k0, l0), (k1, l1) = rg.nodes  # numbered producer first
+        fed = k0 == "unit" and k1 == "mul"
+        if fed or k0 == "comul" and k1 == "counit":
+            slices, landing = graph.splice_record()
+            spot = landing.get(p0)
+            s = rg.node_inputs[1].index(0) if fed else rg.node_inputs[1][0]
+            if spot is not None and (fed or spot[3] == 0
+                                     or spot[3] == 1 and s == 0):
+                k, pos, width, _hold = spot
+                if width + 1 > MAX_WIRES:
+                    raise DiagramError(
+                        f"diagram exceeds {MAX_WIRES} parallel wires")
+                pair = (((k0, l0, pos + s), (k1, l1, pos)) if fed
+                        else ((k0, l0, pos), (k1, l1, pos + s)))
+                return Diagram(graph.n_in, graph.n_out,
+                               slices[:k] + pair + slices[k:])
+    return _canonical_from_graph(graph.splice_wire(p0, rg))
 
 
 def raw_diagram(n_in: int, slices: Iterable[Slice]) -> Diagram:

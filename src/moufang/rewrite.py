@@ -13,7 +13,9 @@ identity wire matches every wire of the host.
 
 Ports are the int ids of `diagram._Graph`.  Each host is indexed once, in
 its cached graph, and every rule and direction reads that index.  A wire
-splice patches copies of the host's lists (`_Graph.splice_wire`).
+splice goes through `diagram._canonical_splice`: a unit or counit side is
+put into the host's canonical slices where the host's splice record says,
+and other splices are made on copies of the host's lists and sliced anew.
 
 `prove_equal` runs breadth-first search from both endpoints with a shared
 frontier-intersection test.  Absence of a proof within budget is an
@@ -33,6 +35,7 @@ from .diagram import (
     DiagramError,
     _Graph,
     _canonical_from_graph,
+    _canonical_splice,
     canonicalize,
 )
 from .dsl import parse, print_diagram
@@ -183,10 +186,9 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
 
     if not pg.nodes:
         # Wire splice: cut the matched wire and run it through the
-        # replacement (which may itself be a bare wire, a no-op), patching
-        # copies of the host's lists rather than rebuilding them.
+        # replacement (which may itself be a bare wire, a no-op).
         try:
-            return _canonical_from_graph(hg.splice_wire(match.inputs[0], rg))
+            return _canonical_splice(hg, match.inputs[0], rg)
         except DiagramError:
             return None
 

@@ -455,8 +455,34 @@ def _raw_slices(draw):
     return n_in, slices
 
 
+class _Drawn:
+    """Stands in for `st.data()` in an explicit example: `draw` hands out
+    the given values in turn, and starts again after the last one, so that
+    a rerun of the example draws them again."""
+
+    def __init__(self, *values) -> None:
+        self.values, self.at = values, 0
+
+    def draw(self, _strategy):
+        value = self.values[self.at]
+        self.at = (self.at + 1) % len(self.values)
+        return value
+
+
+_SIGNED = next(f for f in _EVALUATOR_FIXTURES if f[0] == "signed")
+
+
 @given(data=st.data(), slicing=_raw_slices(),
        fixture=st.sampled_from(_EVALUATOR_FIXTURES))
+# "signed"'s degree-1 product has e1·e2 = 3e3 but e2·e1 = -3e3, and the
+# base coproduct of e2 has the term e1 ⊗ e1, so a mul that reads one
+# comul output and a wire holding e2 gives a wrong value if its fused
+# step puts the two in the wrong order: the comul output on the left,
+# then on the right.
+@example(data=_Drawn({(2, 2): 1}, {}, {}), fixture=_SIGNED,
+         slicing=(2, [("comul", None, 0), ("mul", None, 1)]))
+@example(data=_Drawn({(2, 2): 1}, {}, {}), fixture=_SIGNED,
+         slicing=(2, [("comul", None, 1), ("mul", None, 0)]))
 @settings(max_examples=300, deadline=None)
 def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
     """Every output equals the staircase that copies the tensor at each

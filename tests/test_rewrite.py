@@ -4,11 +4,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moufang import rewrite
 from moufang.diagram import (
     ARITY,
     LABELLABLE,
     LABELS,
     DiagramError,
+    _Graph,
+    _slices_from_graph,
     canonicalize,
     identity,
     raw_diagram,
@@ -305,17 +308,27 @@ _SPLICE_RULES = ("counit-l", "counit-r", "unit-l", "unit-r")
 @st.composite
 def _splice_host(draw):
     """A random canonical host like `_small_host`, from 0 inputs, with
-    labelled generators and closed unit-counit bubbles."""
+    labelled generators, closed unit-counit bubbles and unit-comul pairs
+    whose outputs feed the rest of the host.  Two such pairs are closed
+    bubbles ready together, which the slicer orders by what lies below
+    them, so a splice below one of them can reorder them."""
     w = n_in = draw(st.integers(0, 4))
     slices = []
     for _ in range(draw(st.integers(1, 9))):
         options = [kind for kind in ("mul", "comul", "swap", "unit", "counit")
                    if ARITY[kind][0] <= w
                    and w - ARITY[kind][0] + ARITY[kind][1] <= 5] + ["bubble"]
+        if w <= 3:
+            options.append("split unit")
         kind = draw(st.sampled_from(options))
         off = draw(st.integers(0, w - ARITY.get(kind, (0,))[0]))
         if kind == "bubble":
             slices += [("unit", None, off), ("counit", None, off)]
+            continue
+        if kind == "split unit":
+            slices += [("unit", None, off),
+                       ("comul", draw(st.sampled_from(LABELS)), off)]
+            w += 2
             continue
         label = draw(st.sampled_from(LABELS)) if kind in LABELLABLE else None
         slices.append((kind, label, off))
@@ -372,6 +385,60 @@ def test_wire_splice_width_limit(name):
     rule = rule_by_name(name)
     assert rewrites(identity(16), rule, "<-") == []
     assert len(rewrites(identity(15), rule, "<-")) == 15
+
+
+@pytest.fixture(scope="module")
+def goal_suite_splices():
+    """Every wire splice of the goal suite's searches at the default
+    budget, as (host graph, port, side graph), and how many of them
+    `_Graph.splice_wire` copied the host for."""
+    splices, copies = [], []
+    splice, splice_wire = rewrite._canonical_splice, _Graph.splice_wire
+
+    def recorded(graph, p0, rg):
+        splices.append((graph, p0, rg))
+        return splice(graph, p0, rg)
+
+    def counted(graph, p0, rg):
+        copies.append(p0)
+        return splice_wire(graph, p0, rg)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rewrite, "_canonical_splice", recorded)
+        patch.setattr(_Graph, "splice_wire", counted)
+        for goal in goal_suite():
+            if goal.kind == "provable":
+                rules = named_theory(goal.theory).rules
+                assert prove_equal(goal.lhs, goal.rhs, rules) is not None
+                assert prove_equal(goal.rhs, goal.lhs, rules) is not None
+    return splices, len(copies)
+
+
+def _slices_or_refusal(make):
+    """What `make()` returns, or the message of the DiagramError it raises."""
+    try:
+        return make()
+    except DiagramError as exc:
+        return str(exc)
+
+
+def test_goal_suite_wire_splices_match_the_full_path(goal_suite_splices):
+    """Each wire splice the searches make gives the slices of canonicalizing
+    the spliced copy of the host, or the same refusal."""
+    splices, _copies = goal_suite_splices
+    for graph, p0, rg in splices:
+        assert _slices_or_refusal(
+            lambda: rewrite._canonical_splice(graph, p0, rg).slices
+        ) == _slices_or_refusal(
+            lambda: _slices_from_graph(graph.splice_wire(p0, rg)))
+
+
+def test_goal_suite_splice_shortcuts_are_counted(goal_suite_splices):
+    """How many of the searches' wire splices go into the host's slices
+    and how many copy and re-slice the host; a change that sends more of
+    them to the copy fails here, not only in a timing."""
+    splices, copies = goal_suite_splices
+    assert (len(splices) - copies, copies) == (5246, 1530)
 
 
 def test_goal_suite_traces_are_pinned():
