@@ -115,9 +115,9 @@ class _Graph:
         return self._match_index
 
     def splice_record(self) -> tuple[tuple[Slice, ...], dict]:
-        """This graph's canonical slices, and where a two-node side spliced
-        into each wire lands in them (see `_slices_from_graph`); built on
-        first use, once per graph."""
+        """This graph's canonical slices, and where a unit or counit side
+        spliced into each wire lands in them (see `_slices_from_graph`);
+        built on first use, once per graph."""
         if self._splice_record is None:
             landing: dict = {}
             self._splice_record = (_slices_from_graph(self, landing), landing)
@@ -460,9 +460,10 @@ def _canonical_splice(graph: _Graph, p0: int, rg: _Graph) -> Diagram:
 
     A unit side (a unit into input s of a mul) or a counit side (a comul
     whose output s feeds a counit) goes into the graph's canonical slices
-    where its splice record says.  A counit side also needs the consumer
-    not taken first: hold 0, or hold 1 with the counit on the left.  Any
-    other side or wire is spliced into a copy of the graph and sliced anew.
+    where its splice record says.  A counit side lands only where the
+    wire's consumer is not taken before the counit: hold 0, or hold 1 with
+    the counit on the left.  Any other side or wire is spliced into a copy
+    of the graph and sliced anew.
     """
     if len(rg.nodes) == 2:
         (k0, l0), (k1, l1) = rg.nodes  # numbered producer first
