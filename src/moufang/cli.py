@@ -35,7 +35,8 @@ def _flag(name: str, value: str):
         yield
     except (ValueError, ZeroDivisionError, models.ModelError,
             dlab.DeformationError, octonion.AlgebraError) as exc:
-        raise CliError(f"{name}: bad value {value!r} ({exc})") from None
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise CliError(f"{name}: bad value {value!r} ({why})") from None
 
 
 def _read_file(path: str, flag: str) -> str:
@@ -233,21 +234,16 @@ def cmd_octonion(args, reporter: Reporter) -> int:
         if len(params) != 3:
             raise CliError("--params expects three rationals")
         algebra = octonion.octonion_algebra(*params)
-    checks = []
-    checks.append(("alternative", octonion.check_alternative(algebra) is None))
-    checks.append(("nalt-all-basis", all(
-        octonion.nalt_check(algebra, algebra.basis(i))
-        for i in range(algebra.dim)
-    )))
-    for which in ("left", "middle", "right"):
-        checks.append((f"moufang-{which}",
-                       octonion.check_moufang(algebra, which) is None))
+    checks = [("alternative", octonion.check_alternative(algebra) is None),
+              ("nalt-all-basis", all(octonion.nalt_check(algebra, b)
+                                     for b in map(algebra.basis,
+                                                  range(algebra.dim))))]
+    checks += [(f"moufang-{which}", octonion.check_moufang(algebra, which)
+                is None) for which in ("left", "middle", "right")]
     malcev = octonion.traceless_malcev(algebra)
     checks.append(("malcev-law", True))  # construction verifies it
-    jac = octonion.jacobian(
-        malcev, malcev.basis(0), malcev.basis(1), malcev.basis(3)
-    )
-    checks.append(("jacobian-uvw-nonzero", any(jac)))
+    checks.append(("jacobian-uvw-nonzero", any(octonion.jacobian(
+        malcev, *map(malcev.basis, (0, 1, 3))))))
     status = 0
     for name, ok in checks:
         reporter.emit("octonion", name, "pass" if ok else "fail")

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
 
@@ -125,9 +126,10 @@ class TruncatedDeformation:
     counit are those of the base.  Construction verifies the counit/unit
     laws of the full truncated series and bialgebra compatibility modulo
     h^(order+1) unless `strict` was disabled (negative-control fixtures).
-    ``verdicts`` keeps the `Report` of each law `models.holds_identity`
-    has decided on this object, keyed by its ``(lhs, rhs)``, and
-    ``tables`` the evaluator's `FusedTables` for its series maps.
+    ``verdicts`` keeps the `Report` of each law `models.holds_identity` has
+    decided on this object, keyed by its ``(lhs, rhs)``, ``tables`` the
+    evaluator's `FusedTables` for its series maps, and ``coassociators``
+    the sweep that `coassociator` and `kernel_map_RS` read, made once.
     ``automorphisms`` are the base model's when every positive-degree
     component is checked to commute with each of them (the null
     deformation's, being empty, always do), and none otherwise; verdict
@@ -170,6 +172,10 @@ class TruncatedDeformation:
                                 self.comul_components[1:]) for p in autos):
             autos = ()
         object.__setattr__(self, "automorphisms", autos)
+
+    @cached_property
+    def coassociators(self) -> list:
+        return list(_coassociator_sweep(self))
 
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
@@ -260,14 +266,15 @@ def coassociator(deformation: TruncatedDeformation, n: int
     """Degree-n component of the coassociator, per basis input.
 
     Computed by convolving the coproduct components of total degree n in
-    the two nestings and subtracting.
+    the two nestings and subtracting.  Every degree is read off the one
+    sweep kept on the deformation; each call gets its own state dicts.
     """
     if n > deformation.order:
         raise DeformationError(
             f"component {n} exceeds the deformation order {deformation.order}"
         )
-    return {i: diffs[n]
-            for (i,), _covered, diffs in _coassociator_sweep(deformation)}
+    return {i: dict(diffs[n])
+            for (i,), _covered, diffs in deformation.coassociators}
 
 
 def _coassociator_sweep(deformation: TruncatedDeformation):
@@ -317,15 +324,9 @@ def _require_left_and_right(deformation: TruncatedDeformation, check,
 
 def q_operator(model: FiniteBialgebraModel) -> Matrix:
     """Exact matrix of p∘Δ (columns indexed by basis elements)."""
-    q_diag = parse("comul ; mul")
-    cols = []
-    for i in range(model.dim):
-        out = evaluate(q_diag, model, basis_state((i,)))
-        col = [Fraction(0)] * model.dim
-        for (k,), c in out.items():
-            col[k] = c
-        cols.append(col)
-    return [[cols[j][i] for j in range(model.dim)] for i in range(model.dim)]
+    q_diag, dim = parse("comul ; mul"), model.dim
+    cols = [evaluate(q_diag, model, basis_state((j,))) for j in range(dim)]
+    return [[col.get((i,), Fraction(0)) for col in cols] for i in range(dim)]
 
 
 def check_diagonalizable(q: Matrix, graded: GradedSpace) -> dict[int, list[Vector]]:
@@ -470,13 +471,13 @@ def kernel_map_RS(deformation: TruncatedDeformation) -> Report:
     """Verify (R+S)(C_h(x)) = 0 at every h-degree, for every basis x.
 
     Precondition (checked): the deformation satisfies the left and right
-    co-Moufang laws modulo h^(order+1).
+    co-Moufang laws modulo h^(order+1).  C_h is read off the deformation's
+    one coassociator sweep.
     """
     _require_left_and_right(deformation, check_comoufang_mod,
                             "{} is not {} co-Moufang: ")
     return first_failure((x, covered, apply_kernel_map(deformation, coassoc))
-                         for x, covered, coassoc
-                         in _coassociator_sweep(deformation))
+                         for x, covered, coassoc in deformation.coassociators)
 
 
 # --- deformed associator congruences (the Nalt consequence) -----------------

@@ -72,12 +72,14 @@ class _Graph:
     for boundary output j (a list: ``~i`` reads Python's negative index;
     unused output slots hold None), and `waits[v]` counts node v's inputs
     from non-unit nodes.  A graph is never mutated (see `splice_wire`).
-    Two indexes are built on first use and kept with the graph: the match
-    index of `find_matches` and the splice record of `_canonical_splice`.
+    Three indexes are built on first use and kept with the graph: the match
+    index and plan of `find_matches` and the splice record of
+    `_canonical_splice`.
     """
 
     __slots__ = ("n_in", "n_out", "nodes", "node_inputs", "outputs",
-                 "cons", "waits", "_match_index", "_splice_record")
+                 "cons", "waits", "_match_index", "_match_plan",
+                 "_splice_record")
 
     def __init__(self, n_in, n_out, nodes, node_inputs, outputs,
                  cons=None, waits=None):
@@ -99,6 +101,7 @@ class _Graph:
         self.cons = cons
         self.waits = waits
         self._match_index = None
+        self._match_plan = None
         self._splice_record = None
 
     def match_index(self) -> tuple[dict, list[list[int]]]:
@@ -113,6 +116,34 @@ class _Graph:
                          for v in range(len(self.nodes))]
             self._match_index = (by_label, consumers)
         return self._match_index
+
+    def match_plan(self) -> tuple[tuple, list, list]:
+        """How `find_matches` places this graph as a pattern, built once: the
+        consumer (v, p) of each boundary input (None if passive); the wires
+        (v, p, u, j) from output j of node u into input p of node v; and per
+        connected component its least node, with steps (v, u, k, forward)
+        reaching each other v from an earlier u along u's output or input k."""
+        if self._match_plan is None:
+            wires = [(v, p, q >> 1, q & 1) for v, row in enumerate(
+                self.node_inputs) for p, q in enumerate(row) if q >= 0]
+            components, placed = [], []
+            for anchor in range(len(self.nodes)):
+                if anchor in placed:
+                    continue
+                order, steps = [anchor], []
+                for x in order:  # breadth first: `order` grows as it is read
+                    for v, p, u, j in wires:
+                        for step in ((v, u, j, True), (u, v, p, False)):
+                            if step[1] == x and step[0] not in order:
+                                order.append(step[0])
+                                steps.append(step)
+                placed += order
+                components.append((anchor, steps))
+            inputs = tuple((c, self.node_inputs[c].index(~i))
+                           if (c := self.cons[~i]) >= 0 else None
+                           for i in range(self.n_in))
+            self._match_plan = (inputs, wires, components)
+        return self._match_plan
 
     def splice_record(self) -> tuple[tuple[Slice, ...], dict]:
         """This graph's canonical slices, and where a unit or counit side

@@ -162,13 +162,9 @@ def print_diagram(d: Diagram) -> str:
     for (kind, label, off), w in zip(d.slices, widths):
         k, _m = ARITY[kind]
         name = kind if label is None else f"{kind}%{label}"
-        factors = []
-        if off > 0:
-            factors.append(f"id({off})")
-        factors.append(name)
         rest = w - off - k
-        if rest > 0:
-            factors.append(f"id({rest})")
+        factors = ([f"id({off})"] if off > 0 else []) + [name] + (
+            [f"id({rest})"] if rest > 0 else [])
         parts.append(" * ".join(factors))
     return " ; ".join(parts)
 
@@ -191,8 +187,7 @@ def _ascii_render(d: Diagram) -> str:
     def wire_row(w: int) -> str:
         return "".join("|".center(col) for _ in range(w)).rstrip()
 
-    lines = []
-    lines.append(wire_row(d.n_in))
+    lines = [wire_row(d.n_in)]
     for (kind, label, off), w in zip(d.slices, widths):
         k, m = ARITY[kind]
         span = max(k, 1)

@@ -27,12 +27,8 @@ def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
 def bilinear(rows: BilinearRows, x: Terms, y: Terms) -> Terms:
     """b(x, y) for the bilinear map b : V x V -> V with the table `rows`:
     one term per input term pair and table entry, unsummed (`collect`)."""
-    out = []
-    for i, a in x:
-        for j, b in y:
-            for k, c in rows.get((i, j), ()):
-                out.append((k, a * b * c))
-    return out
+    return [(k, a * b * c) for i, a in x for j, b in y
+            for k, c in rows.get((i, j), ())]
 
 
 def collect(terms: Terms) -> Sparse:

@@ -82,4 +82,5 @@ def _word(head: str, parse: Callable[[str], Any], word: str):
     try:
         return parse(word)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"{head}: bad value {word!r} ({exc})") from None
+        why = "zero denominator" if isinstance(exc, ZeroDivisionError) else exc
+        raise ValueError(f"{head}: bad value {word!r} ({why})") from None

@@ -11,11 +11,11 @@ a host wire run from a matched node into a pattern input: splicing there
 would feed the replacement its own output.  A rule side that is a single
 identity wire matches every wire of the host.
 
-Ports are the int ids of `diagram._Graph`.  Each host is indexed once, in
-its cached graph, and every rule and direction reads that index.  A wire
-splice goes through `diagram._canonical_splice`: a unit or counit side is
-put into the host's canonical slices where the host's splice record says,
-and other splices are made on copies of the host's lists and sliced anew.
+Ports are the int ids of `diagram._Graph`.  A host's cached graph keeps
+its label index, and a rule side's its match plan: per component an anchor
+and a walk along wires from placed nodes.  A side that rules share is
+matched once per state.  `diagram._canonical_splice` puts a unit or counit
+wire splice into the host's canonical slices; other splices re-slice a copy.
 
 `prove_equal` runs breadth-first search from both endpoints with a shared
 frontier-intersection test.  Absence of a proof within budget is an
@@ -24,6 +24,7 @@ ordinary outcome, not an error; it never implies the equality is false.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
@@ -73,21 +74,31 @@ class RewriteRule:
 # --- matching -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Match:
-    """One occurrence of a pattern: node images plus the input interface."""
+    """One occurrence of a pattern: node images plus the input interface;
+    `position` is its printable locator (an identity side's by its wire)."""
 
     node_map: tuple[int, ...]          # pattern node -> host node
     inputs: tuple[int, ...]            # host producer port per pattern input
-    position: str                      # printable locator
 
-
-def _producer_name(p: int) -> str:
-    return f"b{~p}" if p < 0 else f"n{p >> 1}.{p & 1}"
+    @property
+    def position(self) -> str:
+        if self.node_map:
+            return "nodes=" + ",".join(map(str, self.node_map))
+        p = self.inputs[0]
+        return f"wire=b{~p}" if p < 0 else f"wire=n{p >> 1}.{p & 1}"
 
 
 def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
-    """All occurrences of `pattern` in `host`, in a fixed canonical order."""
+    """All occurrences of `pattern` in `host`, node maps ascending.
+
+    The pattern's plan (`_Graph.match_plan`) places each of its connected
+    components: the anchor on each host node of its label, then each other
+    node along one host wire from a placed node, as VF2 grows a partial
+    match (Cordella et al., IEEE TPAMI 26(10), 2004).  Injective
+    combinations of the placements whose internal wires all check are kept.
+    """
     hg = host.graph
     pg = pattern.graph
     np_ = len(pg.nodes)
@@ -96,50 +107,34 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
             raise RewriteError(
                 "only the single identity wire is supported as an empty pattern"
             )
-        producers = [~i for i in range(hg.n_in)] + [
-            port for v, (kind, _label) in enumerate(hg.nodes)
-            for port in range(2 * v, 2 * v + ARITY[kind][1])
-        ]
-        return [
-            Match((), (p,), f"wire={_producer_name(p)}") for p in producers
-        ]
+        ports = [~i for i in range(hg.n_in)] + [2 * v + j for v, (kind, _)
+                                                 in enumerate(hg.nodes)
+                                                 for j in range(ARITY[kind][1])]
+        return [Match((), (p,)) for p in ports]
 
-    # pattern input -> the (pattern node, port) that consumes it
-    consumer = {
-        ~prod: (v, p) for v in range(np_)
-        for p, prod in enumerate(pg.node_inputs[v]) if prod < 0
-    }
-    if len(consumer) != pg.n_in:
+    interface, wires, components = pg.match_plan()
+    if None in interface:
         raise RewriteError(
             "pattern carries a passive wire (an input no generator consumes); "
             "such rules are ambiguous to locate - rewrite the rule without "
             "the spectator wire"
         )
-    interface = [consumer[i] for i in range(pg.n_in)]
     host_by_label, consumers = hg.match_index()
-    assignment: list[int] = []
-    used: set[int] = set()
+    labels, rows = pg.nodes, hg.node_inputs
 
-    def extend(v: int) -> Iterator[tuple[int, ...]]:
-        # Pattern nodes are numbered after their producers, and host nodes
-        # are tried in ascending order, so node maps come out sorted.
-        if v == np_:
-            yield tuple(assignment)
-            return
-        for hv in host_by_label.get(pg.nodes[v], ()):
-            if hv in used:
-                continue
-            row = hg.node_inputs[hv]
-            for p, prod in enumerate(pg.node_inputs[v]):
-                if prod >= 0 and row[p] != 2 * assignment[prod >> 1] + (
-                        prod & 1):
+    def placements(anchor: int, steps: list) -> Iterator[list[int]]:
+        """The images of one component, -1 on the other components' nodes."""
+        for h in host_by_label.get(labels[anchor], ()):
+            image = [-1] * np_
+            image[anchor] = h
+            for v, u, k, forward in steps:  # a boundary wire gives hv < 0
+                hv = (hg.cons[2 * image[u] + k] if forward
+                      else rows[image[u]][k] >> 1)
+                if hv < 0 or hg.nodes[hv] != labels[v] or hv in image:
                     break
+                image[v] = hv
             else:
-                assignment.append(hv)
-                used.add(hv)
-                yield from extend(v + 1)
-                assignment.pop()
-                used.discard(hv)
+                yield image
 
     def convex(node_map: tuple[int, ...]) -> bool:
         """No path leaves the matched nodes and comes back to one."""
@@ -155,21 +150,22 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
                     stack.append(w)
         return True
 
-    # Internal pattern wires are internal in the host too: each host
-    # producer has a unique consumer, which the wiring checks pin down.
-    # A pattern input fed by a matched node would be spliced into the
-    # replacement's own output.  A single node, being acyclic, is fed by
-    # no matched node and is always convex.
-    found = ((node_map, tuple(hg.node_inputs[node_map[v]][p]
-                              for v, p in interface))
-             for node_map in extend(0))
-    return [
-        Match(node_map, inputs, "nodes=" + ",".join(map(str, node_map)))
-        for node_map, inputs in found
+    # A placement follows from its anchor, so node maps come out ascending.
+    matches = []
+    for parts in itertools.product(*(placements(*c) for c in components)):
+        node_map = tuple(map(max, [-1] * np_, *parts))
+        if len(set(node_map)) < np_ or any(
+                rows[node_map[v]][p] != 2 * node_map[u] + j
+                for v, p, u, j in wires):
+            continue
+        inputs = tuple(rows[node_map[v]][p] for v, p in interface)
+        # A pattern input fed by a matched node would be spliced into the
+        # replacement's own output.  A single node, being acyclic, is fed
+        # by no matched node and is always convex.
         if np_ == 1 or (not any(q >= 0 and q >> 1 in node_map
-                                for q in inputs)
-                        and convex(node_map))
-    ]
+                                for q in inputs) and convex(node_map)):
+            matches.append(Match(node_map, inputs))
+    return matches
 
 
 def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
@@ -234,12 +230,14 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
         return None
 
 
-def rewrites(host: Diagram, rule: RewriteRule,
-             direction: str) -> list[tuple[Match, Diagram]]:
-    """All successful applications of one rule side, canonically ordered."""
+def rewrites(host: Diagram, rule: RewriteRule, direction: str,
+             matches: Optional[list[Match]] = None
+             ) -> list[tuple[Match, Diagram]]:
+    """All successful applications of one rule side, canonically ordered;
+    ``matches`` are the side's matches in `host`, if already found."""
     pattern, replacement = rule.sides(direction)
     out = []
-    for match in find_matches(host, pattern):
+    for match in find_matches(host, pattern) if matches is None else matches:
         result = _replace(host, pattern, replacement, match)
         if result is not None:
             out.append((match, result))
@@ -310,13 +308,8 @@ class ProofTrace:
 
 def serialize_trace(trace: ProofTrace) -> str:
     """Line format: `<rule> <dir> <position> -> <canonical-print>`."""
-    lines = []
-    for step in trace.steps:
-        lines.append(
-            f"{step.rule} {step.direction} {step.position} -> "
-            f"{print_diagram(step.result)}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(f"{step.rule} {step.direction} {step.position} -> "
+                   f"{print_diagram(step.result)}\n" for step in trace.steps)
 
 
 def _trace_step(text: str) -> TraceStep:
@@ -351,11 +344,17 @@ class SearchBudget:
 
 
 def _expansions(state: Diagram, rules: Sequence[RewriteRule]):
-    """Successors of a state in canonical order."""
+    """Successors of a state in canonical order.  A side that several
+    rules share, such as the identity wire, is matched once."""
+    found: dict[Diagram, list[Match]] = {}
     for rule in rules:
         for direction in ("->", "<-"):
-            for match, result in rewrites(state, rule, direction):
-                yield rule.name, direction, match.position, result
+            pattern = rule.sides(direction)[0]
+            if pattern not in found:
+                found[pattern] = find_matches(state, pattern)
+            for match, result in rewrites(state, rule, direction,
+                                          found[pattern]):
+                yield rule.name, direction, match, result
 
 
 def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
@@ -377,7 +376,7 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
     rules = sorted(rules, key=lambda r: r.name)
     deadline = time.monotonic() + budget.time_limit
 
-    # parents[side][d] = (previous diagram, rule, direction, position)
+    # parents[side][d] = (previous diagram, rule, direction, match)
     parents: list[dict[Diagram, Optional[tuple]]] = [{lhs: None}, {rhs: None}]
     frontier: list[list[Diagram]] = [[lhs], [rhs]]
     depth = [0, 0]
@@ -386,8 +385,8 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
         steps = []
         cur = mid
         while parents[0][cur] is not None:
-            prev, rule, direction, pos = parents[0][cur]
-            steps.append(TraceStep(rule, direction, pos, cur))
+            prev, rule, direction, match = parents[0][cur]
+            steps.append(TraceStep(rule, direction, match.position, cur))
             cur = prev
         steps.reverse()
         # Invert the right-hand chain: steps from rhs towards mid replay
@@ -395,7 +394,7 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
         rule_by_name = {r.name: r for r in rules}
         cur = mid
         while parents[1][cur] is not None:
-            prev, rule_name, direction, _pos = parents[1][cur]
+            prev, rule_name, direction, _match = parents[1][cur]
             rule = rule_by_name[rule_name]
             flipped = "<-" if direction == "->" else "->"
             found = None
@@ -424,10 +423,11 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
         for state in frontier[side]:
             if time.monotonic() > deadline:
                 return None
-            for rule_name, direction, pos, result in _expansions(state, rules):
+            for rule_name, direction, match, result in _expansions(state,
+                                                                   rules):
                 if result in parents[side]:
                     continue
-                parents[side][result] = (state, rule_name, direction, pos)
+                parents[side][result] = (state, rule_name, direction, match)
                 total_states += 1
                 if result in parents[other]:
                     return build_trace(result)

@@ -56,6 +56,8 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("prove mul mul --budget 0,2,1", "--budget"),
     ("eval mul --basis a,b", "--basis"),
     ("octonion --params=1/0,1,1", "--params"),
+    ("octonion --params=1/0,1,1",
+     "--params: bad value '1/0,1,1' (zero denominator)"),
     ("octonion --params=0,1,1", "--params"),
     ("deform --fixture shift-conj:x:3", "--fixture"),
     ("deform --fixture null:fn-o16:x", "--fixture"),

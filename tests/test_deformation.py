@@ -144,6 +144,48 @@ def test_coassociator_order_out_of_range():
         coassociator(deformation, 2)
 
 
+@pytest.fixture
+def coassociator_sweeps(monkeypatch):
+    """The names of the deformations whose coassociator is swept, once per
+    sweep."""
+    from moufang import deformation
+
+    names = []
+    sweep = deformation._coassociator_sweep
+
+    def counting(d):
+        names.append(d.name)
+        return sweep(d)
+
+    monkeypatch.setattr(deformation, "_coassociator_sweep", counting)
+    return names
+
+
+@pytest.mark.parametrize("fixture,status", [
+    ("shift-conj:12:3", 0), ("delta1:6:3", 1), ("null:fn-o16:1", 0)])
+def test_deform_sweeps_the_coassociator_once(coassociator_sweeps, capsys,
+                                             fixture, status):
+    """`deform` reads the coassociator at every degree and, on a co-Moufang
+    fixture, the kernel map reads it again: all from one sweep."""
+    from moufang import cli
+
+    assert cli.main(["deform", "--fixture", fixture]) == status
+    assert len(coassociator_sweeps) == 1
+
+
+def test_coassociator_hands_each_caller_its_own_states(coassociator_sweeps,
+                                                       fn_o16):
+    deformation = null_deformation(fn_o16, 1)
+    first = coassociator(deformation, 0)
+    want = {x: dict(state) for x, state in first.items()}
+    assert any(want.values())
+    for state in first.values():
+        state[(0, 0, 0)] = state.get((0, 0, 0), 0) + 1
+    assert kernel_map_RS(deformation).holds
+    assert coassociator(deformation, 0) == want
+    assert coassociator_sweeps == [deformation.name]
+
+
 def test_series_registration_rejects_broken_counit():
     model = truncated_binomial_bialgebra(4)
     from moufang.deformation import deformation_from_maps

@@ -1,5 +1,7 @@
 """The shared line-record reader and the five loaders built on it."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,7 +130,7 @@ class _Error(Exception):
 
 def test_read_checks_arity_and_fields():
     table = {"pair": (int, int), "names": (str, Many()), "text": (Rest(),),
-             "end": ()}
+             "ratio": (Fraction,), "end": ()}
     text = "# comment\n\npair 1 2\nnames a b c\ntext  two  words \nend\n"
     got = [(r.line, r.head, r.values) for r in read(text, table, _Error)]
     assert got == [(3, "pair", (1, 2)), (4, "names", ("a", ("b", "c"))),
@@ -137,6 +139,8 @@ def test_read_checks_arity_and_fields():
                          ("names", r"names takes 1 value\(s\), got 0"),
                          ("end now", r"end takes 0 value\(s\), got 1"),
                          ("pair 1 x", "pair: bad value 'x'"),
+                         ("ratio 1/0",
+                          r"ratio: bad value '1/0' \(zero denominator\)$"),
                          ("text", r"text takes 1 value\(s\), got 0"),
                          ("other 1", "unknown directive 'other'")]:
         with pytest.raises(_Error, match=f"^line 2: {message}"):

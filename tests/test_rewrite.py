@@ -179,6 +179,20 @@ def test_passive_wire_pattern_rejected():
         find_matches(host, parse("swap"))
 
 
+@pytest.mark.parametrize("pattern", [
+    "counit * id(1)", "mul * id(1) * comul", "unit * id(1) * unit"])
+def test_passive_wire_pattern_keeps_its_message(pattern):
+    """A passive wire is refused with one message, on every call, also when
+    the pattern's other nodes form several components."""
+    p = parse(pattern)
+    for host in (parse("comul ; mul"), parse("mul * unit")):
+        with pytest.raises(RewriteError, match=(
+                r"^pattern carries a passive wire \(an input no generator "
+                r"consumes\); such rules are ambiguous to locate - rewrite "
+                r"the rule without the spectator wire$")):
+            find_matches(host, p)
+
+
 def test_rewrite_error_carries_failing_step():
     theory = named_theory("base")
     lhs = parse("comul ; (counit * id(1))")
@@ -224,6 +238,16 @@ def test_non_convex_match_is_refused():
     assert "nodes=0,2" not in positions and "nodes=2,0" not in positions
 
 
+def test_matches_check_every_wire():
+    """A match reaches each node along one wire, and every other wire is
+    checked too: of two wires between the same nodes, both must agree."""
+    straight, crossed = parse("comul ; mul"), parse("comul ; swap ; mul")
+    for host, pattern, n in ((straight, straight, 1), (crossed, straight, 0),
+                             (straight, crossed, 0), (crossed, crossed, 1)):
+        assert [m.node_map for m in find_matches(host, pattern)] == [
+            (0, 1)] * n
+
+
 @st.composite
 def _small_host(draw):
     """A random canonical host of at most 9 generators on at most 5 wires."""
@@ -265,9 +289,10 @@ def _brute_force_matches(hg, pg):
                     yield (v,) + rest
 
     out = []
-    for node_map in itertools.permutations(range(len(hg.nodes)),
-                                           len(pg.nodes)):
-        if any(hg.nodes[h] != pg.nodes[v] for v, h in enumerate(node_map)):
+    for node_map in itertools.product(*(
+            [h for h, node in enumerate(hg.nodes) if node == label]
+            for label in pg.nodes)):
+        if len(set(node_map)) < len(node_map):
             continue
         if any(prod[0] != "b"
                and host_inputs[node_map[v]][p] != (node_map[prod[0]],
@@ -288,18 +313,13 @@ def _brute_force_matches(hg, pg):
 
 
 _PATTERNS = ("mul * mul", "comul * comul", "mul * comul", "comul * mul",
-             "comul ; id(1) * comul", "mul * mul * mul")
-
-
-@given(host=_small_host(), pattern=st.sampled_from(_PATTERNS))
-@settings(max_examples=200, deadline=None)
-def test_matches_are_the_convex_embeddings(host, pattern):
-    """`find_matches` returns exactly the embeddings that no host path
-    leaves and re-enters and whose inputs no matched node feeds, in
-    ascending order of their node maps."""
-    p = parse(pattern)
-    got = [m.node_map for m in find_matches(host, p)]
-    assert got == _brute_force_matches(host.graph, p.graph)
+             "comul ; id(1) * comul", "mul * mul * mul", "comul ; mul",
+             "comul ; swap ; mul")
+# and each side of a comoufang rule that has a node: among them the
+# disconnected unit * unit and counit * counit, and the co-Moufang sides,
+# whose wires cross
+_RULE_SIDES = tuple(side for rule in named_theory("comoufang").rules
+                    for side in (rule.lhs, rule.rhs) if side.graph.nodes)
 
 
 _SPLICE_RULES = ("counit-l", "counit-r", "unit-l", "unit-r")
@@ -334,6 +354,17 @@ def _splice_host(draw):
         slices.append((kind, label, off))
         w += ARITY[kind][1] - ARITY[kind][0]
     return canonicalize(raw_diagram(n_in, slices))
+
+
+@given(host=st.one_of(_small_host(), _splice_host()),
+       pattern=st.sampled_from(tuple(map(parse, _PATTERNS)) + _RULE_SIDES))
+@settings(max_examples=300, deadline=None)
+def test_matches_are_the_convex_embeddings(host, pattern):
+    """`find_matches` returns exactly the embeddings that no host path
+    leaves and re-enters and whose inputs no matched node feeds, in
+    ascending order of their node maps."""
+    got = [m.node_map for m in find_matches(host, pattern)]
+    assert got == _brute_force_matches(host.graph, pattern.graph)
 
 
 def _splices_by_slices(host, side):
