@@ -73,8 +73,7 @@ class _Graph:
     unused output slots hold None), and `waits[v]` counts node v's inputs
     from non-unit nodes.  A graph is never mutated (see `splice_wire`).
     Three indexes are built on first use and kept with the graph: the match
-    index and plan of `find_matches` and the splice record of
-    `_canonical_splice`.
+    index and plan of `find_matches`, and `_canonical_splice`'s splice record.
     """
 
     __slots__ = ("n_in", "n_out", "nodes", "node_inputs", "outputs",

@@ -27,8 +27,12 @@ def basis_vector(dim: int, i: int) -> tuple[Fraction, ...]:
 def bilinear(rows: BilinearRows, x: Terms, y: Terms) -> Terms:
     """b(x, y) for the bilinear map b : V x V -> V with the table `rows`:
     one term per input term pair and table entry, unsummed (`collect`)."""
-    return [(k, a * b * c) for i, a in x for j, b in y
-            for k, c in rows.get((i, j), ())]
+    out = []
+    for i, a in x:
+        for j, b in y:
+            for k, c in rows.get((i, j), ()):
+                out.append((k, a * b * c))
+    return out
 
 
 def collect(terms: Terms) -> Sparse:

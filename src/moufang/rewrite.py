@@ -99,8 +99,7 @@ def find_matches(host: Diagram, pattern: Diagram) -> list[Match]:
     match (Cordella et al., IEEE TPAMI 26(10), 2004).  Injective
     combinations of the placements whose internal wires all check are kept.
     """
-    hg = host.graph
-    pg = pattern.graph
+    hg, pg = host.graph, pattern.graph
     np_ = len(pg.nodes)
     if np_ == 0:
         if pg.n_in != 1 or pg.outputs != (~0,):
@@ -231,8 +230,7 @@ def _replace(host: Diagram, pattern: Diagram, replacement: Diagram,
 
 
 def rewrites(host: Diagram, rule: RewriteRule, direction: str,
-             matches: Optional[list[Match]] = None
-             ) -> list[tuple[Match, Diagram]]:
+             matches: Optional[list] = None) -> list[tuple[Match, Diagram]]:
     """All successful applications of one rule side, canonically ordered;
     ``matches`` are the side's matches in `host`, if already found."""
     pattern, replacement = rule.sides(direction)
@@ -376,7 +374,7 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
     rules = sorted(rules, key=lambda r: r.name)
     deadline = time.monotonic() + budget.time_limit
 
-    # parents[side][d] = (previous diagram, rule, direction, match)
+    # parents[side][d] = (previous diagram, rule, direction, the Match)
     parents: list[dict[Diagram, Optional[tuple]]] = [{lhs: None}, {rhs: None}]
     frontier: list[list[Diagram]] = [[lhs], [rhs]]
     depth = [0, 0]
@@ -423,11 +421,10 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
         for state in frontier[side]:
             if time.monotonic() > deadline:
                 return None
-            for rule_name, direction, match, result in _expansions(state,
-                                                                   rules):
+            for rule_name, direction, at, result in _expansions(state, rules):
                 if result in parents[side]:
                     continue
-                parents[side][result] = (state, rule_name, direction, match)
+                parents[side][result] = (state, rule_name, direction, at)
                 total_states += 1
                 if result in parents[other]:
                     return build_trace(result)
