@@ -238,6 +238,14 @@ def test_non_convex_match_is_refused():
     assert "nodes=0,2" not in positions and "nodes=2,0" not in positions
 
 
+def test_match_position_names_the_nodes_or_the_wire():
+    host = parse("comul ; mul")
+    assert [m.position for m in find_matches(host, parse("mul"))] == [
+        "nodes=1"]
+    assert [m.position for m in find_matches(host, parse("id(1)"))] == [
+        "wire=b0", "wire=n0.0", "wire=n0.1", "wire=n1.0"]
+
+
 def test_matches_check_every_wire():
     """A match reaches each node along one wire, and every other wire is
     checked too: of two wires between the same nodes, both must agree."""
