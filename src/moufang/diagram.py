@@ -15,7 +15,7 @@ generators are distinct from plain ones for matching and evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -368,11 +368,13 @@ def _slices_from_graph(graph: _Graph, landing: Optional[dict] = None
 
 @dataclass(frozen=True)
 class Diagram:
-    """A canonical morphism term; use the module functions to build one."""
+    """A canonical morphism term; use the module functions to build one.
+    `canonical` (not in ==, hash or repr) marks what the canonicalizer made."""
 
     n_in: int
     n_out: int
     slices: tuple[Slice, ...]
+    canonical: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n_in < 0 or self.n_in > MAX_WIRES or self.n_out > MAX_WIRES:
@@ -481,7 +483,7 @@ def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
 
 
 def _canonical_from_graph(graph: _Graph) -> Diagram:
-    return Diagram(graph.n_in, graph.n_out, _slices_from_graph(graph))
+    return Diagram(graph.n_in, graph.n_out, _slices_from_graph(graph), True)
 
 
 def _canonical_splice(graph: _Graph, p0: int, rg: _Graph) -> Diagram:
@@ -511,20 +513,23 @@ def _canonical_splice(graph: _Graph, p0: int, rg: _Graph) -> Diagram:
                 pair = (((k0, l0, pos + s), (k1, l1, pos)) if fed
                         else ((k0, l0, pos), (k1, l1, pos + s)))
                 return Diagram(graph.n_in, graph.n_out,
-                               slices[:k] + pair + slices[k:])
+                               slices[:k] + pair + slices[k:], True)
     return _canonical_from_graph(graph.splice_wire(p0, rg))
 
 
 def raw_diagram(n_in: int, slices: Iterable[Slice]) -> Diagram:
-    """Build a diagram from explicit slices without canonicalizing."""
+    """Build a diagram from explicit slices without canonicalizing; the
+    port graph that validates them is kept as its cached `graph`."""
     slices = tuple(slices)
-    g = _graph_from_slices(n_in, slices)  # validates
-    return Diagram(n_in, g.n_out, slices)
+    g = _graph_from_slices(n_in, slices)
+    d = Diagram(n_in, g.n_out, slices)
+    d.__dict__["graph"] = g  # where the cached property keeps its value
+    return d
 
 
 def canonicalize(d: Diagram) -> Diagram:
-    """Return the canonical staircase form of `d` (idempotent)."""
-    return _canonical_from_graph(d.graph)
+    """The canonical staircase form of `d`: `d` if it is marked canonical."""
+    return d if d.canonical else _canonical_from_graph(d.graph)
 
 
 def generator(kind: str, label: Optional[str] = None) -> Diagram:
@@ -538,7 +543,7 @@ def generator(kind: str, label: Optional[str] = None) -> Diagram:
 def identity(n: int) -> Diagram:
     if n < 0 or n > MAX_WIRES:
         raise DiagramError(f"id({n}) out of range")
-    return Diagram(n, n, ())
+    return Diagram(n, n, (), True)
 
 
 def compose(f: Diagram, g: Diagram) -> Diagram:

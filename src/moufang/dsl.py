@@ -8,8 +8,8 @@ Grammar::
     NAME   := mul | comul | unit | counit | swap
 
 ";" composes left to right (top to bottom on the page), "∘" right to left.
-The canonical printer emits ";" and "*" only.  Parsing always returns the
-canonical form of the diagram.
+The canonical printer emits ";" and "*" only.  A parse builds one port
+graph for the whole text and returns its canonical form: one slicer run.
 """
 
 from __future__ import annotations
@@ -18,14 +18,15 @@ import re
 
 from .diagram import (
     ARITY,
+    MAX_WIRES,
     ArityMismatch,
     Diagram,
     DiagramError,
+    _canonical_from_graph,
+    _check_generator,
+    _Graph,
     canonicalize,
-    compose,
-    generator,
     identity,
-    tensor,
 )
 
 
@@ -57,9 +58,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 break
             raise SyntaxErrorAt(f"unexpected character {stripped[0]!r}",
                                 len(text) - len(stripped))
-        if m.lastgroup is None and not m.group().strip():
-            pos = m.end()
-            continue
         if m.group("name"):
             tokens.append(("name", m.group("name") + (m.group("label") or ""),
                            m.start("name")))
@@ -70,6 +68,33 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = m.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+class _Wiring:
+    """A piece of the one port graph a parse builds, numbered as in
+    `diagram._Graph`.  Each piece is read once, so `join` extends the
+    left operand's lists in place."""
+
+    def __init__(self, n_in: int, nodes: list, rows: list, outs: list):
+        self.n_in, self.nodes, self.rows, self.outs = n_in, nodes, rows, outs
+
+    def join(self, other: "_Wiring", beside: bool) -> "_Wiring":
+        """`other` beside this piece or below it: its nodes follow these,
+        and its boundary inputs move past these or read these outputs."""
+        shift, n, outs = 2 * len(self.nodes), self.n_in, self.outs
+
+        def port(p: int) -> int:
+            return p + shift if p >= 0 else p - n if beside else outs[~p]
+
+        self.nodes += other.nodes
+        self.rows += [tuple(map(port, row)) for row in other.rows]
+        self.outs = (outs if beside else []) + [port(p) for p in other.outs]
+        if beside:
+            self.n_in += other.n_in
+            if max(self.n_in, len(self.outs)) > MAX_WIRES:
+                raise DiagramError(
+                    f"diagram exceeds {MAX_WIRES} parallel wires")
+        return self
 
 
 class _Parser:
@@ -92,46 +117,48 @@ class _Parser:
             raise SyntaxErrorAt(f"expected {op!r}", pos)
 
     def parse(self) -> Diagram:
-        d = self.expr()
+        w = self.expr()
         kind, value, pos = self.peek()
         if kind != "end":
             raise SyntaxErrorAt(f"unexpected trailing input {value!r}", pos)
-        return d
+        return _canonical_from_graph(_Graph(
+            w.n_in, len(w.outs), w.nodes, w.rows, tuple(w.outs)))
 
-    def expr(self) -> Diagram:
-        d = self.term()
+    def expr(self) -> _Wiring:
+        w = self.term()
         while True:
             kind, value, pos = self.peek()
             if kind == "op" and value in (";", "∘"):
                 self.next()
                 rhs = self.term()
-                try:
-                    d = compose(d, rhs) if value == ";" else compose(rhs, d)
-                except ArityMismatch as exc:
+                first, second = (w, rhs) if value == ";" else (rhs, w)
+                if len(first.outs) != second.n_in:
                     raise ArityMismatch(
-                        f"{exc}, composing at position {pos} of {self.text!r}"
-                    ) from None
+                        f"cannot compose: first factor has {len(first.outs)} "
+                        f"outputs, second expects {second.n_in} inputs, "
+                        f"composing at position {pos} of {self.text!r}")
+                w = first.join(second, False)
             else:
                 break
-        return d
+        return w
 
-    def term(self) -> Diagram:
-        d = self.factor()
+    def term(self) -> _Wiring:
+        w = self.factor()
         while True:
             kind, value, _pos = self.peek()
             if kind == "op" and value in ("*", "⊗"):
                 self.next()
-                d = tensor(d, self.factor())
+                w = w.join(self.factor(), True)
             else:
                 break
-        return d
+        return w
 
-    def factor(self) -> Diagram:
+    def factor(self) -> _Wiring:
         kind, value, pos = self.next()
         if kind == "op" and value == "(":
-            d = self.expr()
+            w = self.expr()
             self.expect_op(")")
-            return d
+            return w
         if kind == "name":
             name, _, label = value.partition("%")
             if name == "id":
@@ -140,10 +167,16 @@ class _Parser:
                 if tkind != "int":
                     raise SyntaxErrorAt("expected wire count after id(", tpos)
                 self.expect_op(")")
-                return identity(int(tvalue))
+                n = identity(int(tvalue)).n_in  # refuses a width out of range
+                return _Wiring(n, [], [], [~i for i in range(n)])
             if name not in _GENERATOR_NAMES:
                 raise SyntaxErrorAt(f"unknown generator {name!r}", pos)
-            return generator(name, label or None)
+            _check_generator(name, label or None)
+            if name == "swap":
+                return _Wiring(2, [], [], [~1, ~0])
+            k, m = ARITY[name]
+            return _Wiring(k, [(name, label or None)],
+                           [tuple(~i for i in range(k))], list(range(m)))
         raise SyntaxErrorAt(f"expected a diagram factor, got {value!r}", pos)
 
 

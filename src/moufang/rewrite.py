@@ -244,21 +244,25 @@ def rewrites(host: Diagram, rule: RewriteRule, direction: str,
 
 def apply_rule(d: Diagram, rule: RewriteRule, position: int | str,
                direction: str = "->") -> Diagram:
-    """Apply one rule at the given match position (index or locator)."""
-    apps = rewrites(canonicalize(d), rule, direction)
-    if isinstance(position, int):
-        if position < 0 or position >= len(apps):
-            raise RewriteError(
-                f"rule {rule.name} {direction} has {len(apps)} match(es); "
-                f"position {position} does not exist"
-            )
-        return apps[position][1]
-    for match, result in apps:
-        if match.position == position:
+    """Apply one rule at the given match position (index or locator).
+    Only the named match is replaced; an index counts applications."""
+    host = canonicalize(d)
+    pattern, replacement = rule.sides(direction)
+    matches = find_matches(host, pattern)
+    if isinstance(position, str):
+        matches = [m for m in matches if m.position == position]
+    results = (r for m in matches
+               if (r := _replace(host, pattern, replacement, m)) is not None)
+    count = 0
+    for count, result in enumerate(results, 1):
+        if isinstance(position, str) or count == position + 1:
             return result
+    if isinstance(position, str):
+        raise RewriteError(
+            f"rule {rule.name} {direction} does not match at {position!r}")
     raise RewriteError(
-        f"rule {rule.name} {direction} does not match at {position!r}"
-    )
+        f"rule {rule.name} {direction} has {count} match(es); "
+        f"position {position} does not exist")
 
 
 # --- proof traces -------------------------------------------------------
@@ -395,11 +399,9 @@ def prove_equal(lhs: Diagram, rhs: Diagram, rules: Sequence[RewriteRule],
             prev, rule_name, direction, _match = parents[1][cur]
             rule = rule_by_name[rule_name]
             flipped = "<-" if direction == "->" else "->"
-            found = None
-            for match, result in rewrites(cur, rule, flipped):
-                if result == prev:
-                    found = match
-                    break
+            pattern, replacement = rule.sides(flipped)
+            found = next((m for m in find_matches(cur, pattern) if _replace(
+                cur, pattern, replacement, m) == prev), None)
             if found is None:  # pragma: no cover - inverse always exists
                 raise RewriteError("failed to invert a search step")
             steps.append(TraceStep(rule.name, flipped, found.position, prev))

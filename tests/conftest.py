@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from moufang import linalg, models, octonion
+from moufang import dsl, linalg, models, octonion
+from moufang.diagram import compose, generator, identity, tensor
 
 
 def same_span(a, b) -> bool:
@@ -122,3 +123,50 @@ def reference_components(d, states, model, muls, comuls):
                 target[key] = target.get(key, 0) + value
         states = [{k: v for k, v in state.items() if v} for state in out]
     return states
+
+
+# --- reference parser ---------------------------------------------------------
+
+
+def piecewise_parse(text):
+    """The parser that canonicalizes every sub-expression on its own,
+    through `compose`, `tensor`, `generator` and `identity`: the reference
+    for `dsl.parse`, which slices the port graph of the whole text once.
+    It reads well-formed texts only."""
+    tokens = [value for _kind, value, _pos in dsl._tokenize(text)]
+    at = 0
+
+    def take():
+        nonlocal at
+        at += 1
+        return tokens[at - 1]
+
+    def expr():
+        d = term()
+        while tokens[at] in (";", "∘"):
+            op, rhs = take(), term()
+            d = compose(d, rhs) if op == ";" else compose(rhs, d)
+        return d
+
+    def term():
+        d = factor()
+        while tokens[at] in ("*", "⊗"):
+            take()
+            d = tensor(d, factor())
+        return d
+
+    def factor():
+        value = take()
+        if value == "(":
+            d = expr()
+            take()
+            return d
+        name, _, label = value.partition("%")
+        if name != "id":
+            return generator(name, label or None)
+        take()
+        n = int(take())
+        take()
+        return identity(n)
+
+    return expr()

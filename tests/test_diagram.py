@@ -11,7 +11,10 @@ from moufang.diagram import (
     LABELS,
     MAX_WIRES,
     ArityMismatch,
+    Diagram,
     DiagramError,
+    _canonical_from_graph,
+    _canonical_splice,
     _Graph,
     _slices_from_graph,
     canonicalize,
@@ -163,6 +166,49 @@ def test_reslicing_invariance(seed):
     rebuilt = _rebuild_as_term(slices, n_in)
     assert direct == rebuilt
     assert canonicalize(direct) == direct
+
+
+# 1 -> 1 sides spliced into a wire: unit and counit sides, which the
+# splice shortcut inserts, and one that is sliced anew
+_SPLICED = tuple(parse(text) for text in (
+    "unit * id(1) ; mul", "id(1) * unit ; mul", "comul ; counit * id(1)",
+    "comul ; id(1) * counit", "comul ; mul"))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_canonicalize_is_idempotent_and_returns_what_it_made(seed):
+    """Canonicalizing a canonical form's slices gives it back, and a
+    diagram the canonicalizer made, by slicing a graph or by the splice
+    shortcut, is returned as the very same object.  The marker is left
+    out of equality, hashing and repr."""
+    rng = random.Random(seed)
+    n_in = rng.randint(0, 4)
+    raw = raw_diagram(n_in, _random_slices(rng, n_in, rng.randint(0, 8)))
+    d = canonicalize(raw)
+    assert d.canonical and not raw.canonical
+    plain = Diagram(d.n_in, d.n_out, d.slices)
+    assert (d, hash(d), repr(d)) == (plain, hash(plain), repr(plain))
+    made = [d, _canonical_from_graph(raw.graph)]
+    g = d.graph
+    wires = [~i for i in range(g.n_in)] + [
+        2 * v + j for v, (kind, _label) in enumerate(g.nodes)
+        for j in range(ARITY[kind][1])]
+    for side in _SPLICED:
+        for p0 in wires:
+            try:
+                made.append(_canonical_splice(g, p0, side.graph))
+            except DiagramError:
+                pass
+    for e in made:
+        assert e.canonical and canonicalize(e) is e
+        assert canonicalize(raw_diagram(e.n_in, e.slices)) == e
+
+
+def test_raw_diagram_keeps_the_graph_that_validates_it():
+    d = raw_diagram(2, [("mul", None, 0), ("comul", None, 0)])
+    assert "graph" in vars(d)
+    assert d.graph.nodes == [("mul", None), ("comul", None)]
 
 
 @given(st.integers(0, 2**32 - 1))
