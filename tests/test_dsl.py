@@ -247,7 +247,7 @@ def test_parse_slices_once_and_canonical_diagrams_not_again():
             d = parse(text)
             assert len(runs) == 1, text
             assert canonicalize(d) is d
-            assert print_diagram(d) == print_diagram(d)
+            print_diagram(d)
             assert len(runs) == 1, text
 
 
