@@ -19,7 +19,7 @@ from pathlib import Path
 from . import deformation as dlab
 from . import models, octonion, rewrite, theories
 from .diagram import DiagramError
-from .dsl import parse, render
+from .dsl import RENDERERS, parse, render
 
 
 class CliError(Exception):
@@ -113,6 +113,13 @@ class Reporter:
         else:
             line = f"[{status:>4}] {kind} {name}" + (f": {detail}" if detail else "")
         self.lines.append(line)
+
+    def verdict(self, kind: str, name: str, report: models.Report,
+                model: models.FiniteBialgebraModel) -> bool:
+        """Emit pass, or fail with the witness; return whether it holds."""
+        self.emit(kind, name, "pass" if report.holds else "fail",
+                  "" if report.holds else report.describe(model))
+        return report.holds
 
     def text(self, line: str) -> None:
         if self.fmt != "records":
@@ -216,14 +223,10 @@ def cmd_check_model(args, reporter: Reporter) -> int:
             continue
         reporter.emit("model", model.name, "pass",
                       "registered flags: " + " ".join(sorted(model.satisfied_flags)))
-        if identity:
-            report = models.holds_identity(*identity, model)
-            if report.holds:
-                reporter.emit("identity", args.identity.strip(), "pass")
-            else:
-                reporter.emit("identity", args.identity.strip(), "fail",
-                              report.describe(model))
-                status = 1
+        if identity and not reporter.verdict(
+                "identity", args.identity.strip(),
+                models.holds_identity(*identity, model), model):
+            status = 1
     reporter.flush()
     return status
 
@@ -295,7 +298,6 @@ def cmd_deform(args, reporter: Reporter) -> int:
     model = fixture.base
     reporter.emit("deform", fixture.name, "info",
                   f"base {model.name}, order {fixture.order}")
-    status = 0
     for n in range(fixture.order + 1):
         comps = dlab.coassociator(fixture, n)
         nonzero = sum(1 for state in comps.values() if state)
@@ -303,16 +305,10 @@ def cmd_deform(args, reporter: Reporter) -> int:
                       f"nonzero on {nonzero} of {model.dim} basis inputs")
     comoufang_ok = True
     for side in ("left", "right"):
-        report = dlab.check_comoufang_mod(fixture, side)
-        reporter.emit("comoufang", side, "pass" if report.holds else "fail",
-                      "" if report.holds else report.describe(model))
-        comoufang_ok &= report.holds
-    status |= 0 if comoufang_ok else 1
-    if comoufang_ok:
-        rs = dlab.kernel_map_RS(fixture)
-        reporter.emit("kernel-map", "R+S", "pass" if rs.holds else "fail",
-                      "" if rs.holds else rs.describe(model))
-        status |= 0 if rs.holds else 1
+        comoufang_ok &= reporter.verdict(
+            "comoufang", side, dlab.check_comoufang_mod(fixture, side), model)
+    status = 0 if comoufang_ok and reporter.verdict(
+        "kernel-map", "R+S", dlab.kernel_map_RS(fixture), model) else 1
     reporter.flush()
     return status
 
@@ -347,16 +343,12 @@ def cmd_replay(args, reporter: Reporter) -> int:
         reporter.flush()
         return 1
     reporter.emit("replay", args.trace, "pass", f"{len(trace)} step(s)")
-    for model in sound_on:
-        report = models.holds_identity(trace.lhs, trace.rhs, model)
-        reporter.emit("soundness", model.name,
-                      "pass" if report.holds else "fail",
-                      "" if report.holds else report.describe(model))
-        if not report.holds:
-            reporter.flush()
-            return 1
+    sound = all(reporter.verdict(
+        "soundness", model.name,
+        models.holds_identity(trace.lhs, trace.rhs, model), model)
+        for model in sound_on)  # stops at the first model that fails
     reporter.flush()
-    return 0
+    return 0 if sound else 1
 
 
 def _multilinearity_probe(model: models.FiniteBialgebraModel,
@@ -499,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("render", help="draw a diagram")
     p.add_argument("diagram")
     p.add_argument("--as", dest="render_as", default="ascii",
-                   choices=["ascii", "svg", "tikz"])
+                   choices=list(RENDERERS))
     add_common(p, suppress=True)
     p.set_defaults(func=cmd_render)
 
@@ -522,6 +514,11 @@ def main(argv: list[str] | None = None) -> int:
     p.set_defaults(func=cmd_replay)
 
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # some argparse versions store the value of "--flag=--" as []
+        if isinstance(value, list):
+            setattr(args, name, [v if v != [] else "--" for v in value]
+                    if value else "--")
     reporter = Reporter(args.format, args.out)
     try:
         return args.func(args, reporter)

@@ -242,107 +242,82 @@ def _ascii_render(d: Diagram) -> str:
     return "\n".join(lines)
 
 
-def _svg_render(d: Diagram) -> str:
-    widths = d.widths()
-    step_x, step_y, pad = 40, 40, 20
-    max_w = max(widths) if widths else 1
-    width = pad * 2 + max(max_w - 1, 0) * step_x + step_x
-    height = pad * 2 + (len(d.slices) + 1) * step_y
+def _strokes(d: Diagram):
+    """The drawing of a diagram in grid units (wire column, slice row), top
+    to bottom: ``("line", x1, y1, x2, y2)`` and ``("node", x, y, kind,
+    label)``.  Wire columns are ints; rows and node centres are floats."""
+    y = 0.0
+    for (kind, label, off), w in zip(d.slices, d.widths()):
+        k, m = ARITY[kind]
+        for i in range(w):  # pass-through wires
+            if not off <= i < off + k:
+                yield "line", i, y, i if i < off else i + m - k, y + 1
+        if kind == "swap":
+            yield "line", off, y, off + 1, y + 1
+            yield "line", off + 1, y, off, y + 1
+        else:
+            cx, mid = off + (max(k, m) - 1) / 2, y + 0.5
+            for i in range(k):
+                yield "line", off + i, y, cx, mid
+            for i in range(m):
+                yield "line", cx, mid, off + i, y + 1
+            yield "node", cx, mid, kind, label
+        y += 1
+    for i in range(d.n_out):
+        yield "line", i, y, i, y + 1
 
-    def x(i: int) -> float:
-        return pad + step_x / 2 + i * step_x
+
+def _svg_render(d: Diagram) -> str:
+    step, pad = 40, 20
+    width = pad * 2 + max([1, *d.widths()]) * step
+    height = pad * 2 + (len(d.slices) + 1) * step
+
+    def x(i: float) -> float:
+        return pad + step / 2 + i * step
+
+    def y(r: float) -> float:
+        return pad + r * step
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    y = float(pad)
-    w = d.n_in
-    for (kind, label, off), w_before in zip(d.slices, widths):
-        k, m = ARITY[kind]
-        y2 = y + step_y
-        w_after = w_before - k + m
-        # pass-through wires
-        for i in range(w_before):
-            if off <= i < off + k:
-                continue
-            shift = 0 if i < off else (m - k)
-            parts.append(
-                f'<line x1="{x(i)}" y1="{y}" x2="{x(i + shift)}" y2="{y2}" '
-                f'stroke="black"/>'
-            )
-        cx = x(off) if k == 0 and m == 0 else (
-            (x(off) + x(off + max(k, m) - 1)) / 2 if max(k, m) > 1 else x(off)
-        )
-        if kind == "swap":
-            parts.append(f'<line x1="{x(off)}" y1="{y}" x2="{x(off + 1)}" '
-                         f'y2="{y2}" stroke="black"/>')
-            parts.append(f'<line x1="{x(off + 1)}" y1="{y}" x2="{x(off)}" '
-                         f'y2="{y2}" stroke="black"/>')
-        else:
-            mid = y + step_y / 2
-            for i in range(k):
-                parts.append(f'<line x1="{x(off + i)}" y1="{y}" x2="{cx}" '
-                             f'y2="{mid}" stroke="black"/>')
-            for i in range(m):
-                parts.append(f'<line x1="{cx}" y1="{mid}" x2="{x(off + i)}" '
-                             f'y2="{y2}" stroke="black"/>')
-            parts.append(f'<circle cx="{cx}" cy="{mid}" r="4" fill="black"/>')
-            if label:
-                parts.append(
-                    f'<text x="{cx + 6}" y="{mid - 6}" font-size="10">'
-                    f'{label}</text>'
-                )
-        y = y2
-        w = w_after
-    for i in range(w):
-        parts.append(f'<line x1="{x(i)}" y1="{y}" x2="{x(i)}" '
-                     f'y2="{y + step_y}" stroke="black"/>')
+    for shape, x1, y1, *rest in _strokes(d):
+        if shape == "line":
+            x2, y2 = rest
+            parts.append(f'<line x1="{x(x1)}" y1="{y(y1)}" x2="{x(x2)}" '
+                         f'y2="{y(y2)}" stroke="black"/>')
+            continue
+        cx, cy, label = x(x1), y(y1), rest[1]
+        parts.append(f'<circle cx="{cx}" cy="{cy}" r="4" fill="black"/>')
+        if label:
+            parts.append(f'<text x="{cx + 6}" y="{cy - 6}" font-size="10">'
+                         f'{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
 
 def _tikz_render(d: Diagram) -> str:
-    widths = d.widths()
     lines = [r"\begin{tikzpicture}[yscale=-1]"]
-    y = 0.0
-    w = d.n_in
-    for (kind, label, off), w_before in zip(d.slices, widths):
-        k, m = ARITY[kind]
-        y2 = y + 1.0
-        for i in range(w_before):
-            if off <= i < off + k:
-                continue
-            shift = 0 if i < off else (m - k)
-            lines.append(rf"\draw ({i},{y}) -- ({i + shift},{y2});")
-        if kind == "swap":
-            lines.append(rf"\draw ({off},{y}) -- ({off + 1},{y2});")
-            lines.append(rf"\draw ({off + 1},{y}) -- ({off},{y2});")
+    for shape, x1, y1, *rest in _strokes(d):
+        if shape == "line":
+            x2, y2 = rest
+            lines.append(rf"\draw ({x1},{y1}) -- ({x2},{y2});")
         else:
-            cx = off + (max(k, m) - 1) / 2
-            mid = y + 0.5
-            for i in range(k):
-                lines.append(rf"\draw ({off + i},{y}) -- ({cx},{mid});")
-            for i in range(m):
-                lines.append(rf"\draw ({cx},{mid}) -- ({off + i},{y2});")
-            tag = kind if not label else f"{kind}{label}"
+            kind, label = rest
             lines.append(rf"\node[fill=black,circle,inner sep=1.5pt,"
-                         rf"label=right:{{{tag}}}] at ({cx},{mid}) {{}};")
-        y = y2
-        w = w_before - k + m
-    for i in range(w):
-        lines.append(rf"\draw ({i},{y}) -- ({i},{y + 1.0});")
+                         rf"label=right:{{{kind}{label or ''}}}] "
+                         rf"at ({x1},{y1}) {{}};")
     lines.append(r"\end{tikzpicture}")
     return "\n".join(lines)
+
+
+RENDERERS = {"ascii": _ascii_render, "svg": _svg_render, "tikz": _tikz_render}
 
 
 def render(d: Diagram, format: str = "ascii") -> str:
     """Deterministic drawing of a canonical diagram, slices top to bottom."""
     d = canonicalize(d)
-    if format == "ascii":
-        return _ascii_render(d)
-    if format == "svg":
-        return _svg_render(d)
-    if format == "tikz":
-        return _tikz_render(d)
-    raise DiagramError(f"unknown render format {format!r}")
+    if format not in RENDERERS:
+        raise DiagramError(f"unknown render format {format!r}")
+    return RENDERERS[format](d)

@@ -510,9 +510,9 @@ def _fused_terms(state: State, x_at: int, y_at: int, out_key, table):
 
 
 def _components(comps, label: Optional[str], order: int) -> list[int]:
-    """The component indices a mul/comul slice with this label convolves
-    ("0" keeps the constant one, "+" the positive ones), less the empty
-    positive ones, which make no term."""
+    """The component indices a slice with this label convolves ("0" keeps
+    the constant one, "+" the positive ones), less the empty positive ones,
+    which make no term.  Unit and counit have the one component ``(None,)``."""
     first = 1 if label == "+" else 0
     last = min(0 if label == "0" else order, len(comps) - 1)
     return [a for a in range(first, last + 1) if a == 0 or comps[a]]
@@ -529,9 +529,9 @@ def evaluate_components(d: Diagram, states: list[State],
     ``tables.comuls`` list the degree components of the product and
     coproduct, and the fused steps read the same components through it.  A
     plain model is the order-0 case ``(mul_rows,)``, ``(comul_rows,)``.
-    mul/comul convolve degrees modulo h^len(states) (label "0" keeps the
+    Each step convolves degrees modulo h^len(states) (label "0" keeps the
     constant component, "+" the positive ones); unit and counit, from the
-    base ``model``, act degree by degree.
+    base ``model``, are the one undeformed component ``(None,)``.
     `Diagram.program` gives the steps.  Swaps never copy a tensor: each
     run of them is folded into a permutation that the next step reads its
     keys through.  A comul step whose next step, a mul, reads exactly one
@@ -561,17 +561,14 @@ def evaluate_components(d: Diagram, states: list[State],
                         _accumulate(out[a2 + b2],
                                     _fused_terms(states[b2 - a1], x_at, y_at,
                                                  perm, tables[a1, a2, shape]))
-        elif kind in ("mul", "comul"):
-            comps = muls if kind == "mul" else comuls
+        else:
+            comps = (muls if kind == "mul" else comuls if kind == "comul"
+                     else (None,))
             for a in _components(comps, label, order):
                 for b in range(order + 1 - a):
                     _accumulate(out[a + b],
                                 _slice_terms(states[b], kind, off, perm,
                                              comps[a], model))
-        else:
-            for target, state in zip(out, states):
-                _accumulate(target, _slice_terms(state, kind, off, perm, None,
-                                                 model))
         states = [_clean(state) for state in out]
     if tail is not None:
         states = [{tail(key): v for key, v in state.items()}

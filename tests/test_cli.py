@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from moufang.cli import main
 
@@ -94,6 +97,11 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("eval mul --model binomial:", "--model: empty size"),
     ("deform --fixture delta1:6:", "--fixture: empty ORDER"),
     ("deform --fixture shift-conj::", "--fixture: empty D"),
+    ("check-model --model=--", "--model: unknown model '--'"),
+    ("check-model --model=binomial:2 --model=--", "--model: unknown model"),
+    ("deform --fixture=--", "--fixture: unknown fixture '--'"),
+    ("prove mul mul --budget=--", "--budget"),
+    ("render mul --as=--", "unknown render format '--'"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -112,6 +120,63 @@ def test_malformed_file_is_exit_1(tmp_path, capsys, argv, text, lineno):
     code, _, err = run(capsys, *argv.format(path).split())
     assert code == 1
     assert err.startswith(f"error: line {lineno}: ") and err.count("\n") == 1
+
+
+# Flag values for the fuzz below: sizes are single digits, so that every
+# case runs in a fraction of a second, with the malformed values mixed in.
+_SIZE = st.sampled_from([*"0123456789", "-1", "", "x", "1.5", "1/2", " 2"])
+_JUNK = st.text(alphabet="0123456789-+,:/.x ;*()%=", max_size=12)
+_DIAGRAMS = ["mul", "comul", "unit", "counit", "swap", "id(0)", "id(1)",
+             "id(3)", "comul ; mul", "swap ; mul", "mul ; comul",
+             "comul ; counit * id(1)", "comul ; comul * id(1)",
+             "comul ; id(1) * comul", "mul * id(1) ; mul",
+             "id(1) * mul ; mul", "comul%0", "mul%+", "(", "mul ;", "$"]
+
+
+def _fields(heads, most: int):
+    return st.tuples(st.sampled_from(heads), st.lists(_SIZE, max_size=most)
+                     ).map(lambda t: ":".join([t[0], *t[1]]))
+
+
+_SIZED_MODEL = _fields(["binomial", "loop-cyclic", "fn-cyclic"], 2)
+_MODEL = st.one_of(_SIZED_MODEL, _JUNK, st.sampled_from(
+    ["loop-o16", "fn-o16", "loop-o16:5", "fn-o16:", "nosuch", "", "."]))
+_FIXTURE = st.one_of(
+    _fields(["shift-conj", "delta1", "null"], 3), _JUNK,
+    st.tuples(st.one_of(_SIZED_MODEL, _JUNK), st.lists(_SIZE, max_size=2)
+              ).map(lambda t: ":".join(["null", t[0], *t[1]])))
+_LIST = st.lists(st.one_of(_SIZE, st.sampled_from(["0", "nan", "1/0"])),
+                 max_size=4).map(",".join)
+_BUDGET = _LIST.filter(bool)  # an empty budget searches for up to 60 s
+_IDENTITY = st.one_of(_JUNK, st.sampled_from(_DIAGRAMS), st.builds(
+    "{} = {}".format, st.sampled_from(_DIAGRAMS), st.sampled_from(_DIAGRAMS)))
+_DIAGRAM = st.sampled_from(_DIAGRAMS)
+_ARGV = st.one_of(
+    st.builds(lambda a, b, budget: ["prove", a, b, f"--budget={budget}"],
+              _DIAGRAM, _DIAGRAM, _BUDGET),
+    st.builds(lambda budget, model: ["suite", f"--budget={budget}",
+                                     f"--model={model}"], _BUDGET, _MODEL),
+    st.builds(lambda d, model, basis: ["eval", d, f"--model={model}",
+                                       f"--basis={basis}"],
+              _DIAGRAM, _MODEL, _LIST),
+    st.builds(lambda model, identity: ["check-model", f"--model={model}",
+                                       f"--identity={identity}"],
+              _MODEL, _IDENTITY),
+    st.builds(lambda params: ["octonion", f"--params={params}"], _LIST),
+    st.builds(lambda fixture: ["deform", f"--fixture={fixture}"], _FIXTURE),
+)
+
+
+@given(st.sampled_from(["text", "records"]), _ARGV)
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_flag_values_end_in_an_exit_code_or_one_error_line(fmt, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([f"--format={fmt}", *argv])
+    assert code in (0, 1, 2)
+    text = err.getvalue()
+    assert not text or (text.startswith("error: ")
+                        and text.count("\n") == 1 and text.endswith("\n"))
 
 
 def test_check_model_malformed_file_is_a_fail_record(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import re
 import xml.etree.ElementTree as ET
@@ -278,6 +279,27 @@ def test_render_never_fails_on_parsed_diagrams(seed):
     for fmt in ("ascii", "svg", "tikz"):
         out = render(d, fmt)
         assert out == render(d, fmt)  # deterministic
+
+
+_RENDER_PINS = {
+    "ascii": "4d709ec0250c94142b3226f0e88edc2cb5724771",
+    "svg": "9441d68ef92a8fa33276df5435c3420a49e4863b",
+    "tikz": "ea7f7ac923ad7942e59184bf1184ca1a58c2aad9",
+}
+
+
+def test_render_outputs_are_pinned():
+    """Every byte of every format on 500 seeded canonical diagrams,
+    labels ``%0`` and ``%+`` included: a drawing change must move a pin."""
+    digests = {fmt: hashlib.sha1() for fmt in _RENDER_PINS}
+    for seed in range(500):
+        rng = random.Random(seed)
+        n_in = rng.randint(0, 4)
+        d = canonicalize(raw_diagram(
+            n_in, _random_slices(rng, n_in, rng.randint(0, 8))))
+        for fmt, digest in digests.items():
+            digest.update((render(d, fmt) + "\0").encode())
+    assert {fmt: h.hexdigest() for fmt, h in digests.items()} == _RENDER_PINS
 
 
 def test_tikz_contains_environment():
