@@ -131,6 +131,7 @@ _DIAGRAMS = ["mul", "comul", "unit", "counit", "swap", "id(0)", "id(1)",
              "comul ; counit * id(1)", "comul ; comul * id(1)",
              "comul ; id(1) * comul", "mul * id(1) ; mul",
              "id(1) * mul ; mul", "comul%0", "mul%+", "(", "mul ;", "$"]
+_DIAGRAM = st.sampled_from(_DIAGRAMS)
 
 
 def _fields(heads, most: int):
@@ -148,9 +149,8 @@ _FIXTURE = st.one_of(
 _LIST = st.lists(st.one_of(_SIZE, st.sampled_from(["0", "nan", "1/0"])),
                  max_size=4).map(",".join)
 _BUDGET = _LIST.filter(bool)  # an empty budget searches for up to 60 s
-_IDENTITY = st.one_of(_JUNK, st.sampled_from(_DIAGRAMS), st.builds(
-    "{} = {}".format, st.sampled_from(_DIAGRAMS), st.sampled_from(_DIAGRAMS)))
-_DIAGRAM = st.sampled_from(_DIAGRAMS)
+_IDENTITY = st.one_of(_JUNK, _DIAGRAM,
+                      st.builds("{} = {}".format, _DIAGRAM, _DIAGRAM))
 _ARGV = st.one_of(
     st.builds(lambda a, b, budget: ["prove", a, b, f"--budget={budget}"],
               _DIAGRAM, _DIAGRAM, _BUDGET),
