@@ -28,9 +28,9 @@ class CliError(Exception):
 
 @contextmanager
 def _flag(name: str, value: str):
-    """Turn a malformed number in a flag value, a size or parameter that
-    the builder refuses, or a label that a plain model refuses, into a
-    CliError naming the flag."""
+    """Turn a malformed number in a flag value (or environment variable),
+    a size or parameter that the builder refuses, or a label that a plain
+    model refuses, into a CliError naming the flag."""
     try:
         yield
     except (ValueError, ZeroDivisionError, models.ModelError,
@@ -151,7 +151,6 @@ def cmd_prove(args, reporter: Reporter) -> int:
     if trace is None:
         reporter.emit("prove", args.goal or "goal", "none",
                       "not found within budget")
-        reporter.flush()
         return 2
     reporter.emit("prove", args.goal or "goal", "ok", f"{len(trace)} step(s)")
     for line in rewrite.serialize_trace(trace).splitlines():
@@ -160,7 +159,6 @@ def cmd_prove(args, reporter: Reporter) -> int:
         Path(args.out).write_text(rewrite.serialize_trace(trace))
         reporter.text(f"trace written to {args.out}")
         reporter.out_path = None
-    reporter.flush()
     return 0
 
 
@@ -190,7 +188,6 @@ def cmd_eval(args, reporter: Reporter) -> int:
         reporter.text(f"({labels}): {out[key]}")
         if reporter.fmt == "records":
             reporter.emit("eval", f"({labels})", "value", str(out[key]))
-    reporter.flush()
     return 0
 
 
@@ -227,7 +224,6 @@ def cmd_check_model(args, reporter: Reporter) -> int:
                 "identity", args.identity.strip(),
                 models.holds_identity(*identity, model), model):
             status = 1
-    reporter.flush()
     return status
 
 
@@ -254,7 +250,6 @@ def cmd_octonion(args, reporter: Reporter) -> int:
     if args.out:
         Path(args.out).write_text(octonion.algebra_text(algebra))
         reporter.text(f"structure constants written to {args.out}")
-    reporter.flush()
     return status
 
 
@@ -264,7 +259,8 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
             Path(spec).read_text(), lambda ref: _load_model(ref, "--fixture"))
     head, sep, rest = spec.partition(":")
     if head == "null":
-        model_spec, order_sep, order = rest.rpartition(":")
+        model_spec, order_sep, order = (rest.rpartition(":") if ":" in rest
+                                        else (rest, "", ""))
         if order_sep and not order:
             raise CliError(f"--fixture: empty ORDER field in {spec!r}")
         with _flag("--fixture", spec):
@@ -288,7 +284,7 @@ def _load_fixture(spec: str) -> dlab.TruncatedDeformation:
             order = int(parts[1]) if len(parts) > 1 else order
             return build(degree, order)
     raise CliError(
-        f"--fixture: unknown fixture {spec!r}: expected null:MODEL:ORDER, "
+        f"--fixture: unknown fixture {spec!r}: expected null:MODEL[:ORDER], "
         "shift-conj:D:ORDER or delta1:D:ORDER"
     )
 
@@ -307,19 +303,13 @@ def cmd_deform(args, reporter: Reporter) -> int:
     for side in ("left", "right"):
         comoufang_ok &= reporter.verdict(
             "comoufang", side, dlab.check_comoufang_mod(fixture, side), model)
-    status = 0 if comoufang_ok and reporter.verdict(
+    return 0 if comoufang_ok and reporter.verdict(
         "kernel-map", "R+S", dlab.kernel_map_RS(fixture), model) else 1
-    reporter.flush()
-    return status
 
 
 def cmd_render(args, reporter: Reporter) -> int:
-    diagram = parse(args.diagram)
-    output = render(diagram, args.render_as)
-    if args.out:
-        Path(args.out).write_text(output + "\n")
-    else:
-        sys.stdout.write(output + "\n")
+    # the drawing in either --format
+    reporter.lines.append(render(parse(args.diagram), args.render_as))
     return 0
 
 
@@ -340,14 +330,12 @@ def cmd_replay(args, reporter: Reporter) -> int:
         trace.replay(theory.rules)
     except rewrite.RewriteError as exc:
         reporter.emit("replay", args.trace, "fail", str(exc))
-        reporter.flush()
         return 1
     reporter.emit("replay", args.trace, "pass", f"{len(trace)} step(s)")
     sound = all(reporter.verdict(
         "soundness", model.name,
         models.holds_identity(trace.lhs, trace.rhs, model), model)
         for model in sound_on)  # stops at the first model that fails
-    reporter.flush()
     return 0 if sound else 1
 
 
@@ -367,8 +355,9 @@ def _multilinearity_probe(model: models.FiniteBialgebraModel,
 
 
 def cmd_suite(args, reporter: Reporter) -> int:
-    seed = int(os.environ.get("MOUFANG_SUITE_SEED", "20240915"))
-    rng = random.Random(seed)
+    seed = os.environ.get("MOUFANG_SUITE_SEED", "20240915")
+    with _flag("MOUFANG_SUITE_SEED", seed):
+        rng = random.Random(int(seed))
     budget = _budget(args.budget)
     suite = (theories.load_goals_text(_read_file(args.goals, "--goals"))
              if args.goals else theories.goal_suite())
@@ -427,7 +416,6 @@ def cmd_suite(args, reporter: Reporter) -> int:
                 labels = ",".join(witness_model.label(i) for i in rep.witness)
                 reporter.emit("goal", goal.name, "pass",
                               f"witness basis input ({labels})")
-    reporter.flush()
     return status
 
 
@@ -444,10 +432,11 @@ def main(argv: list[str] | None = None) -> int:
         description="diagram rewriting and exact model checks for "
                     "nonassociative, noncoassociative bialgebras",
     )
+    formats = ["text", "records"]
 
     def add_common(target, suppress: bool) -> None:
         kw = {"default": argparse.SUPPRESS} if suppress else {}
-        target.add_argument("--format", choices=["text", "records"],
+        target.add_argument("--format", choices=formats,
                             **(kw or {"default": "text"}))
         target.add_argument("--out", help="write the report to a file",
                             **(kw or {"default": None}))
@@ -484,7 +473,7 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("deform", help="truncated-deformation checks")
     p.add_argument("--fixture", required=True,
-                   help="null:MODEL:ORDER | shift-conj:D:ORDER | delta1:D:ORDER")
+                   help="null:MODEL[:ORDER] | shift-conj:D:ORDER | delta1:D:ORDER")
     add_common(p, suppress=True)
     p.set_defaults(func=cmd_deform)
 
@@ -515,13 +504,21 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
-        # some argparse versions store the value of "--flag=--" as []
+        # some argparse versions store "--flag=--" as [], unchecked for choices
         if isinstance(value, list):
             setattr(args, name, [v if v != [] else "--" for v in value]
                     if value else "--")
+    for flag, value, choices in (
+            ("--format", args.format, formats),
+            ("--as", getattr(args, "render_as", "ascii"), list(RENDERERS))):
+        if value not in choices:
+            parser.error(f"argument {flag}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
     reporter = Reporter(args.format, args.out)
     try:
-        return args.func(args, reporter)
+        status = args.func(args, reporter)
+        reporter.flush()
+        return status
     except (CliError, DiagramError, models.ModelError, theories.TheoryError,
             dlab.DeformationError, octonion.AlgebraError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

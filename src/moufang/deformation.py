@@ -32,10 +32,10 @@ from .linalg import BilinearRows, Matrix, Vector, basis_vector
 from .models import (
     ComulRows,
     FiniteBialgebraModel,
-    FusedTables,
     MulRows,
     Report,
     State,
+    StepTables,
     _accumulate,
     _clean,
     add_state,
@@ -128,7 +128,7 @@ class TruncatedDeformation:
     h^(order+1) unless `strict` was disabled (negative-control fixtures).
     ``verdicts`` keeps the `Report` of each law `models.holds_identity` has
     decided on this object, keyed by its ``(lhs, rhs)``, ``tables`` the
-    evaluator's `FusedTables` for its series maps, and ``coassociators``
+    evaluator's `StepTables` for its series maps, and ``coassociators``
     the sweep that `coassociator` and `kernel_map_RS` read, made once.
     ``automorphisms`` are the base model's when every positive-degree
     component is checked to commute with each of them (the null
@@ -143,7 +143,7 @@ class TruncatedDeformation:
     name: str = "deformation"
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
-    tables: FusedTables = field(init=False, compare=False, repr=False)
+    tables: StepTables = field(init=False, compare=False, repr=False)
     automorphisms: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -165,8 +165,8 @@ class TruncatedDeformation:
             integral_rows(rows) for rows in self.comul_components))
         object.__setattr__(self, "mul_components", tuple(
             integral_rows(rows) for rows in self.mul_components))
-        object.__setattr__(self, "tables", FusedTables(
-            self.mul_components, self.comul_components))
+        object.__setattr__(self, "tables", StepTables(
+            self.mul_components, self.comul_components, self.base))
         autos = self.base.automorphisms
         if any(breaks_structure(p, self.mul_components[1:],
                                 self.comul_components[1:]) for p in autos):
@@ -179,19 +179,15 @@ class TruncatedDeformation:
 
 
 def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
-                    states: list[State] | State,
+                    states: list[State],
                     order: Optional[int] = None) -> list[State]:
     """Evaluate a diagram with series structure maps, degree by degree.
 
-    `states` is either a single tensor (placed at degree 0) or a list of
-    tensors indexed by h-degree; the result lists the output tensor of each
-    degree up to `order` (the deformation's order by default).
+    `states` lists the input tensor of each h-degree up to `order` (the
+    deformation's order by default), and the result the output tensor of
+    each.
     """
-    if order is None:
-        order = deformation.order
-    if isinstance(states, dict):
-        states = [states] + [{} for _ in range(order)]
-    if len(states) != order + 1:
+    if len(states) != (deformation.order if order is None else order) + 1:
         raise DeformationError("degree-indexed input has the wrong length")
     dim = deformation.base.dim
     for state in states:
@@ -203,8 +199,7 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
             if any(i < 0 or i >= dim for i in key):
                 raise DeformationError("input index out of range for the base")
     return [as_fractions(state) for state in evaluate_components(
-        d, [integral_state(s) for s in states], deformation.base,
-        deformation.tables)]
+        d, [integral_state(s) for s in states], deformation.tables)]
 
 
 _MUL = parse("mul")
@@ -736,7 +731,7 @@ def shift_conjugation_deformation(max_degree: int, order: int
         states = [basis_state(key)] + [{} for _ in range(order)]
         for slot in range(diagram.n_in):
             states = _apply_series_slot(inv, states, slot)
-        states = evaluate_components(diagram, states, model, model.tables)
+        states = evaluate_components(diagram, states, model.tables)
         for slot in range(diagram.n_out):
             states = _apply_series_slot(fwd, states, slot)
         return states
@@ -802,10 +797,9 @@ def save_deformation_text(deformation: TruncatedDeformation,
     return "\n".join(lines) + "\n"
 
 
-def load_deformation_text(text: str, resolve_base,
-                          strict: bool = True) -> TruncatedDeformation:
-    """Parse a fixture file; `resolve_base` maps the base reference string
-    to a FiniteBialgebraModel."""
+def load_deformation_text(text: str, resolve_base) -> TruncatedDeformation:
+    """Parse a fixture file and register it; `resolve_base` maps the base
+    reference string to a FiniteBialgebraModel."""
     entry = (int,) * 4 + (Fraction,)
     records = read(text, {"deformation": (str,), "base": (str,),
                           "order": (at_least(0),), "comul": entry,
@@ -830,7 +824,7 @@ def load_deformation_text(text: str, resolve_base,
     return deformation_from_maps(
         model, order, [{i: tuple(v) for i, v in m.items()} for m in comul_raw],
         [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw],
-        name=given.get("deformation", "deformation"), strict=strict)
+        name=given.get("deformation", "deformation"))
 
 
 def exp_derivation_series(model: FiniteBialgebraModel, derivation: Matrix,

@@ -386,12 +386,14 @@ class Diagram:
 
     @cached_property
     def program(self) -> tuple[tuple[Step, ...], Optional[itemgetter]]:
-        """The slices with every run of swaps folded into one wire
-        permutation, and each comul step that the next step, a mul, reads
-        exactly one output of run as one fused step (see `_fused_step`):
-        ``(steps, tail)``.  A step ``(kind, label, off, perm)`` applies a
-        non-swap generator to keys read through ``perm`` (None for no
-        permutation); ``tail`` permutes the keys after the last step."""
+        """The slices with every run of swaps folded into the next step's
+        reads, and each comul step that the next step, a mul, reads exactly
+        one output of run as one fused step (see `_fused_step`):
+        ``(steps, tail)``.  A step ``(kind, label, shape, read, write)``
+        looks up ``read(key)``, the tuple of its input indices, in its
+        table, whose terms ``(outs, c)`` go to key ``write(key + outs)``;
+        ``shape`` is None but on a fused step.  ``tail`` permutes the keys
+        after the last step (None for no swap after it)."""
         return _program_from_slices(self.slices, self.widths())
 
     def widths(self) -> list[int]:
@@ -410,30 +412,44 @@ class Diagram:
         return print_diagram(self)
 
 
-# A slice program step: a slice whose input keys are first read through a
-# wire permutation (an `operator.itemgetter`, or None), or a fused step
-# ``("fused", (comul label, mul label), (x_at, y_at, shape), out_key)``.
-Step = tuple[str, Optional[str], int, Optional[itemgetter]]
+# A slice program step ``(kind, label, shape, read, write)``: a slice, or
+# a fused step ``("fused", (comul label, mul label), shape, read, write)``.
+Step = tuple[str, object, Optional[tuple], itemgetter, itemgetter]
 
 
-def _permutation(perm: Optional[list[int]]) -> Optional[itemgetter]:
-    """``key -> tuple(key[i] for i in perm)``, or None for the identity."""
-    if perm is None or perm == sorted(perm):
-        return None
-    return itemgetter(*perm)  # a swap needs two wires, so a tuple comes out
+def _getter(positions: list[int]) -> itemgetter:
+    """``key -> tuple(key[i] for i in positions)``; one position, or none,
+    goes through a slice, since ``itemgetter(i)`` gives a bare item."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    start = positions[0] if positions else 0
+    return itemgetter(slice(start, start + len(positions)))
 
 
-def _fused_step(comul: tuple, mul: tuple) -> Optional[tuple]:
+def _plain_step(kind: str, label: Optional[str], off: int,
+                perm: Optional[list[int]], width: int) -> Step:
+    """A slice on keys read through the wire permutation ``perm`` (None
+    for none): it reads its inputs at their permuted positions and writes
+    its outputs, at ``width`` onwards in ``key + outs``, between the
+    permuted positions of the wires it leaves alone."""
+    n_in, n_out = ARITY[kind]
+    perm = perm or list(range(width))
+    return (kind, label, None, _getter(perm[off:off + n_in]),
+            _getter(perm[:off] + list(range(width, width + n_out))
+                    + perm[off + n_in:]))
+
+
+def _fused_step(comul: tuple, mul: tuple) -> Optional[Step]:
     """A comul step and the mul step after it, each ``(kind, label, off,
     perm list or None, width)``, as one step if the mul reads exactly one
     comul output; else None.
 
-    The fused step reads the comul's input at key position ``x_at`` and
-    the mul's other input at ``y_at``, both positions of the step's input
-    key.  ``shape`` says which comul output the mul reads (0 or 1) and at
-    which of its inputs (0 or 1).  A table entry ``((j, k, m), c)`` stands
-    for comul output pair (j, k) and mul output m; ``out_key`` maps
-    ``key + (j, k, m)`` to the mul step's output key.
+    The fused step reads the comul's input and the mul's other input, both
+    at positions of the step's input key.  ``shape`` says which comul
+    output the mul reads (0 or 1) and at which of its inputs (0 or 1).  A
+    table entry ``((j, k, m), c)`` stands for comul output pair (j, k) and
+    mul output m; ``write`` maps ``key + (j, k, m)`` to the mul step's
+    output key.
     """
     _kind, c_label, c_off, perm1, width = comul
     _kind, m_label, m_off, perm2, _width = mul
@@ -455,9 +471,8 @@ def _fused_step(comul: tuple, mul: tuple) -> Optional[tuple]:
     other = perm2[m_off + 1 - side_m]
     out = [source(i) for i in perm2[:m_off]] + [width + 2] + \
         [source(i) for i in perm2[m_off + 2:]]
-    return ("fused", (c_label, m_label),
-            (perm1[c_off], source(other), (reads[side_m], side_m)),
-            itemgetter(*out))  # width >= 2 here, so a tuple comes out
+    return ("fused", (c_label, m_label), (reads[side_m], side_m),
+            _getter([perm1[c_off], source(other)]), _getter(out))
 
 
 def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
@@ -478,8 +493,8 @@ def _program_from_slices(slices: tuple[Slice, ...], widths: list[int]
                 steps[-1] = fused
                 continue
         steps.append(step)
-    return tuple(s if s[0] == "fused" else s[:3] + (_permutation(s[3]),)
-                 for s in steps), _permutation(perm)
+    return tuple(s if s[0] == "fused" else _plain_step(*s)
+                 for s in steps), perm and _getter(perm)
 
 
 def _canonical_from_graph(graph: _Graph) -> Diagram:

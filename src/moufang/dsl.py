@@ -44,9 +44,6 @@ _TOKEN = re.compile(
     r"|(?P<op>[();*∘⊗,]))"
 )
 
-_GENERATOR_NAMES = ("mul", "comul", "unit", "counit", "swap")
-
-
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     pos = 0
@@ -169,7 +166,7 @@ class _Parser:
                 self.expect_op(")")
                 n = identity(int(tvalue)).n_in  # refuses a width out of range
                 return _Wiring(n, [], [], [~i for i in range(n)])
-            if name not in _GENERATOR_NAMES:
+            if name not in ARITY:
                 raise SyntaxErrorAt(f"unknown generator {name!r}", pos)
             _check_generator(name, label or None)
             if name == "swap":

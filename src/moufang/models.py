@@ -265,8 +265,8 @@ class FiniteBialgebraModel:
     truncation-boundary waiver for the coproduct/product compatibility.
     ``verdicts`` holds the `Report` of each identity `holds_identity` has
     decided on this model object, keyed by its ``(lhs, rhs)``, and
-    ``tables`` the evaluator's `FusedTables` for its coproduct and product;
-    a new model object (a new registration) starts with none.  A model is
+    ``tables`` the evaluator's `StepTables` for its structure maps; a
+    new model object (a new registration) starts with none.  A model is
     the order-0 truncated deformation of itself: ``order`` is 0 and
     ``base`` is the model, so sweeps and verdicts treat both alike.
     ``automorphisms`` lists basis permutations (the image of each basis
@@ -291,7 +291,7 @@ class FiniteBialgebraModel:
         default=(), compare=False, repr=False)
     verdicts: dict = field(default_factory=dict, init=False, compare=False,
                            repr=False)
-    tables: "FusedTables" = field(init=False, compare=False, repr=False)
+    tables: "StepTables" = field(init=False, compare=False, repr=False)
     orbits: "Orbits" = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -302,8 +302,8 @@ class FiniteBialgebraModel:
                            _integral_row(self.unit_entries))
         object.__setattr__(self, "counit_entries",
                            integral_state(self.counit_entries))
-        object.__setattr__(self, "tables", FusedTables((self.mul_rows,),
-                                                       (self.comul_rows,)))
+        object.__setattr__(self, "tables", StepTables(
+            (self.mul_rows,), (self.comul_rows,), self))
         for p in self.automorphisms:
             claim = f"model {self.name}: claimed automorphism {tuple(p)}"
             if sorted(p) != list(range(self.dim)):
@@ -427,86 +427,75 @@ def _accumulate(target: State, terms) -> None:
         target[key] = value if acc is None else acc + value
 
 
-def _slice_terms(state: State, kind: str, off: int, perm, rows,
-                 model: FiniteBialgebraModel):
-    """The (key, value) terms one slice makes from one sparse tensor whose
-    keys are first read through the wire permutation ``perm`` (or not, if
-    None)."""
-    if kind == "mul":
-        for key, coeff in state.items():
-            if perm is not None:
-                key = perm(key)
-            for k, c in rows.get((key[off], key[off + 1]), ()):
-                yield key[:off] + (k,) + key[off + 2:], coeff * c
-    elif kind == "comul":
-        for key, coeff in state.items():
-            if perm is not None:
-                key = perm(key)
-            for (j, k), c in rows.get(key[off], ()):
-                yield key[:off] + (j, k) + key[off + 1:], coeff * c
-    elif kind == "unit":
-        for key, coeff in state.items():
-            if perm is not None:
-                key = perm(key)
-            for i, c in model.unit_entries:
-                yield key[:off] + (i,) + key[off:], coeff * c
-    elif kind == "counit":
-        ce = model.counit_entries
-        for key, coeff in state.items():
-            if perm is not None:
-                key = perm(key)
-            c = ce.get(key[off])
-            if c:
-                yield key[:off] + key[off + 1:], coeff * c
-    else:
-        raise ModelError(f"cannot evaluate generator kind {kind!r}")
+class _Rows(dict):
+    """``inputs -> ((outputs, c), ...)``: one step's terms on a tuple of
+    input indices, each a tuple of output indices with its coefficient,
+    made by ``fill(*inputs)`` on first lookup; no term gives ``()``."""
 
-
-class _FusedTable(dict):
-    """``(x, y) -> (((j, k, m), c1·c2), ...)`` for one coproduct and one
-    product component and one fused-step shape, filled on first lookup:
-    each term (j, k), c1 of coproduct row x, in row order, with each term
-    m, c2 of the product of its ``side_c`` output and y (y on the left if
-    ``side_m``), in row order.  A zero c1 makes no entry."""
-
-    def __init__(self, comul: ComulRows, mul: MulRows, shape) -> None:
+    def __init__(self, fill) -> None:
         super().__init__()
-        self.comul, self.mul, self.shape = comul, mul, shape
+        self.fill = fill
 
-    def __missing__(self, xy):
-        x, y = xy
-        side_c, side_m = self.shape
-        entries = []
-        for jk, c1 in self.comul.get(x, ()):
+    def __missing__(self, inputs):
+        self[inputs] = row = tuple(self.fill(*inputs))
+        return row
+
+
+def _fused_fill(comul: ComulRows, mul: MulRows, shape):
+    """The fused-step terms ``((j, k, m), c1·c2)`` on inputs (x, y): each
+    term (j, k), c1 of coproduct row x, in row order, with each term m, c2
+    of the product of its ``side_c`` output and y (y on the left if
+    ``side_m``), in row order.  A zero c1 makes no term."""
+    side_c, side_m = shape
+
+    def fill(x, y):
+        for jk, c1 in comul.get(x, ()):
             if c1:
                 o = jk[side_c]
-                for m, c2 in self.mul.get((y, o) if side_m else (o, y), ()):
-                    entries.append((jk + (m,), integral(c1 * c2)))
-        self[xy] = entries = tuple(entries)
-        return entries
+                for m, c2 in mul.get((y, o) if side_m else (o, y), ()):
+                    yield jk + (m,), integral(c1 * c2)
+    return fill
 
 
-class FusedTables(dict):
-    """The fused-step tables of one model's or deformation's product and
-    coproduct components, keyed by ``(coproduct component, product
-    component, shape)`` and built on first use."""
+class StepTables(dict):
+    """The rows every evaluator step reads, for one model's or
+    deformation's degree components ``muls`` and ``comuls`` and the unit
+    and counit of its ``base`` model: a `_Rows` per key ``("mul", a)``,
+    ``("comul", a)``, ``("unit", 0)``, ``("counit", 0)`` or, for a fused
+    step, ``("fused", coproduct component, product component, shape)``,
+    each built on first use and filled on first lookup.  No fill holds
+    ``base`` or the tables, so that they make no reference cycle."""
 
-    def __init__(self, muls: Sequence[MulRows],
-                 comuls: Sequence[ComulRows]) -> None:
+    def __init__(self, muls: Sequence[MulRows], comuls: Sequence[ComulRows],
+                 base: "FiniteBialgebraModel") -> None:
         super().__init__()
         self.muls, self.comuls = muls, comuls
+        self.unit, self.counit = base.unit_entries, base.counit_entries
 
     def __missing__(self, key):
-        a1, a2, shape = key
-        self[key] = table = _FusedTable(self.comuls[a1], self.muls[a2], shape)
+        kind, a, *fused = key
+        unit, counit = self.unit, self.counit
+        if kind == "mul":
+            rows = self.muls[a]
+            fill = lambda x, y: (((m,), c) for m, c in rows.get((x, y), ()))
+        elif kind == "comul":
+            rows = self.comuls[a]
+            fill = lambda x: rows.get(x, ())
+        elif kind == "unit":
+            fill = lambda: (((i,), c) for i, c in unit)
+        elif kind == "counit":
+            fill = lambda x: (((), c) for c in (counit.get(x),) if c)
+        else:
+            fill = _fused_fill(self.comuls[a], self.muls[fused[0]], fused[1])
+        self[key] = table = _Rows(fill)
         return table
 
 
-def _fused_terms(state: State, x_at: int, y_at: int, out_key, table):
-    """The terms of a fused comul-then-mul step on one sparse tensor."""
+def _terms(state: State, read, write, table: _Rows):
+    """The (key, value) terms one step makes from one sparse tensor."""
     for key, coeff in state.items():
-        for jkm, c in table[key[x_at], key[y_at]]:
-            yield out_key(key + jkm), coeff * c
+        for outs, c in table[read(key)]:
+            yield write(key + outs), coeff * c
 
 
 def _components(comps, label: Optional[str], order: int) -> list[int]:
@@ -519,22 +508,20 @@ def _components(comps, label: Optional[str], order: int) -> list[int]:
 
 
 def evaluate_components(d: Diagram, states: list[State],
-                        model: FiniteBialgebraModel,
-                        tables: FusedTables) -> list[State]:
+                        tables: StepTables) -> list[State]:
     """Apply a diagram to sparse tensors indexed by h-degree, slice by slice.
 
     For a model or truncated deformation ``obj`` the call is
-    ``evaluate_components(d, states, obj.base, obj.tables)``.  ``tables``
-    is the one source of the structure maps: ``tables.muls`` and
-    ``tables.comuls`` list the degree components of the product and
-    coproduct, and the fused steps read the same components through it.  A
-    plain model is the order-0 case ``(mul_rows,)``, ``(comul_rows,)``.
-    Each step convolves degrees modulo h^len(states) (label "0" keeps the
-    constant component, "+" the positive ones); unit and counit, from the
-    base ``model``, are the one undeformed component ``(None,)``.
-    `Diagram.program` gives the steps.  Swaps never copy a tensor: each
-    run of them is folded into a permutation that the next step reads its
-    keys through.  A comul step whose next step, a mul, reads exactly one
+    ``evaluate_components(d, states, obj.tables)``.  ``tables`` is the one
+    source of the structure maps: ``tables.muls`` and ``tables.comuls``
+    list the degree components of the product and coproduct, and every
+    step reads its rows through it.  A plain model is the order-0 case
+    ``(mul_rows,)``, ``(comul_rows,)``.  Each step convolves degrees modulo
+    h^len(states) (label "0" keeps the constant component, "+" the positive
+    ones); unit and counit are the one undeformed component ``(None,)``.
+    `Diagram.program` gives the steps, and one kernel (`_terms`) runs each.
+    Swaps never copy a tensor: each run of them is folded into the next
+    step's reads.  A comul step whose next step, a mul, reads exactly one
     of its outputs is contracted into that mul, through one table entry per
     pair of coproduct and product terms, so the intermediate tensor is
     never built.  Both give the values of a slice-by-slice evaluation, by
@@ -547,28 +534,25 @@ def evaluate_components(d: Diagram, states: list[State],
         # as a swap slice did; a swap-only diagram has no step to clean
         states = [_clean(state) for state in states]
     order = len(states) - 1
-    for kind, label, off, perm in steps:
+    for kind, label, shape, read, write in steps:
         out: list[State] = [{} for _ in states]
         if kind == "fused":
-            x_at, y_at, shape = off
-            mul_comps = _components(muls, label[1], order)
             comul_comps = _components(comuls, label[0], order)
-            for a2 in mul_comps:
+            for a2 in _components(muls, label[1], order):
                 for b2 in range(order + 1 - a2):
                     for a1 in comul_comps:
                         if a1 > b2:
                             break
-                        _accumulate(out[a2 + b2],
-                                    _fused_terms(states[b2 - a1], x_at, y_at,
-                                                 perm, tables[a1, a2, shape]))
+                        _accumulate(out[a2 + b2], _terms(
+                            states[b2 - a1], read, write,
+                            tables["fused", a1, a2, shape]))
         else:
-            comps = (muls if kind == "mul" else comuls if kind == "comul"
-                     else (None,))
+            comps = {"mul": muls, "comul": comuls}.get(kind, (None,))
             for a in _components(comps, label, order):
+                table = tables[kind, a]
                 for b in range(order + 1 - a):
                     _accumulate(out[a + b],
-                                _slice_terms(states[b], kind, off, perm,
-                                             comps[a], model))
+                                _terms(states[b], read, write, table))
         states = [_clean(state) for state in out]
     if tail is not None:
         states = [{tail(key): v for key, v in state.items()}
@@ -596,7 +580,7 @@ def evaluate(d: Diagram, model: FiniteBialgebraModel, state: State) -> State:
             raise ModelError("input index out of range for model dimension")
     refuse_labels(d)
     return as_fractions(evaluate_components(
-        d, [integral_state(state)], model, model.tables)[0])
+        d, [integral_state(state)], model.tables)[0])
 
 
 def add_state(a: State, b: State) -> State:
@@ -658,7 +642,7 @@ def basis_sweep(lhs: Diagram, rhs: Diagram, obj, capped: bool = True):
     for key, covered in _sweep_inputs(lhs, rhs, obj, capped):
         checked = True
         state = basis_state(key)
-        sides = [evaluate_components(d, [state] + [{}] * obj.order, model,
+        sides = [evaluate_components(d, [state] + [{}] * obj.order,
                                      obj.tables) for d in (lhs, rhs)]
         yield key, covered, [as_fractions(subtract_state(a, b))
                              for a, b in zip(*sides)]

@@ -242,27 +242,19 @@ def rewrites(host: Diagram, rule: RewriteRule, direction: str,
     return out
 
 
-def apply_rule(d: Diagram, rule: RewriteRule, position: int | str,
+def apply_rule(d: Diagram, rule: RewriteRule, locator: str,
                direction: str = "->") -> Diagram:
-    """Apply one rule at the given match position (index or locator).
-    Only the named match is replaced; an index counts applications."""
+    """Apply one rule at the match its locator (`Match.position`) names;
+    only that match is replaced."""
     host = canonicalize(d)
     pattern, replacement = rule.sides(direction)
-    matches = find_matches(host, pattern)
-    if isinstance(position, str):
-        matches = [m for m in matches if m.position == position]
-    results = (r for m in matches
-               if (r := _replace(host, pattern, replacement, m)) is not None)
-    count = 0
-    for count, result in enumerate(results, 1):
-        if isinstance(position, str) or count == position + 1:
-            return result
-    if isinstance(position, str):
-        raise RewriteError(
-            f"rule {rule.name} {direction} does not match at {position!r}")
+    for match in find_matches(host, pattern):
+        if match.position == locator:
+            result = _replace(host, pattern, replacement, match)
+            if result is not None:
+                return result
     raise RewriteError(
-        f"rule {rule.name} {direction} has {count} match(es); "
-        f"position {position} does not exist")
+        f"rule {rule.name} {direction} does not match at {locator!r}")
 
 
 # --- proof traces -------------------------------------------------------

@@ -24,12 +24,6 @@ from .dsl import parse, print_diagram
 from .reader import Many, Record, Rest, read, settings
 from .rewrite import RewriteRule
 
-FLAGS = (
-    "assoc", "coassoc", "comm", "cocomm",
-    "moufang_l", "moufang_m", "moufang_r",
-    "comoufang_l", "comoufang_r", "comoufang_m",
-)
-
 
 class TheoryError(Exception):
     """Unknown theory, flag, or malformed theory/goal file."""
@@ -90,6 +84,7 @@ _FLAG_RULES: dict[str, tuple[RewriteRule, ...]] = {
     "comoufang_r": (_co_rule("comoufang_r", _MOUFANG_R),),
     "comoufang_m": (_co_rule("comoufang_m", _MOUFANG_M),),
 }
+FLAGS = tuple(_FLAG_RULES)
 
 
 def base_rules() -> tuple[RewriteRule, ...]:

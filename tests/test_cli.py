@@ -101,12 +101,51 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("check-model --model=binomial:2 --model=--", "--model: unknown model"),
     ("deform --fixture=--", "--fixture: unknown fixture '--'"),
     ("prove mul mul --budget=--", "--budget"),
-    ("render mul --as=--", "unknown render format '--'"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
     assert code == 1
     assert err.startswith(f"error: {flag}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,flag", [
+    ("render mul --as={}", "--as"),
+    ("--format={} render mul", "--format"),
+    ("render mul --format={}", "--format"),
+    ("--format={} eval mul --basis 0,0", "--format"),
+])
+def test_flag_value_outside_its_choices_is_exit_2(capsys, argv, flag):
+    """argparse refuses "xx"; "--", which it skips, is refused alike."""
+    errors = []
+    for value in ("xx", "--"):
+        with pytest.raises(SystemExit) as exc:
+            main(argv.format(value).split())
+        out, err = capsys.readouterr()
+        assert exc.value.code == 2 and not out
+        errors.append(err.splitlines()[-1].split("error: ")[-1])
+    assert errors[0].startswith(f"argument {flag}: invalid choice: 'xx' ")
+    assert errors[1] == errors[0].replace("'xx'", "'--'", 1)
+
+
+def test_bad_suite_seed_is_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("MOUFANG_SUITE_SEED", "x")
+    code, out, err = run(capsys, "suite")
+    assert code == 1 and not out
+    assert err == ("error: MOUFANG_SUITE_SEED: bad value 'x' (invalid "
+                   "literal for int() with base 10: 'x')\n")
+
+
+def test_null_fixture_order_defaults_to_1(capsys):
+    """With no colon after MODEL, ORDER is 1; a MODEL:ORDER spec keeps its
+    meaning, so null:binomial:4 is binomial[6] at order 4."""
+    code, out, _ = run(capsys, "--format", "records", "deform",
+                       "--fixture", "null:fn-o16")
+    assert code == 0
+    assert sha1(out) == "a4187dda667fee9fa47656eeb767b9cfd1f3c5ec"
+    code, out, _ = run(capsys, "deform", "--fixture", "null:binomial:4")
+    assert code == 0
+    assert out.startswith("[info] deform null[binomial[6]]: base "
+                          "binomial[6], order 4\n")
 
 
 @pytest.mark.parametrize("argv,text,lineno", [

@@ -337,7 +337,7 @@ def test_plain_evaluator_is_order_zero_series(model_name, request):
             key = tuple(rng.randrange(model.dim) for _ in range(d.n_in))
             state[key] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         plain = evaluate(d, model, state)
-        series = evaluate_series(d, null, state)
+        series = evaluate_series(d, null, [state, {}, {}])
         assert plain == series[0], name
         assert series[1:] == [{}, {}], name
 
@@ -472,6 +472,15 @@ class _Drawn:
 _SIGNED = next(f for f in _EVALUATOR_FIXTURES if f[0] == "signed")
 
 
+def _evaluate(d, states, model, muls, comuls):
+    """`models.evaluate_components` on copies of ``states``, through fresh
+    tables of the given components and ``model``'s unit and counit."""
+    from moufang.models import StepTables, evaluate_components
+
+    return evaluate_components(d, [dict(s) for s in states],
+                               StepTables(muls, comuls, model))
+
+
 @given(data=st.data(), slicing=_raw_slices(),
        fixture=st.sampled_from(_EVALUATOR_FIXTURES))
 # "signed"'s degree-1 product has e1·e2 = 3e3 but e2·e1 = -3e3, and the
@@ -490,7 +499,6 @@ def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
     zero) input values."""
     from conftest import reference_components
     from moufang.diagram import canonicalize, raw_diagram
-    from moufang.models import FusedTables, evaluate_components
 
     _name, model, muls, comuls, order = fixture
     n_in, slices = slicing
@@ -500,8 +508,7 @@ def test_evaluator_matches_swap_by_swap_reference(data, slicing, fixture):
     states = [data.draw(st.dictionaries(key, value, max_size=4))
               for _ in range(order + 1)]
     for d in (raw, canonicalize(raw)):
-        got = evaluate_components(d, [dict(s) for s in states], model,
-                                  FusedTables(muls, comuls))
+        got = _evaluate(d, states, model, muls, comuls)
         want = reference_components(d, [dict(s) for s in states], model,
                                     muls, comuls)
         assert got == want, str(d)
@@ -512,7 +519,6 @@ def test_signed_deformation_runs_fused_and_matches_reference():
     rows, so the fused step visits it twice where the staircase makes one
     intermediate key, and terms cancel at degree 2: the values agree."""
     from conftest import reference_components
-    from moufang.models import FusedTables, evaluate_components
 
     _name, model, muls, comuls, _order = next(
         f for f in _EVALUATOR_FIXTURES if f[0] == "signed")
@@ -521,8 +527,7 @@ def test_signed_deformation_runs_fused_and_matches_reference():
     states = [{(0, 4): Fraction(1, 2), (0, 1): -1, (2, 3): 2},
               {(4, 0): -1, (1, 1): 2, (2, 4): -1, (1, 2): 1},
               {(4, 2): 1, (0, 1): 2}]
-    got = evaluate_components(d, [dict(s) for s in states], model,
-                              FusedTables(muls, comuls))
+    got = _evaluate(d, states, model, muls, comuls)
     want = reference_components(d, [dict(s) for s in states], model, muls,
                                 comuls)
     assert got == want
@@ -542,7 +547,6 @@ def test_fused_steps_match_reference_on_every_shape():
     fixture: seeded signed inputs at every degree, zero values included,
     give the reference's values."""
     from conftest import reference_components
-    from moufang.models import FusedTables, evaluate_components
 
     rng = random.Random(16)
     values = (-2, -1, 0, 1, 2, Fraction(1, 2), Fraction(-3, 2))
@@ -554,8 +558,7 @@ def test_fused_steps_match_reference_on_every_shape():
                 states = [{(rng.randrange(model.dim),
                             rng.randrange(model.dim)): rng.choice(values)
                            for _ in range(5)} for _ in range(order + 1)]
-                got = evaluate_components(d, [dict(s) for s in states],
-                                          model, FusedTables(muls, comuls))
+                got = _evaluate(d, states, model, muls, comuls)
                 want = reference_components(d, [dict(s) for s in states],
                                             model, muls, comuls)
                 assert got == want, (text, name, states)
@@ -666,15 +669,13 @@ def test_fused_step_on_series_matches_reference(case):
     reference's values."""
     from conftest import reference_components
     from moufang.diagram import canonicalize, raw_diagram
-    from moufang.models import FusedTables, evaluate_components
 
     name, comuls, n_in, slices, states = case
     _name, model, muls, _own, _order = _SERIES_FIXTURES[name]
     raw = raw_diagram(n_in, slices)
     assert "fused" in [step[0] for step in raw.program[0]]
     for d in (raw, canonicalize(raw)):
-        got = evaluate_components(d, [dict(s) for s in states], model,
-                                  FusedTables(muls, comuls))
+        got = _evaluate(d, states, model, muls, comuls)
         want = reference_components(d, [dict(s) for s in states], model,
                                     muls, comuls)
         assert got == want, str(d)
@@ -697,9 +698,10 @@ def test_fn_o16_comoufang_and_compatibility_sides_run_fused(fn_o16):
     for side in ("left", "right"):
         assert check_comoufang_mod(null, side).holds
     for holder in (fn_o16, null):
-        shapes = {shape for _a1, _a2, shape in holder.tables}
+        shapes = {key[3] for key in holder.tables if key[0] == "fused"}
         assert len(shapes) == 4, holder  # co-Moufang sides use four shapes
-    assert {key[:2] for key in null.tables} == {(0, 0)}
+    # a key is ("fused", a1, a2, shape) or (kind, a): components a1, a2, a
+    assert {a for key in null.tables for a in key[1:3]} == {0}
 
 
 def test_deformation_comoufang_sides_run_fused():
@@ -716,8 +718,8 @@ def test_deformation_comoufang_sides_run_fused():
     for deformation, holds in ((delta1, False), (shift, True)):
         for side in ("left", "right"):
             assert check_comoufang_mod(deformation, side).holds == holds
-        assert any(a1 + a2 for a1, a2, _shape in deformation.tables), \
-            deformation.name
+        assert any(key[1] + key[2] for key in deformation.tables
+                   if key[0] == "fused"), deformation.name
 
 
 # --- one verdict per identity per model object --------------------------------

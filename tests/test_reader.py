@@ -35,7 +35,7 @@ from moufang.theories import (
 
 def _fixture(text):
     return load_deformation_text(
-        text, lambda ref: truncated_binomial_bialgebra(2), strict=False)
+        text, lambda ref: truncated_binomial_bialgebra(2))
 
 
 def _trace(text):

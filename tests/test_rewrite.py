@@ -51,24 +51,24 @@ def test_rule_sides_must_share_arities():
 
 def test_apply_counit_rule():
     host = parse("comul ; (counit * id(1))")
-    out = apply_rule(host, rule_by_name("counit-l"), 0)
+    out = apply_rule(host, rule_by_name("counit-l"), "nodes=0,1")
     assert out == parse("id(1)")
 
 
 def test_apply_cocomm_to_q():
     host = parse("comul ; mul")
-    out = apply_rule(host, rule_by_name("cocomm"), 0)
+    out = apply_rule(host, rule_by_name("cocomm"), "nodes=0")
     assert out == parse("comul ; swap ; mul")
 
 
 def test_apply_comoufang_at_root():
     rule = rule_by_name("comoufang_l")
-    assert apply_rule(rule.lhs, rule, 0) == rule.rhs
+    assert apply_rule(rule.lhs, rule, "nodes=0,1,2,3") == rule.rhs
 
 
 def test_apply_no_match_error():
     with pytest.raises(RewriteError):
-        apply_rule(parse("mul"), rule_by_name("counit-l"), 0)
+        apply_rule(parse("mul"), rule_by_name("counit-l"), "nodes=0")
 
 
 def test_identity_pattern_matches_every_wire():
@@ -163,9 +163,9 @@ def test_plain_rule_does_not_match_series_labels():
     # plain-comul rules do not touch a labelled constant part
     assert rewrites(zero_branch, rule, "->") == []
     with pytest.raises(RewriteError):
-        apply_rule(zero_branch, rule, 0)
+        apply_rule(zero_branch, rule, "nodes=0")
     # on the unlabelled drawing the same rule goes through
-    assert apply_rule(parse("comul ; mul"), rule, 0) == parse(
+    assert apply_rule(parse("comul ; mul"), rule, "nodes=0") == parse(
         "comul ; swap ; mul")
 
 
@@ -378,13 +378,7 @@ def test_matches_are_the_convex_embeddings(host, pattern):
 def _apply_rule_by_every_application(d, rule, position, direction):
     """`apply_rule` by computing every application of the rule side and
     keeping one: its result, or the text of the RewriteError it raises."""
-    apps = rewrites(canonicalize(d), rule, direction)
-    if isinstance(position, int):
-        if 0 <= position < len(apps):
-            return apps[position][1]
-        return (f"rule {rule.name} {direction} has {len(apps)} match(es); "
-                f"position {position} does not exist")
-    for match, result in apps:
+    for match, result in rewrites(canonicalize(d), rule, direction):
         if match.position == position:
             return result
     return f"rule {rule.name} {direction} does not match at {position!r}"
@@ -399,13 +393,12 @@ def _apply_rule_by_every_application(d, rule, position, direction):
          direction="<-")
 @settings(max_examples=200, deadline=None)
 def test_apply_rule_replaces_only_the_named_match(host, rule, direction):
-    """At every index from -1 to one past the matches and at every
-    locator, `apply_rule` gives what keeping one of all the applications
-    gives, or the same error text.  In the examples some splices are too
-    wide, so an index counts applications, not matches."""
+    """At every match's locator and at two that name no match,
+    `apply_rule` gives what keeping one of all the applications gives, or
+    the same error text.  In the examples some splices are too wide, so a
+    match can have no application."""
     matches = find_matches(host, rule.sides(direction)[0])
-    positions = list(range(-1, len(matches) + 2)) + [
-        m.position for m in matches] + ["nodes=99", "wire=b9"]
+    positions = [m.position for m in matches] + ["nodes=99", "wire=b9"]
     for position in positions:
         try:
             got = apply_rule(host, rule, position, direction)

@@ -53,9 +53,14 @@ MUTANTS = (
            ("tests/test_models.py",)),
     Mutant("unit-counit-degree-0-only", "models.py",
            "for b in range(order + 1 - a):",
-           "for b in range(order + 1 - a if comps[a] else 1):",
+           'for b in range(order + 1 - a if kind in ("mul", "comul") else 1):',
            ("tests/test_models.py::test_evaluator_matches_swap_by_swap_reference",
-            "tests/test_models.py::test_fused_step_on_series_matches_reference")),
+            "tests/test_models.py::test_fused_step_on_series_matches_reference",
+            "tests/test_deformation.py::test_unit_and_counit_act_at_every_degree")),
+    Mutant("plain-step-reads-unpermuted", "diagram.py",
+           "_getter(perm[off:off + n_in])",
+           "_getter(list(range(off, off + n_in)))",
+           ("tests/test_models.py",)),
     Mutant("shared-difference-dict", "deformation.py",
            "return {i: dict(diffs[n])", "return {i: diffs[n]",
            ("tests/test_deformation.py",)),
@@ -71,6 +76,9 @@ MUTANTS = (
            ("tests/test_dsl.py",)),
     Mutant("verdict-always-holds", "cli.py",
            "        return report.holds\n", "        return True\n",
+           ("tests/test_cli.py",)),
+    Mutant("main-never-flushes", "cli.py",
+           "        reporter.flush()\n", "",
            ("tests/test_cli.py",)),
 )
 
