@@ -47,16 +47,18 @@ def _read_file(path: str, flag: str) -> str:
     return Path(path).read_text()
 
 
-def _load_theory(spec: str) -> theories.Theory:
+def _load_theory(spec: str, flag: str) -> theories.Theory:
+    """The theory a file, name or ``flags:`` list names; a name that is not
+    known is a CliError naming the flag (a file's errors name its line)."""
     if Path(spec).is_file():
         return theories.load_theory_text(Path(spec).read_text())
     try:
-        return theories.named_theory(spec)
-    except theories.TheoryError:
         if "+" in spec or spec.startswith("flags:"):
             flags = spec.removeprefix("flags:").split("+")
             return theories.builtin_theory([f for f in flags if f])
-        raise
+        return theories.named_theory(spec)
+    except theories.TheoryError as exc:
+        raise CliError(f"{flag}: {exc}") from None
 
 
 def _load_model(spec: str, flag: str = "--model",
@@ -140,12 +142,12 @@ def cmd_prove(args, reporter: Reporter) -> int:
         except theories.TheoryError as exc:
             raise CliError(f"--goal: {exc}") from None
         lhs, rhs = goal.lhs, goal.rhs
-        theory = _load_theory(args.theory or goal.theory)
+        theory = _load_theory(args.theory or goal.theory, "--theory")
     else:
         if not (args.lhs and args.rhs):
             raise CliError("prove needs LHS and RHS expressions or --goal NAME")
         lhs, rhs = parse(args.lhs), parse(args.rhs)
-        theory = _load_theory(args.theory or "base")
+        theory = _load_theory(args.theory or "base", "--theory")
     budget = _budget(args.budget)
     trace = rewrite.prove_equal(lhs, rhs, theory.rules, budget, theory.name)
     if trace is None:
@@ -250,6 +252,7 @@ def cmd_octonion(args, reporter: Reporter) -> int:
     if args.out:
         Path(args.out).write_text(octonion.algebra_text(algebra))
         reporter.text(f"structure constants written to {args.out}")
+        reporter.out_path = None
     return status
 
 
@@ -314,7 +317,7 @@ def cmd_render(args, reporter: Reporter) -> int:
 
 
 def cmd_replay(args, reporter: Reporter) -> int:
-    theory = _load_theory(args.theory or "base")
+    theory = _load_theory(args.theory or "base", "--theory")
     lhs, rhs = parse(args.lhs), parse(args.rhs)
     loops: dict = {}
     sound_on = [_load_model(spec, loops=loops) for spec in args.model or []]
@@ -381,7 +384,7 @@ def cmd_suite(args, reporter: Reporter) -> int:
 
     reporter.text("== goal suite ==")
     for goal in suite:
-        theory = _load_theory(goal.theory)
+        theory = _load_theory(goal.theory, "--goals")
         if goal.kind == "provable":
             trace = rewrite.prove_equal(
                 goal.lhs, goal.rhs, theory.rules, budget, theory.name

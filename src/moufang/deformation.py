@@ -61,46 +61,6 @@ class DeformationError(Exception):
     """Invalid deformation data or a failed registration/precondition."""
 
 
-# --- truncated series of linear maps --------------------------------------
-
-
-@dataclass(frozen=True)
-class TruncatedSeriesMap:
-    """Components [f_0, ..., f_N] of a map series between fixed spaces."""
-
-    components: tuple[Matrix, ...]
-
-    def __post_init__(self) -> None:
-        if not self.components:
-            raise DeformationError("a series map needs at least one component")
-        shape = (len(self.components[0]), len(self.components[0][0]))
-        for c in self.components:
-            if (len(c), len(c[0])) != shape:
-                raise DeformationError("series components differ in shape")
-
-    @property
-    def order(self) -> int:
-        return len(self.components) - 1
-
-    def at(self, n: int) -> Matrix:
-        return self.components[n]
-
-
-def _apply_series_slot(phi: TruncatedSeriesMap, states: list[State],
-                       slot: int) -> list[State]:
-    """phi_h = sum h^a phi_a on one slot of tensors indexed by h-degree,
-    modulo h^len(states)."""
-    out: list[State] = [{} for _ in states]
-    for a, m in enumerate(phi.components[:len(states)]):
-        for b in range(len(states) - a):
-            _accumulate(out[a + b], (
-                (key[:slot] + (r,) + key[slot + 1:], coeff * row[key[slot]])
-                for key, coeff in states[b].items()
-                for r, row in enumerate(m) if row[key[slot]]
-            ))
-    return [_clean(state) for state in out]
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """A basis-aligned grading: degree of each basis vector."""
@@ -202,7 +162,6 @@ def evaluate_series(d: Diagram, deformation: TruncatedDeformation,
         d, [integral_state(s) for s in states], deformation.tables)]
 
 
-_MUL = parse("mul")
 _COMUL = parse("comul")
 
 # The base rules that registration checks, by rule name, with the name its
@@ -701,9 +660,33 @@ def h1_dimension(g: BracketAlgebra, action: Sequence[Matrix]) -> H1Report:
 # --- fixture deformations ----------------------------------------------------
 
 
+def _ad(f: dict, rows, rank: int, dim: int) -> dict:
+    """ad_F(g) = Σ F on each output slot of g − Σ g after F on each input
+    slot, for g read as ``rows[inputs] = ((outputs, c), ...)`` and F as
+    ``{i: ((j, c), ...)}``: the same rows for every basis input tuple of
+    length ``rank``, each sorted by outputs and without zeros."""
+    out = {}
+    for key in itertools.product(range(dim), repeat=rank):
+        acc: State = {}
+        for outs, c in rows[key]:
+            _accumulate(acc, ((outs[:s] + (t,) + outs[s + 1:], e * c)
+                              for s, o in enumerate(outs)
+                              for t, e in f.get(o, ())))
+        for s, i in enumerate(key):
+            for t, e in f.get(i, ()):
+                _accumulate(acc, ((outs, -e * c) for outs, c
+                                  in rows[key[:s] + (t,) + key[s + 1:]]))
+        out[key] = tuple(sorted(_clean(acc).items()))
+    return out
+
+
 def shift_conjugation_deformation(max_degree: int, order: int
                                   ) -> TruncatedDeformation:
     """Conjugate the binomial model by exp(h·shift), shift: a^n -> a^(n+1).
+
+    For a structure map g, exp(h·F) ∘ g ∘ exp(−h·F), with exp(±h·F) on
+    every slot, is exp(h·ad_F)(g); so its degree-n component is
+    ad_Fⁿ(g)/n!, which `_ad` computes on sparse rows.
 
     The shift fixes 1 and raises every positive degree, so it is invertible
     as a truncated series but is not a derivation; the conjugated product
@@ -718,35 +701,17 @@ def shift_conjugation_deformation(max_degree: int, order: int
     """
     model = truncated_binomial_bialgebra(max_degree)
     d = model.dim
-    f = linalg.zeros(d, d)
-    for n in range(1, d - 1):
-        f[n + 1][n] = Fraction(1)
-    fwd = exp_derivation_series(model, f, 1, order)
-    inv = exp_derivation_series(model, linalg.mat_scale(f, Fraction(-1)), 1,
-                                order)
-
-    def conjugated(diagram: Diagram, key: tuple[int, ...]) -> list[State]:
-        """fwd ∘ diagram ∘ (inv ⊗ ... ⊗ inv) on one basis input, per
-        h-degree; the plain base model is the order-0 series."""
-        states = [basis_state(key)] + [{} for _ in range(order)]
-        for slot in range(diagram.n_in):
-            states = _apply_series_slot(inv, states, slot)
-        states = evaluate_components(diagram, states, model.tables)
-        for slot in range(diagram.n_out):
-            states = _apply_series_slot(fwd, states, slot)
-        return states
-
-    mul_maps: list[MulRows] = [{} for _ in range(order)]
-    for key in itertools.product(range(d), repeat=2):
-        for rows, state in zip(mul_maps, conjugated(_MUL, key)[1:]):
-            if state:
-                rows[key] = tuple((k, v) for (k,), v in sorted(state.items()))
-    comul_maps: list[ComulRows] = [{} for _ in range(order)]
-    for i in range(d):
-        for rows_c, state in zip(comul_maps, conjugated(_COMUL, (i,))[1:]):
-            if state:
-                rows_c[i] = tuple(sorted(state.items()))
-
+    shift = {n: ((n + 1, 1),) for n in range(1, d - 1)}
+    mul, comul = model.tables["mul", 0], model.tables["comul", 0]
+    mul_maps: list[MulRows] = []
+    comul_maps: list[ComulRows] = []
+    for n in range(1, order + 1):
+        mul, comul = _ad(shift, mul, 2, d), _ad(shift, comul, 1, d)
+        scale = Fraction(1, factorial(n))
+        mul_maps.append({key: tuple((k, scale * c) for (k,), c in row)
+                         for key, row in mul.items() if row})
+        comul_maps.append({i: tuple((jk, scale * c) for jk, c in row)
+                           for (i,), row in comul.items() if row})
     return deformation_from_maps(
         model, order, comul_maps, mul_maps,
         name=f"shift-conj[binomial[{max_degree}],order={order}]",
@@ -825,19 +790,3 @@ def load_deformation_text(text: str, resolve_base) -> TruncatedDeformation:
         model, order, [{i: tuple(v) for i, v in m.items()} for m in comul_raw],
         [{ij: tuple(v) for ij, v in m.items()} for m in mul_raw],
         name=given.get("deformation", "deformation"))
-
-
-def exp_derivation_series(model: FiniteBialgebraModel, derivation: Matrix,
-                          start_degree: int, order: int) -> TruncatedSeriesMap:
-    """exp(h^n · e) as a truncated series map (e a derivation matrix)."""
-    d = model.dim
-    comps = [linalg.eye(d)] + [linalg.zeros(d, d) for _ in range(order)]
-    power = linalg.eye(d)
-    k = 1
-    while k * start_degree <= order:
-        power = linalg.mat_mul(power, derivation)
-        comps[k * start_degree] = linalg.mat_scale(
-            power, Fraction(1, factorial(k))
-        )
-        k += 1
-    return TruncatedSeriesMap(tuple(comps))

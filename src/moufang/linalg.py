@@ -74,10 +74,6 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[c * x for x in row] for row in a]
-
-
 def mat_combination(terms: Iterable[tuple[Fraction, Matrix]], rows: int,
                     cols: int) -> Matrix:
     """The sum of c * m over the (c, m) pairs, as a rows x cols matrix."""

@@ -5,6 +5,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from moufang import theories
 from moufang.cli import main
 
 
@@ -101,6 +102,11 @@ def test_prove_bad_input_is_exit_1(capsys):
     ("check-model --model=binomial:2 --model=--", "--model: unknown model"),
     ("deform --fixture=--", "--fixture: unknown fixture '--'"),
     ("prove mul mul --budget=--", "--budget"),
+    ("prove mul mul --theory=xx", "--theory: unknown theory 'xx'"),
+    ("prove mul mul --theory=flags:zz", "--theory: unknown theory flag 'zz'"),
+    ("prove --goal comoufang-c1 --theory=comoufang_l+zz",
+     "--theory: unknown theory flag 'zz'"),
+    ("replay mul mul --trace . --theory=xx", "--theory: unknown theory 'xx'"),
 ])
 def test_bad_flag_value_is_exit_1(capsys, argv, flag):
     code, _, err = run(capsys, *argv.split())
@@ -146,6 +152,14 @@ def test_null_fixture_order_defaults_to_1(capsys):
     assert code == 0
     assert out.startswith("[info] deform null[binomial[6]]: base "
                           "binomial[6], order 4\n")
+
+
+def test_goals_file_theory_error_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "goals.txt"
+    path.write_text("goal g theory=xx\nlhs mul\nrhs mul\nend\n")
+    code, out, err = run(capsys, "suite", "--goals", str(path))
+    assert code == 1 and not out
+    assert err == "error: --goals: unknown theory 'xx'\n"
 
 
 @pytest.mark.parametrize("argv,text,lineno", [
@@ -204,11 +218,31 @@ _ARGV = st.one_of(
     st.builds(lambda params: ["octonion", f"--params={params}"], _LIST),
     st.builds(lambda fixture: ["deform", f"--fixture={fixture}"], _FIXTURE),
 )
+# Draws whose error line, if any, must name one of the flags given with it.
+_GOAL = st.one_of(st.sampled_from(theories.goal_suite().names()), _JUNK)
+_THEORY = st.one_of(
+    st.sampled_from(["base", "comoufang", "moufang", "cocommutative"]),
+    st.lists(st.sampled_from([*theories.FLAGS, "zz", ""]), max_size=3).map(
+        lambda flags: "flags:" + "+".join(flags)),
+    _JUNK)
+_NOT_A_FILE = st.sampled_from([".", "..", "tests", "src/moufang", "nosuch",
+                               "nosuch/file.txt", "--"])
+_FLAGGED_ARGV = st.one_of(
+    st.builds(lambda goal, theory: (
+        ["prove", "mul", "mul", f"--goal={goal}", f"--theory={theory}",
+         "--budget=200,6,1"], ("--goal", "--theory")), _GOAL, _THEORY),
+    st.builds(lambda path: (["replay", "mul", "mul", f"--trace={path}"],
+                            ("--trace",)), _NOT_A_FILE),
+    st.builds(lambda path: (["suite", f"--goals={path}", "--budget=200,6,1"],
+                            ("--goals",)), _NOT_A_FILE),
+)
 
 
-@given(st.sampled_from(["text", "records"]), _ARGV)
+@given(st.sampled_from(["text", "records"]),
+       st.one_of(_ARGV.map(lambda argv: (argv, None)), _FLAGGED_ARGV))
 @settings(max_examples=150, deadline=None)
-def test_fuzzed_flag_values_end_in_an_exit_code_or_one_error_line(fmt, argv):
+def test_fuzzed_flag_values_end_in_an_exit_code_or_one_error_line(fmt, draw):
+    argv, flags = draw
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([f"--format={fmt}", *argv])
@@ -216,6 +250,7 @@ def test_fuzzed_flag_values_end_in_an_exit_code_or_one_error_line(fmt, argv):
     text = err.getvalue()
     assert not text or (text.startswith("error: ")
                         and text.count("\n") == 1 and text.endswith("\n"))
+    assert not text or flags is None or any(f in text for f in flags)
 
 
 def test_check_model_malformed_file_is_a_fail_record(tmp_path, capsys):
@@ -276,6 +311,20 @@ def test_octonion_subcommand(capsys):
     assert code == 0
     assert out.count("pass") >= 6
     assert sha1(out) == "f1fbff4f5de1baa7042d41735ae269a3cb07908b"
+
+
+def test_octonion_out_writes_the_structure_constants(tmp_path, capsys):
+    from moufang.octonion import algebra_text, octonion_algebra
+
+    path = tmp_path / "constants.txt"
+    code, out, _ = run(capsys, "octonion", "--params=-1,-1,-1",
+                       "--out", str(path))
+    assert code == 0
+    assert path.read_text() == algebra_text(octonion_algebra(-1, -1, -1))
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines[:-1]] == [
+        ["[pass]", "octonion"]] * 7
+    assert lines[-1] == f"structure constants written to {path}"
 
 
 def test_deform_subcommand(capsys):

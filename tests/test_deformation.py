@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import re
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,9 +11,7 @@ from conftest import dense_kernel_T, same_span
 from moufang import linalg
 from moufang.deformation import (
     DeformationError,
-    _apply_series_slot,
     GradedSpace,
-    TruncatedSeriesMap,
     adjoint_action,
     antisymmetrize,
     apply_kernel_map,
@@ -24,7 +23,6 @@ from moufang.deformation import (
     coassociator,
     eigen_kernel_T,
     evaluate_series,
-    exp_derivation_series,
     exterior_power_action,
     h1_dimension,
     is_primitive,
@@ -377,17 +375,45 @@ def test_antisymmetrizer_idempotent_and_commutes():
 
 
 # --- the multiplicative-series defect identity -------------------------------
-# Series maps and the defect identity that only these tests use.  Their
-# sweeps read `basis_iterator(2)` directly, since the series maps are never
-# checked invariant under a model's automorphisms.
+# Series maps and the defect identity that only these tests use.  A series
+# map is the tuple of its components phi[0], ..., phi[order], each a matrix.
+# The sweeps read `basis_iterator(2)` directly, since the series maps are
+# never checked invariant under a model's automorphisms.
 
 _MUL = parse("mul")
 
 
 def identity_series(model, order):
     d = model.dim
-    return TruncatedSeriesMap(
-        tuple([linalg.eye(d)] + [linalg.zeros(d, d) for _ in range(order)]))
+    return tuple([linalg.eye(d)] + [linalg.zeros(d, d) for _ in range(order)])
+
+
+def exp_series(model, derivation, start_degree, order):
+    """exp(h^start_degree · e) as a series map (e a derivation matrix)."""
+    comps = list(identity_series(model, order))
+    power = linalg.eye(model.dim)
+    k = 1
+    while k * start_degree <= order:
+        power = linalg.mat_mul(power, derivation)
+        comps[k * start_degree] = [[x / factorial(k) for x in row]
+                                   for row in power]
+        k += 1
+    return tuple(comps)
+
+
+def apply_series_slot(phi, states, slot):
+    """phi_h = sum h^a phi[a] on one slot of tensors indexed by h-degree,
+    modulo h^len(states)."""
+    out = [{} for _ in states]
+    for a, m in enumerate(phi[:len(states)]):
+        for b in range(len(states) - a):
+            for key, coeff in states[b].items():
+                for r, row in enumerate(m):
+                    if row[key[slot]]:
+                        new = key[:slot] + (r,) + key[slot + 1:]
+                        out[a + b][new] = (out[a + b].get(new, 0)
+                                           + coeff * row[key[slot]])
+    return [{k: v for k, v in state.items() if v} for state in out]
 
 
 def euler_derivation(model):
@@ -408,14 +434,14 @@ def trivial_action(g, dim=1):
 
 def _multiplicative_failures(deformation, phi):
     """Yield (degree, basis pair) wherever phi_h(x•y) != phi_h(x)•phi_h(y)
-    modulo h^(min(order, phi.order)+1)."""
-    order = min(deformation.order, phi.order)
+    modulo h^(min(order, len(phi) - 1)+1)."""
+    order = min(deformation.order, len(phi) - 1)
     for key in deformation.base.basis_iterator(2):
         states = [basis_state(key)] + [{} for _ in range(order)]
-        lhs = _apply_series_slot(
+        lhs = apply_series_slot(
             phi, evaluate_series(_MUL, deformation, states, order), 0)
         for slot in (0, 1):
-            states = _apply_series_slot(phi, states, slot)
+            states = apply_series_slot(phi, states, slot)
         rhs = evaluate_series(_MUL, deformation, states, order)
         yield from ((n, key) for n in range(order + 1) if lhs[n] != rhs[n])
 
@@ -433,7 +459,7 @@ def derivation_defect(phi, psi, deformation, n):
 
     with x y the base product.
     """
-    if n < 1 or n > min(phi.order, psi.order):
+    if n < 1 or n > min(len(phi), len(psi)) - 1:
         raise DeformationError(f"degree {n} outside both series")
     for name, series in (("first", phi), ("second", psi)):
         # lowest degree, then first pair (basis_iterator is lexicographic)
@@ -444,17 +470,17 @@ def derivation_defect(phi, psi, deformation, n):
                 f"basis pair {bad[1]}"
             )
     for i in range(n):
-        if phi.at(i) != psi.at(i):
+        if phi[i] != psi[i]:
             raise DeformationError(
                 f"series differ already at degree {i} (need agreement "
                 f"below {n})"
             )
     model = deformation.base
-    delta = TruncatedSeriesMap((linalg.mat_sub(phi.at(n), psi.at(n)),))
+    delta = (linalg.mat_sub(phi[n], psi[n]),)
 
     def on(series, slot, state):
         # a degree-0 input meets only the series' degree-0 component
-        return _apply_series_slot(series, [state], slot)[0]
+        return apply_series_slot(series, [state], slot)[0]
 
     def sweep():
         for key in model.basis_iterator(2):
@@ -475,7 +501,7 @@ def test_derivation_defect_trivial_and_fixture():
     psi = identity_series(model, 3)
     assert derivation_defect(psi, psi, deformation, 1).holds
     e = euler_derivation(model)
-    phi = exp_derivation_series(model, e, 2, 3)
+    phi = exp_series(model, e, 2, 3)
     assert derivation_defect(phi, psi, deformation, 2).holds
 
 
@@ -483,7 +509,7 @@ def test_derivation_defect_precondition():
     model = truncated_binomial_bialgebra(6)
     deformation = null_deformation(model, 3)
     e = euler_derivation(model)
-    phi = exp_derivation_series(model, e, 1, 3)
+    phi = exp_series(model, e, 1, 3)
     psi = identity_series(model, 3)
     with pytest.raises(DeformationError, match=re.escape(
             "series differ already at degree 1 (need agreement below 2)")):
@@ -496,7 +522,7 @@ def test_derivation_defect_rejects_nonmultiplicative():
     bad = [linalg.eye(model.dim) for _ in range(3)]
     bad[1] = linalg.zeros(model.dim, model.dim)
     bad[1][0][1] = F(1)  # a -> 1 at degree 1: not multiplicative
-    series = TruncatedSeriesMap(tuple(bad))
+    series = tuple(bad)
     good = identity_series(model, 2)
     for name, pair in (("first", (series, good)), ("second", (good, series))):
         with pytest.raises(DeformationError, match=re.escape(
@@ -516,8 +542,21 @@ def test_derivation_defect_reports_lowest_degree_first():
     with pytest.raises(DeformationError, match=re.escape(
             "first series is not multiplicative at degree 1, "
             "basis pair (1, 2)")):
-        derivation_defect(TruncatedSeriesMap(tuple(comps)),
+        derivation_defect(tuple(comps),
                           identity_series(model, 3), deformation, 1)
+
+
+@pytest.mark.parametrize("states,order,message", [
+    ([{(1,): 1}, {}], None, "input tensor rank 1 != diagram inputs 2"),
+    ([{(1, 9): 1}, {}], None, "input index out of range for the base"),
+    ([{}, {(-1, 1): 1}], None, "input index out of range for the base"),
+    ([{(1, 1): 1}], None, "degree-indexed input has the wrong length"),
+    ([{(1, 1): 1}, {}], 2, "degree-indexed input has the wrong length"),
+], ids=["rank", "index-9", "index-minus-1", "length", "length-with-order"])
+def test_evaluate_series_refuses_bad_inputs(states, order, message):
+    deformation = null_deformation(truncated_binomial_bialgebra(4), 1)
+    with pytest.raises(DeformationError, match=f"^{re.escape(message)}$"):
+        evaluate_series(_MUL, deformation, states, order)
 
 
 def test_orders_and_label_counts_are_checked():
@@ -654,7 +693,8 @@ def test_malcev_killing_form_and_adjoint():
     # For (-1,-1,-1), [x, y] = 2 x×y on the imaginary octonions, so
     # tr(ad_x ad_x) = 4 tr(x×(x×·)) = 4 (1 - 7) |x|^2 = -24 |x|^2.
     m = traceless_malcev(octonion_algebra(-1, -1, -1))
-    assert m.killing == linalg.mat_scale(linalg.eye(7), F(-24))
+    assert m.killing == [[F(-24 * (i == j)) for j in range(7)]
+                         for i in range(7)]
     # M is not Lie, so its adjoint map is not a representation.
     with pytest.raises(DeformationError,
                        match=r"^action is not a representation at basis "

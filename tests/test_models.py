@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import associativity_witness
 from moufang import models
-from moufang.diagram import flip
+from moufang.diagram import ArityMismatch, flip
 from moufang.dsl import parse
 from moufang.linalg import bilinear, collect
 from moufang.models import (
@@ -185,9 +185,14 @@ def test_loop_group_like_q(loop_o16):
         assert out == {(loop_o16.mul_rows[(x, x)][0][0],): Fraction(1)}
 
 
-def test_evaluate_rank_mismatch(binomial6):
-    with pytest.raises(Exception):
-        evaluate(parse("mul"), binomial6, basis_state((1,)))
+@pytest.mark.parametrize("key,error,message", [
+    ((1,), ArityMismatch, "input tensor rank 1 != diagram inputs 2"),
+    ((1, 9), ModelError, "input index out of range for model dimension"),
+    ((-1, 1), ModelError, "input index out of range for model dimension"),
+], ids=["rank", "index-9", "index-minus-1"])
+def test_evaluate_refuses_bad_inputs(binomial6, key, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        evaluate(parse("mul"), binomial6, basis_state(key))
 
 
 def test_labelled_generator_refused_on_plain_model(binomial6):

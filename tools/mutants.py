@@ -61,6 +61,14 @@ MUTANTS = (
            "_getter(perm[off:off + n_in])",
            "_getter(list(range(off, off + n_in)))",
            ("tests/test_models.py",)),
+    Mutant("ad-input-slot-sign", "deformation.py",
+           "(outs, -e * c)", "(outs, e * c)",
+           ("tests/test_deformation.py"
+            "::test_shift_conjugation_components_are_pinned",)),
+    Mutant("ad-no-factorial", "deformation.py",  # 2! = 2: order 3 sees it
+           "Fraction(1, factorial(n))", "Fraction(1, n)",
+           ("tests/test_deformation.py"
+            "::test_shift_conjugation_components_are_pinned",)),
     Mutant("shared-difference-dict", "deformation.py",
            "return {i: dict(diffs[n])", "return {i: diffs[n]",
            ("tests/test_deformation.py",)),
